@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import AngleSeries, NormalizedSequence, SpfSieve, is_prime, primes_up_to
-from .errors import IncompleteInputError
+from .errors import DataCorruptionError, IncompleteInputError
 from .report import VerificationReport
 
 TRACE_PRIME_GUARD = 10_000_000
@@ -109,10 +109,10 @@ class TraceSeries:
         self.good = np.asarray(self.good, dtype=bool)
         g = self.good
         if np.any(self.t[g] ** 2 > 4 * self.primes[g]):
-            raise AssertionError("Hasse bound violated on a good prime")
+            raise DataCorruptionError("Hasse bound violated on a good prime")
         tb = self.t[~g]
         if tb.size and (tb.min() < -1 or tb.max() > 1):
-            raise AssertionError("bad-prime trace outside {-1, 0, 1}")
+            raise DataCorruptionError("bad-prime trace outside {-1, 0, 1}")
 
     def __len__(self) -> int:
         return len(self.primes)

@@ -1,20 +1,35 @@
-"""Exact integer convolution: multi-prime NTT with CRT reconstruction.
+"""Exact integer convolution modulo word-size primes, and the CRT lift.
 
-Moduli are primes p = k*2^m + 1 below 2^31, so butterfly products stay
-inside uint64 and every array op vectorizes.  Residue vectors of the true
-integer coefficients are carried through all stages mod each prime; only
-the final Garner lift needs the capacity guarantee (the configured prime
-product is nevertheless checked against per-stage bounds up front).
+A residue vector modulo a prime p < 2^31 is squared exactly by float64
+FFTs over split limbs (Knuth, TAOCP vol. 2, 4.3.3).  Each residue splits
+into three 11-bit limbs; the five limb cross products are real
+convolutions whose coefficients stay below 2^44, well inside the 53-bit
+mantissa, so rounding recovers them exactly.  Every squaring checks its
+rounding error and raises rather than return a wrong residue.  The rounded
+coefficients are reduced mod p and recombined with the weights 2^(11k)
+mod p.  Residues are exact mod each prime through every stage, so only the
+final Garner lift needs the capacity guarantee (a large enough product of
+primes).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import is_prime
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DataCorruptionError
+
+LIMB_BITS = 11
+LIMBS = 3
+# three 11-bit limbs cover 33 bits; residue times weight must fit in uint64
+MAX_MODULUS = 1 << 31
+# exact coefficients are integers, so a genuine rounding error stays far
+# below 1/2; anything past this means the float product lost precision
+ROUNDING_TOLERANCE = 0.25
 
 
 def find_ntt_primes(transform_len: int, count: int) -> list[int]:
@@ -35,120 +50,61 @@ def find_ntt_primes(transform_len: int, count: int) -> list[int]:
     return out
 
 
-def _factor_small(n: int) -> set[int]:
-    fac = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            fac.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        fac.add(n)
-    return fac
+@dataclass(frozen=True)
+class SquarePlan:
+    """Modulus, FFT length and limb weights 2^(11k) mod p, k = 0..4."""
+
+    p: int
+    length: int
+    weights: tuple[int, ...]
 
 
-def primitive_root(p: int) -> int:
-    fac = _factor_small(p - 1)
-    g = 2
-    while True:
-        if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
-            return g
-        g += 1
+@functools.lru_cache(maxsize=64)
+def get_plan(p: int, length: int) -> SquarePlan:
+    """The (cached) plan for squaring mod p at FFT length `length`."""
+    if not 2 <= p < MAX_MODULUS:
+        raise ConfigurationError(f"modulus {p} outside [2, 2^31)")
+    weights = tuple(pow(2, LIMB_BITS * k, p) for k in range(2 * LIMBS - 1))
+    return SquarePlan(p=p, length=length, weights=weights)
 
 
-def _bitrev_permutation(length: int) -> np.ndarray:
-    bits = length.bit_length() - 1
-    idx = np.arange(length, dtype=np.int64)
-    rev = np.zeros(length, dtype=np.int64)
-    for i in range(bits):
-        rev = (rev << 1) | ((idx >> i) & 1)
-    return rev
+def round_exact(x: np.ndarray) -> np.ndarray:
+    """Round float convolution output to the integers it approximates.
+
+    Raises DataCorruptionError when any value sits more than
+    ROUNDING_TOLERANCE from its nearest integer.
+    """
+    r = np.rint(x)
+    err = float(np.max(np.abs(x - r), initial=0.0))
+    if err > ROUNDING_TOLERANCE:
+        raise DataCorruptionError(
+            f"FFT rounding error {err:.3g} exceeds {ROUNDING_TOLERANCE}: product not exact"
+        )
+    return r.astype(np.uint64)
 
 
-def _power_table(w: int, half: int, p: int) -> np.ndarray:
-    """[1, w, w^2, ..., w^(half-1)] mod p by doubling, uint64."""
-    arr = np.array([1], dtype=np.uint64)
-    wk = w
-    pw = np.uint64(p)
-    while len(arr) < half:
-        arr = np.concatenate([arr, (arr * np.uint64(wk)) % pw])
-        wk = wk * wk % p
-    return arr[:half]
+def _limb_products(f0, f1, f2):
+    """Spectra of the limb products of weight 2^(11k), k = 0..4, one at a time."""
+    yield f0 * f0
+    yield 2 * f0 * f1
+    yield f1 * f1 + 2 * f0 * f2
+    yield 2 * f1 * f2
+    yield f2 * f2
 
 
-class NttPlan:
-    """Cached twiddle tables for one (prime, length) pair."""
-
-    def __init__(self, p: int, length: int):
-        if (p - 1) % length:
-            raise ConfigurationError(f"{p} is not 1 mod {length}")
-        self.p = p
-        self.length = length
-        self.rev = _bitrev_permutation(length)
-        g = primitive_root(p)
-        w = pow(g, (p - 1) // length, p)
-        w_inv = pow(w, p - 2, p)
-        self.fwd = self._level_tables(w)
-        self.inv = self._level_tables(w_inv)
-        self.len_inv = np.uint64(pow(length, p - 2, p))
-
-    def _level_tables(self, w: int) -> list[np.ndarray]:
-        tabs = []
-        m = 2
-        while m <= self.length:
-            wm = pow(w, self.length // m, self.p)
-            tabs.append(_power_table(wm, m // 2, self.p))
-            m *= 2
-        return tabs
-
-    def _transform(self, a: np.ndarray, tabs: list[np.ndarray]) -> np.ndarray:
-        p = np.uint64(self.p)
-        a = a[self.rev]
-        m, s = 2, 0
-        while m <= self.length:
-            half = m // 2
-            a = a.reshape(-1, m)
-            even = a[:, :half]
-            t = (a[:, half:] * tabs[s]) % p
-            hi = even + (p - t)
-            np.subtract(hi, p, out=hi, where=hi >= p)
-            lo = even + t
-            np.subtract(lo, p, out=lo, where=lo >= p)
-            a[:, :half] = lo
-            a[:, half:] = hi
-            a = a.reshape(-1)
-            m *= 2
-            s += 1
-        return a
-
-    def forward(self, a: np.ndarray) -> np.ndarray:
-        return self._transform(a, self.fwd)
-
-    def inverse(self, a: np.ndarray) -> np.ndarray:
-        out = self._transform(a, self.inv)
-        return (out * self.len_inv) % np.uint64(self.p)
-
-
-_PLAN_CACHE: dict[tuple[int, int], NttPlan] = {}
-
-
-def get_plan(p: int, length: int) -> NttPlan:
-    key = (p, length)
-    if key not in _PLAN_CACHE:
-        _PLAN_CACHE[key] = NttPlan(p, length)
-    return _PLAN_CACHE[key]
-
-
-def cyclic_square_truncated(res: np.ndarray, plan: NttPlan, keep: int) -> np.ndarray:
+def cyclic_square_truncated(res: np.ndarray, plan: SquarePlan, keep: int) -> np.ndarray:
     """Square a residue polynomial (degree < keep <= length/2), return the
-    first `keep` coefficients mod plan.p."""
-    a = np.zeros(plan.length, dtype=np.uint64)
-    a[: len(res)] = res
-    fa = plan.forward(a)
-    fa = (fa * fa) % np.uint64(plan.p)
-    sq = plan.inverse(fa)
-    return sq[:keep].copy()
+    first `keep` coefficients mod plan.p as uint64."""
+    n = plan.length
+    r = np.asarray(res, dtype=np.uint64)
+    mask = np.uint64((1 << LIMB_BITS) - 1)
+    f0, f1, f2 = (np.fft.rfft((r >> np.uint64(LIMB_BITS * k)) & mask, n=n) for k in range(LIMBS))
+    p = np.uint64(plan.p)
+    out = np.zeros(keep, dtype=np.uint64)
+    for spectrum, w in zip(_limb_products(f0, f1, f2), plan.weights):
+        coeff = round_exact(np.fft.irfft(spectrum, n=n)[:keep]) % p
+        out += coeff * np.uint64(w) % p
+    return out % p
 
 
 def garner_lift(residues: list[np.ndarray], primes: list[int]) -> np.ndarray:

@@ -6,7 +6,9 @@ Two independent routes compute it:
   expand_delta      production path: the 24th power is assembled as three
                     squarings of the cube-of-Euler-product seed series
                     (coefficients (-1)^k (2k+1) at indices k(k+1)/2),
-                    each squaring an exact multi-prime NTT convolution.
+                    each squaring exact modulo several primes (float FFT
+                    over split limbs), then one CRT lift sized by
+                    Deligne's bound.
   tau_naive_oracle  reference path: dense sequential multiplication of the
                     raw factors (1 - q^k) in arbitrary-precision integers,
                     then 23 further multiplications by the same truncated
@@ -23,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import SpfSieve, build_spf_sieve, exponent_core_tables, primes_up_to, AngleSeries, NormalizedSequence
+from .arith import SpfSieve, build_spf_sieve, exponent_core_tables, is_prime, primes_up_to, AngleSeries, NormalizedSequence
 from .errors import ConfigurationError, DataCorruptionError
-from .ntt import cyclic_square_truncated, find_ntt_primes, garner_lift, get_plan
+from .ntt import MAX_MODULUS, cyclic_square_truncated, find_ntt_primes, garner_lift, get_plan
 from .report import VerificationReport
 
 NAIVE_ORACLE_MAX = 10_000
@@ -58,30 +60,24 @@ def _seed_series_length(limit: int) -> int:
     return k
 
 
-def stage_coefficient_bounds(limit: int) -> list[int]:
-    """Static L-infinity bounds for the three squaring stages, exact ints.
+def deligne_bound(limit: int) -> int:
+    """Exact integer B >= max |tau(n)| over n <= limit.
 
-    Uses Linf(f^2) <= Linf(f) * L1(f) chained from the seed series, whose
-    coefficients are +-(2k+1): Linf = 2K+1 and L1 = (K+1)^2 for K terms.
+    Deligne: |tau(n)| <= d(n) n^(11/2).  Divisors pair up as (d, n/d) with
+    one of each pair at most sqrt(n), so d(n) <= 2 sqrt(n) and
+    d(n) n^(11/2) <= 2 n^6 <= 2 limit^6.
     """
-    K = _seed_series_length(limit)
-    linf_seed = 2 * K + 1
-    l1_seed = (K + 1) ** 2
-    b1 = linf_seed * l1_seed
-    l1_6 = l1_seed**2
-    b2 = b1 * l1_6
-    l1_12 = l1_6**2
-    b3 = b2 * l1_12
-    return [b1, b2, b3]
+    return 2 * limit**6
 
 
 @dataclass
 class TauConfig:
     """Parameters for expand_delta.
 
-    ntt_primes defaults to an automatic selection whose product exceeds
-    twice every stage bound; an explicit list is validated the same way
-    before any transform runs.
+    ntt_primes defaults to the fewest primes from find_ntt_primes whose
+    product exceeds 2 * deligne_bound(limit).  An explicit list must hold
+    distinct primes below 2^31 whose product clears the same bound; it is
+    validated before any transform runs.
     """
 
     limit: int
@@ -96,7 +92,7 @@ class TauConfig:
         if self.limit < 1:
             raise ConfigurationError("limit must be >= 1")
         length = self.transform_length()
-        need = 2 * max(stage_coefficient_bounds(self.limit)) + 1
+        need = 2 * deligne_bound(self.limit) + 1
         if self.ntt_primes is None:
             primes: list[int] = []
             count = 1
@@ -107,8 +103,10 @@ class TauConfig:
                 count += 1
         primes = list(self.ntt_primes)
         for p in primes:
-            if (p - 1) % length:
-                raise ConfigurationError(f"modulus {p} is not 1 mod transform length {length}")
+            if not (p < MAX_MODULUS and is_prime(p)):
+                raise ConfigurationError(f"modulus {p} is not a prime below 2^31")
+        if len(set(primes)) != len(primes):
+            raise ConfigurationError("moduli must be distinct")
         if math.prod(primes) < need:
             raise ConfigurationError(
                 f"CRT capacity {math.prod(primes)} below required {need} for limit {self.limit}"
@@ -128,12 +126,12 @@ def _seed_residues(limit: int, p: int) -> np.ndarray:
 
 
 def expand_delta(config: TauConfig) -> ExactTauTable:
-    """Exact tau(n) for n <= config.limit via three NTT squarings.
+    """Exact tau(n) for n <= config.limit via three squarings per prime.
 
     Residues of the true integer coefficients are carried modulo each prime
     through every stage (truncation commutes with power-series products),
-    so capacity is only consumed at the final lift; the per-stage bound
-    check still runs first, per the configuration contract.
+    so capacity is only consumed at the final lift, which Deligne's bound
+    sizes.
     """
     limit = config.limit
     primes = config.resolve_primes()

@@ -30,6 +30,7 @@ from .arith import (
     largest_prime_factor_table,
     primes_up_to,
 )
+from .errors import DataCorruptionError
 from .report import VerificationReport
 from .stats import (
     ks_statistic,
@@ -143,7 +144,8 @@ def verify_thm1(
     flags = []
     for row in rows:
         ok = 0.0 <= row["exceed_fraction"] <= 1.0 and 0.0 <= row["below_fraction"] <= 1.0
-        assert ok, "fractions must lie in [0, 1]"
+        if not ok:
+            raise DataCorruptionError("fractions must lie in [0, 1]")
     if monotone_slack is not None:
         for prev, cur in zip(rows, rows[1:]):
             flags.append(
@@ -183,8 +185,9 @@ def verify_thm2(
 
     Reports |S|/T per checkpoint plus the fraction of window integers whose
     largest prime factor is below the smoothness cutoff y(x).  |S| <= T is a
-    hard assertion; the cancellation ratio becomes a flag only when a
-    tolerance is supplied (applied at the last checkpoint).
+    hard check that raises DataCorruptionError; the cancellation ratio
+    becomes a flag only when a tolerance is supplied (applied at the last
+    checkpoint).
     """
     t0 = time.perf_counter()
     cps = validate_checkpoints(checkpoints, seq.limit)
@@ -197,7 +200,8 @@ def verify_thm2(
         window = seq.values[lo : x + 1]
         S = float(np.sum(window))
         T = float(np.sum(np.abs(window)))
-        assert abs(S) <= T + 1e-9 * (1.0 + T), "triangle inequality |S| <= T violated"
+        if not abs(S) <= T + 1e-9 * (1.0 + T):
+            raise DataCorruptionError("triangle inequality |S| <= T violated")
         y = smoothness_cutoff(x)
         frac_smooth = float(np.mean(lpf[lo : x + 1] <= y)) if x >= lo else 0.0
         rows.append(

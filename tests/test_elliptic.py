@@ -7,6 +7,7 @@ import pytest
 from stseq.arith import primes_up_to
 from stseq.elliptic import (
     CurveSpec,
+    TraceSeries,
     angles_from_traces,
     ec_normalized_sequence,
     kappa_partial,
@@ -14,7 +15,7 @@ from stseq.elliptic import (
     trace_at_prime,
     trace_series,
 )
-from stseq.errors import IncompleteInputError
+from stseq.errors import DataCorruptionError, IncompleteInputError
 
 from conftest import enum_trace
 
@@ -91,6 +92,14 @@ class TestTraceSeries:
     def test_budget(self):
         with pytest.raises(ValueError):
             trace_series(CurveSpec(1, 1), 2_000_000)
+
+    def test_hasse_violation_raises(self):
+        with pytest.raises(DataCorruptionError):
+            TraceSeries(limit=10, curve=CurveSpec(1, 1), primes=[5, 7], t=[5, 0], good=[True, True])
+
+    def test_bad_prime_trace_two_raises(self):
+        with pytest.raises(DataCorruptionError):
+            TraceSeries(limit=10, curve=CurveSpec(1, 1), primes=[2, 7], t=[2, 0], good=[False, True])
 
 
 class TestNormalizedSequence:

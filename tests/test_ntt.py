@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from stseq.arith import is_prime
-from stseq.errors import ConfigurationError
+from stseq.errors import ConfigurationError, DataCorruptionError
 from stseq.ntt import (
-    NttPlan,
     cyclic_square_truncated,
     find_ntt_primes,
     garner_lift,
     get_plan,
-    primitive_root,
+    round_exact,
 )
 
 
@@ -30,43 +29,57 @@ def test_find_ntt_primes_rejects_non_power():
         find_ntt_primes(1000, 1)
 
 
-def test_primitive_root_order():
-    p = find_ntt_primes(1 << 12, 1)[0]
-    g = primitive_root(p)
-    # g^((p-1)/q) != 1 for every prime q | p-1 means full order
-    n = p - 1
-    q = 2
-    facs = set()
-    m = n
-    while q * q <= m:
-        while m % q == 0:
-            facs.add(q)
-            m //= q
-        q += 1
-    if m > 1:
-        facs.add(m)
-    assert all(pow(g, n // q, p) != 1 for q in facs)
-
-
-def test_roundtrip_identity(rng):
-    L = 1 << 10
-    p = find_ntt_primes(L, 1)[0]
-    plan = get_plan(p, L)
-    a = rng.integers(0, p, L).astype(np.uint64)
-    back = plan.inverse(plan.forward(a.copy()))
-    assert np.array_equal(back, a)
+def _residue_cases(rng, p, keep):
+    """Random residues, all p - 1, and the largest residue whose two low
+    limbs are all ones (p - 1 itself has zero low limbs for these primes)."""
+    max_limbs = ((p >> 22) << 22) - 1
+    return {
+        "random": rng.integers(0, p, keep),
+        "p_minus_1": np.full(keep, p - 1),
+        "max_limbs": np.full(keep, max_limbs),
+    }
 
 
 def test_square_matches_object_convolution(rng):
-    L = 1 << 9
+    L = 1 << 12
     keep = L // 2
     p = find_ntt_primes(L, 1)[0]
     plan = get_plan(p, L)
-    coeffs = rng.integers(0, 10**6, keep).astype(object)
-    res = (coeffs % p).astype(np.uint64)
-    got = cyclic_square_truncated(res, plan, keep)
-    ref = np.convolve(coeffs, coeffs)[:keep] % p
-    assert np.array_equal(got.astype(object), ref)
+    for case, res in _residue_cases(rng, p, keep).items():
+        res = res.astype(np.uint64)
+        got = cyclic_square_truncated(res, plan, keep)
+        coeffs = res.astype(object)
+        ref = np.convolve(coeffs, coeffs)[:keep] % p
+        assert got.dtype == np.uint64
+        assert np.array_equal(got.astype(object), ref), case
+
+
+def test_square_exact_at_full_length_with_max_limbs():
+    # a constant input c squares to (i + 1) c^2: every limb product adds
+    # coherently, the largest coefficients the 10^6 tau table ever meets
+    L = 1 << 21
+    keep = L // 2
+    p = find_ntt_primes(L, 1)[0]
+    c = ((p >> 22) << 22) - 1
+    got = cyclic_square_truncated(np.full(keep, c, dtype=np.uint64), get_plan(p, L), keep)
+    i = np.arange(1, keep + 1, dtype=np.uint64)
+    assert np.array_equal(got, i * np.uint64(c * c % p) % np.uint64(p))
+
+
+def test_round_exact_guard():
+    assert round_exact(np.array([0.0, 1.2, 2.75, 3e12 + 0.1])).tolist() == [0, 1, 3, 3 * 10**12]
+    with pytest.raises(DataCorruptionError):
+        round_exact(np.array([1.0, 2.3, 3.0]))
+
+
+def test_square_raises_on_inexact_float_product(rng, monkeypatch):
+    L = 1 << 9
+    p = find_ntt_primes(L, 1)[0]
+    res = rng.integers(0, p, L // 2).astype(np.uint64)
+    real_irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: real_irfft(*a, **k) + 0.3)
+    with pytest.raises(DataCorruptionError):
+        cyclic_square_truncated(res, get_plan(p, L), L // 2)
 
 
 def test_garner_lift_roundtrip(rng):
@@ -89,4 +102,7 @@ def test_garner_lift_centering():
 
 def test_plan_rejects_bad_modulus():
     with pytest.raises(ConfigurationError):
-        NttPlan(7919, 1 << 10)  # 7919 - 1 is not divisible by 1024
+        get_plan(2**31 + 11, 1 << 10)  # three 11-bit limbs need p < 2^31
+    plan = get_plan(7919, 1 << 10)
+    assert (plan.p, plan.length) == (7919, 1 << 10)
+    assert plan.weights == tuple(pow(2, 11 * k, 7919) for k in range(5))

@@ -8,11 +8,11 @@ from stseq.errors import ConfigurationError, DataCorruptionError
 from stseq.ntt import find_ntt_primes
 from stseq.tau import (
     TauConfig,
+    deligne_bound,
     expand_delta,
     integrity_check,
     normalize_tau,
     reconstruct_from_primes,
-    stage_coefficient_bounds,
     tau_angles,
     tau_naive_oracle,
 )
@@ -54,10 +54,26 @@ class TestExpandDelta:
         fast = expand_delta(TauConfig(limit=limit, verify_small=False))
         assert fast.taus == tau_naive_oracle(limit).taus
 
-    def test_stage_bounds_monotone_exact_ints(self):
-        b = stage_coefficient_bounds(10**6)
-        assert all(isinstance(v, int) for v in b)
-        assert b[0] < b[1] < b[2]
+    def test_deligne_bound_covers_oracle(self):
+        taus = tau_naive_oracle(2000).taus
+        assert isinstance(deligne_bound(2000), int)
+        assert deligne_bound(2000) >= max(abs(t) for t in taus)
+        for n in (1, 2, 17, 500, 2000):
+            assert deligne_bound(n) >= max(abs(t) for t in taus[1 : n + 1])
+
+    @pytest.mark.parametrize("limit", [2**19, 10**6])
+    def test_four_moduli_at_scale(self, limit):
+        cfg = TauConfig(limit=limit)
+        primes = cfg.resolve_primes()
+        assert len(primes) == 4
+        assert math.prod(primes) > 2 * deligne_bound(limit)
+        assert primes == find_ntt_primes(cfg.transform_length(), 4)
+
+    @pytest.mark.parametrize("moduli", [[2**31 - 1, 2**31 - 1], [2**31 + 11], [2**31 - 2]])
+    def test_explicit_moduli_must_be_distinct_primes_below_2_31(self, moduli):
+        cfg = TauConfig(limit=4, ntt_primes=moduli)
+        with pytest.raises(ConfigurationError):
+            cfg.resolve_primes()
 
     def test_capacity_checked_before_compute(self):
         cfg = TauConfig(limit=4096, ntt_primes=find_ntt_primes(8192, 1))

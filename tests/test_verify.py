@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stseq.arith import NormalizedSequence, build_spf_sieve, primes_up_to
+from stseq.errors import DataCorruptionError
 from stseq.synthetic import SyntheticSpec, build_synthetic_sequence
 from stseq.verify import (
     SupportFilter,
@@ -114,6 +115,12 @@ class TestThm2:
         rep = verify_thm2(synth_seq, [100, 10_000, 100_000])
         for row in rep.rows:
             assert abs(row["S"]) <= row["T"] + 1e-9
+
+    def test_non_finite_window_raises(self):
+        seq = const_sequence(1000)
+        seq.values[700] = np.nan
+        with pytest.raises(DataCorruptionError):
+            verify_thm2(seq, [1000])
 
     def test_ratio_flag(self, synth_seq):
         rep = verify_thm2(synth_seq, [100_000], ratio_tol=1e-12)
