@@ -11,18 +11,24 @@ Layout: a fixed header followed by a kind-specific payload.
 Exact tau entries are stored as a u32 LE length prefix plus that many
 little-endian two's-complement bytes.  Float payloads are IEEE-754 binary64
 little-endian; non-finite values refuse to serialize.  Loads verify magic,
-version, kind, and checksum before any parsing.
+version, kind, and checksum before any parsing.  The header is outside the
+checksum, so parsers check the header limit against the payload length and
+the stored primes, and raise CacheFormatError on any disagreement.  Saves
+write a temporary file beside the target and rename it into place, so an
+interrupted save never leaves a partial file under the target name.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
-from .arith import AngleSeries, NormalizedSequence
+from .arith import AngleSeries, NormalizedSequence, is_prime
 from .elliptic import CurveSpec, TraceSeries
 from .errors import CacheFormatError, ChecksumError
 from .tau import ExactTauTable
@@ -37,7 +43,7 @@ KIND_TRACES = 4
 _HEADER = struct.Struct("<4sIBQQ")
 
 
-def _checksum(payload: bytes) -> int:
+def _checksum(payload) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
 
 
@@ -61,7 +67,19 @@ def _str_block(s: str) -> bytes:
 def _read_str(buf: memoryview, off: int) -> tuple[str, int]:
     (n,) = struct.unpack_from("<I", buf, off)
     off += 4
+    if off + n > len(buf):
+        raise CacheFormatError("string block runs past the payload")
     return bytes(buf[off : off + n]).decode("utf-8"), off + n
+
+
+def _check_primes(primes: np.ndarray, limit: int, complete: bool) -> None:
+    """Stored primes must not exceed the header limit.  A `complete` series
+    holds every prime <= limit, so no prime may lie between its last one and
+    the limit either; the scan stops at the first prime, within one gap."""
+    last = int(primes.max()) if len(primes) else 1
+    if last > limit or (complete and any(is_prime(m) for m in range(last + 1, limit + 1))):
+        raise CacheFormatError(f"header limit {limit} disagrees with the stored primes "
+                               f"(largest {last})")
 
 
 def _payload_exact_tau(table: ExactTauTable) -> bytes:
@@ -74,6 +92,8 @@ def _payload_exact_tau(table: ExactTauTable) -> bytes:
 
 
 def _parse_exact_tau(limit: int, buf: memoryview) -> ExactTauTable:
+    if 5 * limit > len(buf):  # every entry is a 4-byte length plus at least one byte
+        raise CacheFormatError(f"exact-tau payload too short for header limit {limit}")
     taus = [0] * (limit + 1)
     off = 0
     for n in range(1, limit + 1):
@@ -94,6 +114,9 @@ def _payload_normalized(seq: NormalizedSequence) -> bytes:
 def _parse_normalized(limit: int, buf: memoryview) -> NormalizedSequence:
     source, off = _read_str(buf, 0)
     meta_raw, off = _read_str(buf, off)
+    if len(buf) - off != 8 * limit:
+        raise CacheFormatError(
+            f"sequence payload holds {len(buf) - off} value bytes, header limit {limit}")
     vals = np.empty(limit + 1, dtype=np.float64)
     vals[0] = np.nan
     vals[1:] = np.frombuffer(buf[off:], dtype="<f8", count=limit)
@@ -114,11 +137,15 @@ def _parse_angles(limit: int, buf: memoryview) -> AngleSeries:
     source, off = _read_str(buf, 0)
     (n,) = struct.unpack_from("<Q", buf, off)
     off += 8
+    if len(buf) - off != 24 * n:
+        raise CacheFormatError(f"angles payload does not hold {n} records")
     primes = np.frombuffer(buf[off : off + 8 * n], dtype="<i8").copy()
     off += 8 * n
     a = np.frombuffer(buf[off : off + 8 * n], dtype="<f8").copy()
     off += 8 * n
     theta = np.frombuffer(buf[off : off + 8 * n], dtype="<f8").copy()
+    # elliptic angles omit the curve's bad primes, so only their maximum is checked
+    _check_primes(primes, limit, complete=source != "elliptic")
     return AngleSeries(primes=primes, a=a, theta=theta, source=source, limit=limit)
 
 
@@ -136,11 +163,14 @@ def _parse_traces(limit: int, buf: memoryview) -> TraceSeries:
     a4, a6 = struct.unpack_from("<qq", buf, 0)
     (n,) = struct.unpack_from("<Q", buf, 16)
     off = 24
+    if len(buf) - off != 17 * n:
+        raise CacheFormatError(f"traces payload does not hold {n} records")
     primes = np.frombuffer(buf[off : off + 8 * n], dtype="<i8").copy()
     off += 8 * n
     t = np.frombuffer(buf[off : off + 8 * n], dtype="<i8").copy()
     off += 8 * n
     good = np.frombuffer(buf[off : off + n], dtype=np.uint8).astype(bool)
+    _check_primes(primes, limit, complete=True)
     return TraceSeries(
         limit=limit, curve=CurveSpec(a4, a6), primes=primes, t=t, good=good
     )
@@ -169,9 +199,16 @@ def save_cache(path, obj) -> None:
         raise TypeError(f"cannot cache objects of type {type(obj).__name__}") from None
     payload = encode(obj)
     header = _HEADER.pack(MAGIC, VERSION, kind, limit_of(obj), _checksum(payload))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_cache(path):
@@ -188,6 +225,10 @@ def load_cache(path):
     if kind not in _PARSERS:
         raise CacheFormatError(f"unknown kind {kind}")
     payload = memoryview(blob)[_HEADER.size :]
-    if _checksum(bytes(payload)) != checksum:
+    if _checksum(payload) != checksum:
         raise ChecksumError("payload checksum mismatch")
-    return _PARSERS[kind](limit, payload)
+    try:
+        return _PARSERS[kind](limit, payload)
+    except (struct.error, ValueError) as exc:
+        # the payload is intact, so the header disagrees with it
+        raise CacheFormatError(f"kind {kind} payload does not parse: {exc}") from exc

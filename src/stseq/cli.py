@@ -7,7 +7,8 @@ declared flags pass (1 on failed verification, 2 on usage errors).
 
 A flat key=value config file supplies defaults; explicit flags win.  The
 cache directory comes from --cache-dir, the STSEQ_CACHE_DIR environment
-variable, or ./stseq-cache, in that order.
+variable, or ./stseq-cache, in that order.  Every source is built once per
+cache and read back after, so `verify --source synth` loads what `synth` wrote.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arith import PrimePowerRule, build_spf_sieve
+from .arith import AngleSeries, NormalizedSequence, PrimePowerRule, build_spf_sieve
 from .cache import load_cache, save_cache
 from .elliptic import (
     CurveSpec,
@@ -106,34 +107,49 @@ def cache_dir_of(args) -> Path:
     return p
 
 
-def _cached(path: Path, builder):
-    if path.exists():
-        try:
-            return load_cache(path)
-        except CacheFormatError:
-            pass  # fall through and rebuild
-    obj = builder()
-    save_cache(path, obj)
-    return obj
+def _cached(paths: list[Path], builder, fits=lambda *objs: True) -> tuple:
+    """Objects at `paths` if all load and `fits` them, else builder()'s, saved one per path."""
+    try:
+        if all(p.exists() for p in paths):
+            objs = tuple(load_cache(p) for p in paths)
+            if fits(*objs):
+                return objs
+    except CacheFormatError:
+        pass  # corrupt: rebuild and overwrite
+    objs = builder()
+    for path, obj in zip(paths, objs):
+        save_cache(path, obj)
+    return objs
 
 
 def get_tau_table(args):
     limit = _require(args, "limit")
     path = cache_dir_of(args) / f"tau_{limit}.astc"
-    return _cached(path, lambda: expand_delta(TauConfig(limit=limit)))
+    return _cached([path], lambda: (expand_delta(TauConfig(limit=limit)),))[0]
 
 
 def get_trace_series(args):
     limit = _require(args, "limit")
     a4, b6 = _parse_curve(_require(args, "curve"))
     path = cache_dir_of(args) / f"traces_{a4}_{b6}_{limit}.astc"
+    return _cached([path], lambda: (
+        trace_series(CurveSpec(a4, b6), limit, threads=args.threads),))[0]
+
+
+def get_synthetic(args) -> tuple[AngleSeries, NormalizedSequence]:
+    """(angles, seq) for --source synth; a cached pair is used only if it fits the request."""
+    limit, seed, cache = _require(args, "limit"), _require(args, "seed"), cache_dir_of(args)
+    # repr keeps every digit of rho (":g" would give 0.25 and 0.2500001 one file)
+    paths = [cache / f"synth_angles_{limit}_{seed}.astc",
+             cache / f"synth_{limit}_{seed}_{args.rule}_{args.rho!r}.astc"]
+    spec = SyntheticSpec(limit=limit, seed=seed, rule=PrimePowerRule(args.rule, args.rho))
     return _cached(
-        path, lambda: trace_series(CurveSpec(a4, b6), limit, threads=args.threads)
+        paths,
+        lambda: build_synthetic_sequence(spec, build_spf_sieve(max(limit, 2))),
+        lambda angles, seq: isinstance(angles, AngleSeries)
+        and isinstance(seq, NormalizedSequence) and seq.limit == angles.limit == limit
+        and [seq.meta.get(k) for k in ("seed", "rule", "rho")] == [seed, args.rule, args.rho],
     )
-
-
-def _rule_from(args) -> PrimePowerRule:
-    return PrimePowerRule(kind=args.rule, rho=args.rho)
 
 
 def _require(args, name):
@@ -155,10 +171,7 @@ def resolve_sequence(args):
         sieve = build_spf_sieve(max(limit, 2))
         return ec_normalized_sequence(series, sieve, limit), angles_from_traces(series)
     if source == "synth":
-        seed = _require(args, "seed")
-        sieve = build_spf_sieve(max(limit, 2))
-        spec = SyntheticSpec(limit=limit, seed=seed, rule=_rule_from(args))
-        angles, seq = build_synthetic_sequence(spec, sieve)
+        angles, seq = get_synthetic(args)
         return seq, angles
     raise UsageError(f"unknown source {source!r}")
 
@@ -227,21 +240,13 @@ def cmd_ec(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    limit = _require(args, "limit")
-    seed = _require(args, "seed")
-    sieve = build_spf_sieve(max(limit, 2))
-    spec = SyntheticSpec(limit=limit, seed=seed, rule=_rule_from(args))
-    angles, seq = build_synthetic_sequence(spec, sieve)
-    path = cache_dir_of(args) / f"synth_{limit}_{seed}_{args.rule}_{args.rho:g}.astc"
-    save_cache(path, seq)
-    apath = cache_dir_of(args) / f"synth_angles_{limit}_{seed}.astc"
-    save_cache(apath, angles)
+    _, seq = get_synthetic(args)
     print(
-        f"synthetic sequence: limit={limit} seed={seed} rule={args.rule} "
+        f"synthetic sequence: limit={args.limit} seed={args.seed} rule={args.rule} "
         f"acceptance={seq.meta['acceptance_rate']:.4f} "
         f"growth_violations={seq.meta['growth_violations']}"
     )
-    print(f"cached: {path} and {apath}")
+    print(f"cached in {cache_dir_of(args)}")
     return 0
 
 
@@ -290,8 +295,8 @@ def cmd_stats(args) -> int:
 
 def cmd_verify(args) -> int:
     kind = args.verifier
+    seq, angles = resolve_sequence(args)
     if kind == "thm1":
-        seq, _ = resolve_sequence(args)
         report = verify_thm1(
             seq,
             eps=args.epsilon,
@@ -299,12 +304,10 @@ def cmd_verify(args) -> int:
             monotone_slack=args.slack,
         )
     elif kind == "thm2":
-        seq, _ = resolve_sequence(args)
         report = verify_thm2(
             seq, checkpoints=_parse_int_list(args.checkpoints), ratio_tol=args.ratio_tol
         )
     elif kind == "thm3":
-        seq, _ = resolve_sequence(args)
         x = args.x or seq.limit
         report = verify_thm3(
             seq,
@@ -315,7 +318,6 @@ def cmd_verify(args) -> int:
             skew_tol=args.skew_tol,
         )
     elif kind == "lemma-sums":
-        seq, _ = resolve_sequence(args)
         band = None
         if args.band:
             lo, hi = _parse_float_list(args.band)
@@ -327,7 +329,6 @@ def cmd_verify(args) -> int:
             ratio_band=band,
         )
     elif kind == "hall-tenenbaum":
-        seq, _ = resolve_sequence(args)
         x = args.x or seq.limit
         if args.f == "ones":
             f = np.ones(x + 1)
@@ -338,7 +339,6 @@ def cmd_verify(args) -> int:
             label = "f=|a_n|^2"
         report = verify_hall_tenenbaum(f, x, label=label)
     elif kind == "assumptions":
-        seq, angles = resolve_sequence(args)
         cps = _parse_int_list(args.checkpoints) if args.checkpoints else None
         report = check_assumptions(
             seq, angles, A=args.A, grid=args.grid, checkpoints=cps, a2_gap_tol=args.a2_tol

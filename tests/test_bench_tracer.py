@@ -1,26 +1,34 @@
-"""The benchmark's tracer wraps stseq functions by module and name, so a
-rename or removal would silently drop its spans; this keeps them in step."""
+"""The benchmark reaches into stseq by module, function and cache file name:
+its tracer wraps functions by name, so a rename or removal would silently
+drop spans, and its pins hash the cache files each call creates, so a new
+cache key would only show as a digest mismatch.  These keep them in step."""
 
 import importlib
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
+from stseq.cli import main
 from stseq.ntt import find_ntt_primes, get_plan
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-@pytest.fixture
-def tracer(monkeypatch):
+def _load_bench(monkeypatch, name):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ untouched
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    return _load_bench(monkeypatch, "tracer")
 
 
 def test_every_target_exists(tracer):
@@ -36,3 +44,15 @@ def test_every_target_exists(tracer):
 def test_square_hook_reads_plan_length(tracer):
     plan = get_plan(find_ntt_primes(8, 1)[0], 8)
     assert tracer._square_attrs((None, plan), {}, None) == {"transform_len": 8}
+
+
+def test_synth_session_caches_once(tmp_path, monkeypatch):
+    session = _load_bench(monkeypatch, "session")
+    cache = tmp_path / "cache"
+    created = []
+    for i, argv in enumerate(session.session_calls("synth-session", 7, limit=2000)):
+        before = set(os.listdir(cache)) if cache.exists() else set()
+        assert main([*argv, "--cache-dir", str(cache), "--out-dir", str(tmp_path / f"out{i}")]) == 0
+        created.append(sorted(set(os.listdir(cache)) - before))
+    assert created[0] == ["synth_2000_7_hecke-chebyshev_0.25.astc", "synth_angles_2000_7.astc"]
+    assert created[1:] == [[]] * (len(created) - 1)

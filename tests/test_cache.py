@@ -1,8 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from stseq.arith import AngleSeries, NormalizedSequence, primes_up_to
-from stseq.cache import load_cache, save_cache
+from stseq.cache import _HEADER, load_cache, save_cache
 from stseq.elliptic import CurveSpec, trace_series
 from stseq.errors import CacheFormatError, ChecksumError
 from stseq.synthetic import StRngStream, sample_st_angles
@@ -127,3 +129,73 @@ def test_non_finite_floats_rejected(tmp_path):
 def test_uncacheable_type(tmp_path):
     with pytest.raises(TypeError):
         save_cache(tmp_path / "x.astc", {"not": "cacheable"})
+
+
+def _one_of_each_kind():
+    ps = primes_up_to(500)
+    vals = np.concatenate([[np.nan, 1.0], np.linspace(-1, 1, 99)])
+    return {
+        "exact-tau": tau_naive_oracle(300),
+        "normalized": NormalizedSequence(limit=100, values=vals, source="synthetic"),
+        "angles": AngleSeries.from_theta(ps, sample_st_angles(StRngStream(1), ps),
+                                         source="synthetic", limit=500),
+        "traces": trace_series(CurveSpec(-1, 1), 500),
+    }
+
+
+@pytest.mark.parametrize("delta", [7, -7, 1 << 40])
+@pytest.mark.parametrize("kind", ["exact-tau", "normalized", "angles", "traces"])
+def test_header_limit_disagreeing_with_payload(tmp_path, kind, delta):
+    """The header is outside the checksum: a changed limit must still fail typed."""
+    path = tmp_path / "x.astc"
+    save_cache(path, _one_of_each_kind()[kind])
+    raw = bytearray(path.read_bytes())
+    off = _HEADER.size - 16  # the u64 limit precedes the u64 checksum
+    (limit,) = struct.unpack_from("<Q", raw, off)
+    struct.pack_into("<Q", raw, off, limit + delta)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CacheFormatError):
+        load_cache(path)
+
+
+class _HalfWriter:
+    """File stand-in that writes half of the first chunk, then is interrupted."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(bytes(data)[: len(data) // 2])
+        raise KeyboardInterrupt
+
+
+def test_interrupted_save_leaves_no_file(tmp_path, monkeypatch):
+    import builtins
+
+    import stseq.cache
+
+    def interrupt_writes():
+        real_open = builtins.open
+        monkeypatch.setattr(stseq.cache, "open", lambda *a: _HalfWriter(real_open(*a)),
+                            raising=False)
+
+    path = tmp_path / "t.astc"
+    interrupt_writes()
+    with pytest.raises(KeyboardInterrupt):
+        save_cache(path, tau_naive_oracle(100))
+    assert list(tmp_path.iterdir()) == []
+
+    monkeypatch.undo()  # a complete file survives an interrupted overwrite
+    save_cache(path, tau_naive_oracle(100))
+    before = path.read_bytes()
+    interrupt_writes()
+    with pytest.raises(KeyboardInterrupt):
+        save_cache(path, tau_naive_oracle(120))
+    assert [p.name for p in tmp_path.iterdir()] == ["t.astc"]
+    assert path.read_bytes() == before

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import stseq.cli
+from stseq.cache import load_cache
 from stseq.cli import main
 from stseq.report import VerificationReport, rows_from_csv
 
@@ -113,7 +115,6 @@ def test_format_json_stdout(tmp_path, capsys):
 
 def test_angles_command(tmp_path):
     assert run(tmp_path, "angles", "--source", "synth", "--limit", "2000", "--seed", "5") == 0
-    from stseq.cache import load_cache
     ang = load_cache(tmp_path / "cache" / "angles_synth_2000.astc")
     assert ang.limit == 2000
 
@@ -142,3 +143,67 @@ def test_bad_config_key(tmp_path):
                "--seed", "1", "--epsilon", "0.25", "--checkpoints", "50,100",
                "--config", str(conf))
     assert code == 2
+
+
+SYNTH = ["--source", "synth", "--limit", "3000", "--seed", "7"]
+SYNTH_CALLS = {
+    "thm1-typical-size": ["verify", "thm1", *SYNTH, "--epsilon", "0.25",
+                          "--checkpoints", "1000,3000"],
+    "thm3-clt": ["verify", "thm3", *SYNTH, "--standardization", "finite-size"],
+    "assumption-diagnostics": ["verify", "assumptions", *SYNTH],
+}
+
+
+def _canonical(tmp_path, stem):
+    return VerificationReport.from_json((tmp_path / f"{stem}.json").read_text()).canonical_bytes()
+
+
+def _fresh_build_bytes(tmp_path):
+    """Canonical report bytes from a cache directory that `synth` never saw."""
+    fresh = tmp_path / "fresh"
+    for stem, argv in SYNTH_CALLS.items():
+        assert run(fresh, *argv) == 0
+    return {stem: _canonical(fresh, stem) for stem in SYNTH_CALLS}
+
+
+def test_verify_reads_synth_cache(tmp_path, monkeypatch):
+    expected = _fresh_build_bytes(tmp_path)
+    assert run(tmp_path, "synth", "--limit", "3000", "--seed", "7") == 0
+
+    def build(*_args, **_kw):
+        raise AssertionError("synthetic sequence rebuilt despite a valid cache")
+    monkeypatch.setattr(stseq.cli, "build_synthetic_sequence", build)
+    for stem, argv in SYNTH_CALLS.items():
+        assert run(tmp_path, *argv) == 0
+        assert _canonical(tmp_path, stem) == expected[stem]
+
+
+@pytest.mark.parametrize("name", ["synth_angles_3000_7.astc",
+                                  "synth_3000_7_hecke-chebyshev_0.25.astc"])
+def test_corrupt_synth_cache_is_rebuilt(tmp_path, monkeypatch, name):
+    expected = _fresh_build_bytes(tmp_path)
+    assert run(tmp_path, "synth", "--limit", "3000", "--seed", "7") == 0
+    path = tmp_path / "cache" / name
+    raw = bytearray(path.read_bytes())
+    raw[len(raw) // 2] ^= 0x01
+    path.write_bytes(bytes(raw))
+    builds = []
+    real = stseq.cli.build_synthetic_sequence
+    monkeypatch.setattr(stseq.cli, "build_synthetic_sequence",
+                        lambda *a, **kw: builds.append(1) or real(*a, **kw))
+    for stem, argv in SYNTH_CALLS.items():
+        assert run(tmp_path, *argv) == 0
+        assert _canonical(tmp_path, stem) == expected[stem]
+    assert builds == [1]  # the first call rebuilt and overwrote, the rest loaded
+
+
+def test_rho_keys_its_own_cache_file(tmp_path):
+    assert run(tmp_path, "synth", "--limit", "500", "--seed", "7", "--rho", "0.25") == 0
+    assert run(tmp_path, "verify", "thm1", "--source", "synth", "--limit", "500", "--seed", "7",
+               "--rho", "0.2500001", "--epsilon", "0.25", "--checkpoints", "100,500") == 0
+    names = sorted(p.name for p in (tmp_path / "cache").iterdir())
+    assert names == ["synth_500_7_hecke-chebyshev_0.25.astc",
+                     "synth_500_7_hecke-chebyshev_0.2500001.astc",
+                     "synth_angles_500_7.astc"]
+    seq = load_cache(tmp_path / "cache" / "synth_500_7_hecke-chebyshev_0.2500001.astc")
+    assert seq.meta["rho"] == 0.2500001
