@@ -1,17 +1,21 @@
 """Sieves, factorization, and assembly of multiplicative sequences.
 
 Everything downstream builds on three primitives: a smallest-prime-factor
-table, exact factorization against it, and the assembly of a multiplicative
-sequence a_n from prime angles plus a prime-power rule.  Prime values are
-a_p = 2 cos(theta_p) in [-2, 2]; higher prime powers come from the selected
-rule.  All heavy loops are vectorized; results are independent of evaluation
-order and thread count.
+table, exact factorization against it, and one multiplicative kernel.
+The sieve derives n = spf(n)^e * core once, and `fill_multiplicative`
+fills any table f(n) = f(spf(n)^e) * f(core) from those pairs in dyadic
+blocks.  The kernel fills the sequences assembled from prime angles plus a
+prime-power rule (a_p = 2 cos(theta_p) in [-2, 2]; higher prime powers come
+from the rule), the elliptic sequences, d(n), sigma_11(n) mod 691 and the
+largest prime factor.  All heavy loops are vectorized; results are
+independent of evaluation order and thread count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +77,15 @@ class SpfSieve:
     def primes(self) -> np.ndarray:
         n = np.arange(2, self.limit + 1, dtype=np.int64)
         return n[self.spf[2:] == n]
+
+    @cached_property
+    def exponent_core(self) -> tuple[np.ndarray, np.ndarray]:
+        """(e, core) from `_derive_exponent_core`, derived on first use and
+        read-only, since every table filled from this sieve shares them."""
+        e, core = _derive_exponent_core(self.spf)
+        e.flags.writeable = False
+        core.flags.writeable = False
+        return e, core
 
     def __post_init__(self):
         if self.limit < 2:
@@ -144,15 +157,14 @@ def factorize(n: int, sieve: SpfSieve) -> Factorization:
     return Factorization(n=n, pairs=pairs)
 
 
-def exponent_core_tables(sieve: SpfSieve) -> tuple[np.ndarray, np.ndarray]:
+def _derive_exponent_core(spf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-n decomposition n = spf(n)^e * core with spf(n) not dividing core.
 
     Returns (e, core) arrays indexed 0..limit (entries below 2 are 0/1
     placeholders).  Filled in dyadic blocks so every lookup lands in an
     already-final earlier block: n // spf(n) <= n/2.
     """
-    limit = sieve.limit
-    spf = sieve.spf
+    limit = len(spf) - 1
     e = np.zeros(limit + 1, dtype=np.int8)
     core = np.zeros(limit + 1, dtype=np.int64)
     core[1] = 1
@@ -169,20 +181,36 @@ def exponent_core_tables(sieve: SpfSieve) -> tuple[np.ndarray, np.ndarray]:
     return e, core
 
 
-def largest_prime_factor_table(sieve: SpfSieve) -> np.ndarray:
-    """P(n) for all n <= limit, with P(1) = 1 (same dyadic-block scheme)."""
-    limit = sieve.limit
-    spf = sieve.spf
-    lpf = np.zeros(limit + 1, dtype=np.int64)
-    lpf[1] = 1
+def exponent_core_tables(sieve: SpfSieve) -> tuple[np.ndarray, np.ndarray]:
+    """The sieve's read-only (e, core) pair: n = spf(n)^e * core."""
+    return sieve.exponent_core
+
+
+def fill_multiplicative(sieve: SpfSieve, limit: int, prime_power, out: np.ndarray,
+                        combine=np.multiply) -> np.ndarray:
+    """Fill out[1..limit] with f(1) = 1 and f(n) = combine(prime_power(p, e), f(core)).
+
+    p = spf(n) and e come in as int64 arrays over one dyadic block
+    [lo, 2 lo); every core is below lo, so one gather per block resolves
+    the recursion.  out[0] is left as the caller set it.
+    """
+    if sieve.limit < limit:
+        raise IncompleteInputError(f"sieve limit {sieve.limit} < requested {limit}")
+    e, core = exponent_core_tables(sieve)
+    out[1] = 1
     lo = 2
     while lo <= limit:
         hi = min(2 * lo, limit + 1)
-        n = np.arange(lo, hi, dtype=np.int64)
-        p = spf[lo:hi].astype(np.int64)
-        lpf[lo:hi] = np.maximum(p, lpf[n // p])
+        pv = prime_power(sieve.spf[lo:hi].astype(np.int64), e[lo:hi].astype(np.int64))
+        out[lo:hi] = combine(pv, out[core[lo:hi]])
         lo = hi
-    return lpf
+    return out
+
+
+def largest_prime_factor_table(sieve: SpfSieve) -> np.ndarray:
+    """P(n) for all n <= limit, with P(1) = 1: max(p, P(core))."""
+    lpf = np.zeros(sieve.limit + 1, dtype=np.int64)
+    return fill_multiplicative(sieve, sieve.limit, lambda p, e: p, lpf, combine=np.maximum)
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +377,8 @@ def assemble_multiplicative(
 ) -> NormalizedSequence:
     """Build a_n = prod over p^k || n of rule(theta_p, k); a_1 = 1.
 
-    Angles must cover every prime <= limit.  Vectorized over dyadic blocks:
-    each n is split into spf(n)^e * core with core < block start, so one
-    gather per block resolves the recursion.
+    Angles must cover every prime <= limit.  Filled by
+    `fill_multiplicative` with the rule as the prime-power value.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -373,25 +400,7 @@ def assemble_multiplicative(
 
     values = np.empty(limit + 1, dtype=np.float64)
     values[0] = np.nan
-    values[1] = 1.0
-    spf = sieve.spf
-    e = np.zeros(limit + 1, dtype=np.int8)
-    core = np.zeros(limit + 1, dtype=np.int64)
-    core[1] = 1
-    lo = 2
-    while lo <= limit:
-        hi = min(2 * lo, limit + 1)
-        n = np.arange(lo, hi, dtype=np.int64)
-        p = spf[lo:hi].astype(np.int64)
-        m = n // p
-        same = spf[m] == p
-        e_blk = np.where(same, e[m] + 1, 1)
-        core_blk = np.where(same, core[m], m)
-        e[lo:hi] = e_blk
-        core[lo:hi] = core_blk
-        pv = rule.value(theta_at[p], e_blk.astype(np.int64))
-        values[lo:hi] = pv * values[core_blk]
-        lo = hi
+    fill_multiplicative(sieve, limit, lambda p, e: rule.value(theta_at[p], e), values)
     return NormalizedSequence(limit=limit, values=values, source=source)
 
 

@@ -17,7 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import AngleSeries, NormalizedSequence, SpfSieve, is_prime, primes_up_to
+from .arith import (
+    AngleSeries,
+    NormalizedSequence,
+    SpfSieve,
+    chebyshev_recurrence,
+    fill_multiplicative,
+    is_prime,
+    primes_up_to,
+)
 from .errors import DataCorruptionError, IncompleteInputError
 from .report import VerificationReport
 
@@ -153,8 +161,6 @@ def ec_normalized_sequence(
         raise IncompleteInputError(
             f"trace series up to {series.limit} cannot build a length-{limit} sequence"
         )
-    if sieve.limit < limit:
-        raise IncompleteInputError("sieve too short")
     a_at = np.zeros(limit + 1, dtype=np.float64)
     good_at = np.zeros(limit + 1, dtype=bool)
     keep = series.primes <= limit
@@ -162,35 +168,13 @@ def ec_normalized_sequence(
     a_at[ps] = series.t[keep] / np.sqrt(ps.astype(np.float64))
     good_at[ps] = series.good[keep]
 
+    def prime_power(p, e):
+        ap = a_at[p]
+        return np.where(good_at[p], chebyshev_recurrence(ap, e), ap**e)
+
     values = np.empty(limit + 1, dtype=np.float64)
     values[0] = np.nan
-    values[1] = 1.0
-    spf = sieve.spf
-    e = np.zeros(limit + 1, dtype=np.int8)
-    core = np.zeros(limit + 1, dtype=np.int64)
-    core[1] = 1
-    lo = 2
-    while lo <= limit:
-        hi = min(2 * lo, limit + 1)
-        n = np.arange(lo, hi, dtype=np.int64)
-        p = spf[lo:hi].astype(np.int64)
-        m = n // p
-        same = spf[m] == p
-        e_blk = np.where(same, e[m] + 1, 1).astype(np.int64)
-        core_blk = np.where(same, core[m], m)
-        e[lo:hi] = e_blk
-        core[lo:hi] = core_blk
-        ap = a_at[p]
-        k_max = int(e_blk.max())
-        u_prev = np.zeros_like(ap)
-        u_cur = np.ones_like(ap)
-        pv_good = np.zeros_like(ap)
-        for j in range(1, k_max + 1):
-            u_prev, u_cur = u_cur, ap * u_cur - u_prev
-            pv_good = np.where(e_blk == j, u_cur, pv_good)
-        pv = np.where(good_at[p], pv_good, ap**e_blk)
-        values[lo:hi] = pv * values[core_blk]
-        lo = hi
+    fill_multiplicative(sieve, limit, prime_power, values)
     bad_ps = series.primes[~series.good]
     return NormalizedSequence(
         limit=limit,

@@ -25,7 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import SpfSieve, build_spf_sieve, exponent_core_tables, is_prime, primes_up_to, AngleSeries, NormalizedSequence
+from .arith import (
+    AngleSeries,
+    NormalizedSequence,
+    SpfSieve,
+    build_spf_sieve,
+    fill_multiplicative,
+    is_prime,
+    primes_up_to,
+)
 from .errors import ConfigurationError, DataCorruptionError
 from .ntt import MAX_MODULUS, cyclic_square_truncated, find_ntt_primes, garner_lift, get_plan
 from .report import VerificationReport
@@ -219,44 +227,24 @@ def tau_angles(table: ExactTauTable) -> AngleSeries:
 
 
 def _sigma11_mod691(limit: int, sieve: SpfSieve) -> np.ndarray:
-    """sigma_11(n) mod 691 for n <= limit, multiplicative via (e, core)."""
-    e, core = exponent_core_tables(sieve)
-    e = e[: limit + 1]
-    core = core[: limit + 1]
-    spf = sieve.spf[: limit + 1].astype(np.int64)
-    # vector modpow p^11 mod 691 (11 = 8 + 2 + 1)
-    base = spf % 691
-    sq1 = (base * base) % 691  # p^2
-    sq2 = (sq1 * sq1) % 691  # p^4
-    sq3 = (sq2 * sq2) % 691  # p^8
-    p11 = (((sq3 * sq1) % 691) * base) % 691  # p^(8+2+1)
+    """sigma_11(n) mod 691 for n <= limit."""
+    pow11 = np.array([pow(r, 11, 691) for r in range(691)], dtype=np.int64)
+
+    def sigma11_pe(p, e):
+        # 1 + p^11 + ... + p^(11e) mod 691 by Horner
+        p11 = pow11[p % 691]
+        out = np.ones_like(p)
+        for step in range(1, int(e.max()) + 1):
+            out = np.where(e >= step, (out * p11 + 1) % 691, out)
+        return out
+
     out = np.zeros(limit + 1, dtype=np.int64)
-    if limit >= 1:
-        out[1] = 1
-    max_e = int(e.max()) if limit >= 2 else 0
-    # sigma_11(p^e) = 1 + p11 + ... + p11^e by Horner, masked per exponent
-    sig_pe = np.ones(limit + 1, dtype=np.int64)
-    for step in range(1, max_e + 1):
-        mask = e >= step
-        sig_pe[mask] = (sig_pe[mask] * p11[mask] + 1) % 691
-    lo = 2
-    while lo <= limit:
-        hi = min(2 * lo, limit + 1)
-        out[lo:hi] = (sig_pe[lo:hi] * out[core[lo:hi]]) % 691
-        lo = hi
-    return out
+    return fill_multiplicative(sieve, limit, sigma11_pe, out, combine=lambda a, b: a * b % 691)
 
 
 def _divisor_counts(limit: int, sieve: SpfSieve) -> np.ndarray:
-    e, core = exponent_core_tables(sieve)
     d = np.zeros(limit + 1, dtype=np.int64)
-    d[1] = 1
-    lo = 2
-    while lo <= limit:
-        hi = min(2 * lo, limit + 1)
-        d[lo:hi] = (e[lo:hi].astype(np.int64) + 1) * d[core[lo:hi]]
-        lo = hi
-    return d
+    return fill_multiplicative(sieve, limit, lambda p, e: e + 1, d)
 
 
 INTEGRITY_SAMPLE_CAP = 100_000

@@ -83,6 +83,30 @@ class TestDerivedTables:
             assert e[n] == k0
             assert core[n] == n // p0**k0
 
+    def test_exponent_core_read_only_and_derived_once(self, monkeypatch):
+        import stseq.arith as arith_mod
+        from stseq.tau import TauConfig, expand_delta, integrity_check
+
+        calls = []
+        derive = arith_mod._derive_exponent_core
+
+        def counted(spf):
+            calls.append(len(spf))
+            return derive(spf)
+
+        monkeypatch.setattr(arith_mod, "_derive_exponent_core", counted)
+        sieve = build_spf_sieve(300)
+        # integrity_check fills d(n) and sigma_11(n) mod 691 from one derivation
+        assert integrity_check(expand_delta(TauConfig(limit=300)), sieve).passed
+        assert calls == [301]
+        e, core = exponent_core_tables(sieve)
+        assert calls == [301]
+        assert exponent_core_tables(sieve)[0] is e
+        with pytest.raises(ValueError):
+            e[2] = 5
+        with pytest.raises(ValueError):
+            core[2] = 5
+
     def test_largest_prime_factor(self, sieve_10k):
         lpf = largest_prime_factor_table(sieve_10k)
         assert lpf[1] == 1

@@ -1,0 +1,17 @@
+"""Invariants in stseq are raised as typed errors, so they still hold under
+``python -O``, which strips every ``assert`` statement."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "stseq"
+
+
+def test_no_assert_statements_in_package():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert list(SRC.rglob("*.py")), f"no sources under {SRC}"
+    assert found == []

@@ -161,6 +161,13 @@ class TestNormalCdf:
         v = normal_cdf(z)
         assert v[0] + v[2] == pytest.approx(1.0, abs=1e-12)
 
+    def test_array_path_equals_scalar_path(self, rng):
+        z = np.concatenate([[0.0, 40.0, -40.0, np.inf, -np.inf], rng.normal(0.0, 3.0, 3000)])
+        v = normal_cdf(z)
+        assert v.dtype == np.float64
+        assert v.tolist() == [normal_cdf(float(x)) for x in z]
+        assert normal_cdf(z.reshape(-1, 5)).tolist() == v.reshape(-1, 5).tolist()
+
 
 class TestPrimeAngleSummary:
     def test_degenerate_right_angles(self):
