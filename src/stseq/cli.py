@@ -369,7 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value defaults file")
     common.add_argument("--cache-dir", help="cache directory (env STSEQ_CACHE_DIR)")
-    common.add_argument("--threads", type=int, default=1, help="worker cap for per-prime maps")
+    common.add_argument("--threads", type=int, default=1,
+                        help="accepted and ignored: traces run on one thread, since their "
+                             "Python-integer kernel holds the interpreter lock")
     common.add_argument("--out-dir", default=".", help="where reports are written")
     common.add_argument("--format", default="text", choices=["text", "json", "csv"],
                         help="stdout rendering for reports (files are always written)")

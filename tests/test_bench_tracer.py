@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from stseq.arith import primes_up_to
 from stseq.cli import main
 from stseq.ntt import find_ntt_primes, get_plan
 
@@ -56,3 +57,17 @@ def test_synth_session_caches_once(tmp_path, monkeypatch):
         created.append(sorted(set(os.listdir(cache)) - before))
     assert created[0] == ["synth_2000_7_hecke-chebyshev_0.25.astc", "synth_angles_2000_7.astc"]
     assert created[1:] == [[]] * (len(created) - 1)
+
+
+def test_ec_session_traces_each_prime_once(tmp_path, monkeypatch):
+    """bench/test_bench.py pins elliptic.sweeps to one trace_at_prime span per
+    prime, which holds only while trace_series calls it through the module."""
+    tracer = _load_bench(monkeypatch, "tracer")
+    session = _load_bench(monkeypatch, "session")
+    calls = session.session_calls("ec-session", 7, limit=2000)
+    with tracer.Tracer(session="ec-session:7") as tr:
+        for i, argv in enumerate(calls):
+            out = str(tmp_path / f"out{i}")
+            assert main([*argv, "--cache-dir", str(tmp_path / "cache"), "--out-dir", out]) == 0
+    metrics = tracer.layer_metrics(tr.spans)
+    assert metrics["elliptic.sweeps"][0] == len(primes_up_to(2000))

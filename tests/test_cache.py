@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from stseq.arith import AngleSeries, NormalizedSequence, primes_up_to
-from stseq.cache import _HEADER, load_cache, save_cache
+from stseq.cache import (
+    _HEADER,
+    KIND_EXACT_TAU,
+    MAGIC,
+    VERSION,
+    _checksum,
+    load_cache,
+    save_cache,
+)
 from stseq.elliptic import CurveSpec, trace_series
 from stseq.errors import CacheFormatError, ChecksumError
 from stseq.synthetic import StRngStream, sample_st_angles
@@ -27,6 +35,22 @@ def test_exact_tau_big_values(tmp_path):
     path = tmp_path / "t.astc"
     save_cache(path, table)
     assert load_cache(path).taus == table.taus
+
+
+@pytest.mark.parametrize("change", ["prefix", "value", "extra"])
+def test_exact_tau_payload_cut_or_padded(tmp_path, change):
+    """A checksum-valid payload that stops inside an entry, or runs past the
+    last one, fails typed (slices past the end must not pass as data)."""
+    path = tmp_path / "t.astc"
+    save_cache(path, tau_naive_oracle(300))
+    payload = path.read_bytes()[_HEADER.size :]
+    last = 0
+    for _ in range(299):
+        last += 4 + struct.unpack_from("<I", payload, last)[0]
+    cut = {"prefix": payload[: last + 2], "value": payload[:-1], "extra": payload + b"\0"}[change]
+    path.write_bytes(_HEADER.pack(MAGIC, VERSION, KIND_EXACT_TAU, 300, _checksum(cut)) + cut)
+    with pytest.raises(CacheFormatError):
+        load_cache(path)
 
 
 def test_normalized_roundtrip(tmp_path):

@@ -4,8 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import stseq.elliptic as elliptic
 from stseq.arith import primes_up_to
 from stseq.elliptic import (
+    _BSGS_ABOVE,
+    _bsgs_trace,
+    _sweep_trace,
     CurveSpec,
     TraceSeries,
     angles_from_traces,
@@ -66,6 +70,99 @@ class TestTraceAtPrime:
             trace_at_prime(CurveSpec(1, 1), 10)
         with pytest.raises(ValueError):
             trace_at_prime(CurveSpec(1, 1), 10_000_019)
+
+
+# the five bench curves, the CM curves y^2 = x^3 + 1 and x^3 - x, and
+# y^2 = x^3 - 43x + 166, whose rational torsion is Z/7 (points at x = 3, -5, 11)
+ORACLE_CURVES = [(-1, 1), (1, 1), (-2, 1), (2, 3), (-3, 5), (0, 1), (-1, 0), (-43, 166)]
+
+
+class TestBabyStepGiantStep:
+    @pytest.mark.parametrize("a4,a6", ORACLE_CURVES)
+    def test_equals_sweep_above_crossover(self, a4, a6):
+        curve = CurveSpec(a4, a6)
+        ps = [int(p) for p in primes_up_to(10_000) if p > _BSGS_ABOVE]
+        got = {p: _bsgs_trace(curve, p) for p in ps if curve.discriminant % p}
+        assert got == {p: _sweep_trace(curve, p) for p in got}
+
+    def test_dispatch_at_crossover(self, monkeypatch):
+        calls = []
+
+        def spy(curve, p):
+            calls.append(p)
+            return _bsgs_trace(curve, p)
+
+        monkeypatch.setattr(elliptic, "_bsgs_trace", spy)
+        curve = CurveSpec(-2, 1)
+        below, above = _BSGS_ABOVE, 233  # 229 is prime; 233 is the next prime
+        assert trace_at_prime(curve, below) == enum_trace(-2, 1, below)
+        assert trace_at_prime(curve, above) == enum_trace(-2, 1, above)
+        assert calls == [above]
+
+    def test_bad_prime_above_crossover_sweeps(self, monkeypatch):
+        monkeypatch.setattr(elliptic, "_bsgs_trace", None)  # any call would raise
+        # y^2 = x^3 - 3x + 2 has a node at x = 1; B + 2 * 241 keeps it only mod 241
+        curve = CurveSpec(-3, 2 + 482)
+        assert curve.discriminant % 241 == 0
+        assert trace_at_prime(curve, 241) == enum_trace(-3, 2 + 482, 241)
+
+    def test_walk_skips_a_root_at_the_start(self):
+        hits = [
+            (a4, a6, int(p))
+            for a4, a6 in ORACLE_CURVES
+            for p in primes_up_to(10_000)
+            if p > _BSGS_ABOVE
+            and CurveSpec(a4, a6).discriminant % p
+            and ((p // 2) ** 3 + a4 * (p // 2) + a6) % p == 0
+        ]
+        assert hits
+        for a4, a6, p in hits:
+            assert _bsgs_trace(CurveSpec(a4, a6), p) == _sweep_trace(CurveSpec(a4, a6), p)
+
+    def test_exhausted_walk_raises(self, monkeypatch):
+        monkeypatch.setattr(elliptic, "_unique_trace", lambda P, a, p: None)
+        with pytest.raises(DataCorruptionError):
+            trace_at_prime(CurveSpec(-1, 1), 233)
+
+
+def _euler_product(n_max, step):
+    """prod_{n >= 1} (1 - q^(step n)) to q^n_max by Euler's pentagonal series."""
+    out = np.zeros(n_max + 1, dtype=np.int64)
+    k = 0
+    while step * k * (3 * k - 1) // 2 <= n_max:
+        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if step * g <= n_max:
+                out[step * g] = (-1) ** k
+        k += 1
+    return out
+
+
+def _times(f, g):
+    return np.convolve(f, g)[: len(f)]
+
+
+class TestEtaQuotientOracle:
+    """Weight-2 eta-quotient newforms (Martin-Ono, Proc. AMS 125, 1997):
+    eta(6z)^4 is y^2 = x^3 + 1 (conductor 36) and eta(4z)^2 eta(8z)^2 is
+    y^2 = x^3 - x (conductor 32); the q^p coefficient is t_p at every prime,
+    0 at the additive bad primes."""
+
+    N = 10_000
+
+    def _check(self, curve, q_series):
+        a = np.concatenate([[0], q_series[:-1]])  # the eta-quotient is q * q_series
+        want = {int(p): int(a[p]) for p in primes_up_to(self.N)}
+        assert {p: trace_at_prime(curve, p) for p in want} == want
+
+    def test_eta_6z_fourth_power(self):
+        e6 = _euler_product(self.N, 6)
+        e6_sq = _times(e6, e6)
+        self._check(CurveSpec(0, 1), _times(e6_sq, e6_sq))
+
+    def test_eta_4z_squared_eta_8z_squared(self):
+        e4, e8 = _euler_product(self.N, 4), _euler_product(self.N, 8)
+        e48 = _times(e4, e8)
+        self._check(CurveSpec(-1, 0), _times(e48, e48))
 
 
 class TestTraceSeries:
