@@ -176,14 +176,40 @@ class Ecdf:
         return int(self.values.size)
 
 
+# Sorted points per block of the KS scan.
+_KS_BLOCK = 1024
+
+
 def ks_statistic(sample, cdf) -> float:
-    """Two-sided Kolmogorov-Smirnov sup distance between an ECDF and cdf."""
+    """Two-sided Kolmogorov-Smirnov sup distance between an ECDF and cdf.
+
+    cdf must be nondecreasing: then on a sorted block [s, e) every term
+    i/n - F(x_i) is at most e/n - F(x_s) and every F(x_i) - i/n at most
+    F(x_{e-1}) - s/n.  cdf is evaluated at the block ends first, and then
+    only inside the blocks whose bound reaches the best term seen there
+    (less a 1e-12 margin), so the result is the same float as the maximum
+    over every point.
+    """
     ecdf = sample if isinstance(sample, Ecdf) else Ecdf(np.asarray(sample))
     x = ecdf.values
     n = ecdf.size
-    f = np.asarray(cdf(x), dtype=np.float64)
-    upper = np.max(np.arange(1, n + 1) / n - f)
-    lower = np.max(f - np.arange(0, n) / n)
+    starts = np.arange(0, n, _KS_BLOCK)
+    ends = np.minimum(starts + _KS_BLOCK, n)
+    f_ends = np.asarray(cdf(np.concatenate([x[starts], x[ends - 1]])), dtype=np.float64)
+    f_first, f_last = f_ends[: starts.size], f_ends[starts.size :]
+    best = max(
+        np.max((starts + 1) / n - f_first),
+        np.max(f_first - starts / n),
+        np.max(ends / n - f_last),
+        np.max(f_last - (ends - 1) / n),
+    )
+    bound = np.maximum(ends / n - f_first, f_last - starts / n)
+    hit = np.nonzero(bound >= best - 1e-12)[0]
+    i = (starts[hit, None] + np.arange(_KS_BLOCK)).ravel()
+    i = i[i < n]
+    f = np.asarray(cdf(x[i]), dtype=np.float64)
+    upper = np.max((i + 1) / n - f, initial=best)
+    lower = np.max(f - i / n, initial=best)
     return float(max(upper, lower))
 
 

@@ -280,16 +280,19 @@ def integrity_check(table: ExactTauTable, sieve: SpfSieve | None = None) -> Veri
                     if taus[m] * taus[n] != taus[m * n]:
                         mult_fail += 1
     else:
+        # m uniform on [2, limit/2], then n uniform on [2, limit/m], drawn
+        # in blocks; the first INTEGRITY_SAMPLE_CAP coprime pairs are kept
         rng = np.random.default_rng(_INTEGRITY_SEED)
         want = INTEGRITY_SAMPLE_CAP
         while pairs_checked < want:
-            m = int(rng.integers(2, limit // 2 + 1))
-            n = int(rng.integers(2, limit // m + 1))
-            if math.gcd(m, n) != 1:
-                continue
-            pairs_checked += 1
-            if taus[m] * taus[n] != taus[m * n]:
-                mult_fail += 1
+            m = rng.integers(2, limit // 2 + 1, size=want)
+            n = rng.integers(2, limit // m + 1)
+            keep = np.gcd(m, n) == 1
+            m, n = m[keep][: want - pairs_checked], n[keep][: want - pairs_checked]
+            pairs_checked += m.size
+            for i, j in zip(m.tolist(), n.tolist()):
+                if taus[i] * taus[j] != taus[i * j]:
+                    mult_fail += 1
 
     # (b) divisor bound, exact: tau(n)^2 <= d(n)^2 * n^11
     # lists, not arrays: indexing a Python list per n is several times faster

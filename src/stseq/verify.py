@@ -95,9 +95,14 @@ class SupportFilter:
 
 def prime_values_of(seq: NormalizedSequence, x: int) -> AngleSeries:
     """Angle records read off the sequence's own prime entries."""
-    ps = primes_up_to(min(x, seq.limit))
+    x = min(x, seq.limit)
+    return _prime_angles(seq, primes_up_to(x), x)
+
+
+def _prime_angles(seq: NormalizedSequence, ps: np.ndarray, x: int) -> AngleSeries:
+    """prime_values_of for the primes ps <= x already listed by the caller."""
     a = np.clip(seq.values[ps], -2.0, 2.0)
-    return AngleSeries.from_a(ps, a, source=seq.source, limit=min(x, seq.limit))
+    return AngleSeries.from_a(ps, a, source=seq.source, limit=x)
 
 
 # ---------------------------------------------------------------------------
@@ -259,27 +264,76 @@ class StrongMultApprox:
         absg = np.abs(self.gaps)
         if absg.size == 0:
             return {f"gap_q{int(q * 100)}": 0.0 for q in qs}
-        return {f"gap_q{int(q * 100)}": float(np.quantile(absg, q)) for q in qs}
+        # one selection for every q; absg is a fresh array, free to reorder
+        vals = np.quantile(absg, list(qs), overwrite_input=True)
+        return {f"gap_q{int(q * 100)}": float(v) for q, v in zip(qs, vals)}
+
+
+# Entries per block of the block-wise passes: bounds their temporaries.
+_BLOCK = 1 << 20
+
+
+def _blocks(lo: int, hi: int):
+    """[lo, hi) as consecutive (start, stop) pairs of at most _BLOCK entries."""
+    for start in range(lo, hi, _BLOCK):
+        yield start, min(start + _BLOCK, hi)
 
 
 def strongly_multiplicative_log(
     seq: NormalizedSequence, x: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """log|h(n)| for n <= x by prime-slice accumulation.
+    """log|h(n)| for n <= x, one pass on the largest prime factor.
 
     Returns (logh, alive) where alive marks n free of zero prime values
-    (h(n) != 0).  Cost is sum over p <= x of x/p array ops.
+    (h(n) != 0).  logh[n] is the sum of log|a_p| over the distinct primes
+    p | n with a_p != 0, added smallest first.  With P = P(n) and r = n / P,
+    the primes of r are those of n below P, plus P itself when P^2 | n, so
+    logh[n] = logh[r] + log|a_P| (just logh[r] when P | r) is that same sum
+    in that same order; a prime with a_p = 0 holds logh[p] = +0.0, and
+    adding it changes no bit.  Blocks never cross a power of two, so r and,
+    for composite n, P are at most n/2 and lie in earlier blocks;
+    P(n) = max(spf(n), P(n / spf(n))) is filled in the same pass.
     """
     logh = np.zeros(x + 1, dtype=np.float64)
     alive = np.ones(x + 1, dtype=bool)
     alive[0] = False
-    for p in primes_up_to(x):
-        ap = seq.values[p]
-        if ap == 0.0:
-            alive[p::p] = False
-        else:
-            logh[p::p] += math.log(abs(ap))
+    if x < 2:
+        return logh, alive
+    spf = build_spf_sieve(x).spf
+    lpf = np.ones(x + 1, dtype=np.uint32)
+    vals = seq.values
+    lo = 2
+    while lo <= x:
+        for start, stop in _blocks(lo, min(2 * lo, x + 1)):
+            n = np.arange(start, stop, dtype=np.int64)
+            p = spf[start:stop]
+            big = np.maximum(p, lpf[n // p])
+            lpf[start:stop] = big
+            # a prime's own log and mask go in first; composites read them
+            ps = n[big == n]
+            a = np.abs(vals[ps])
+            nz = a != 0.0
+            logh[ps[nz]] = np.fromiter(map(math.log, a[nz].tolist()), np.float64)
+            alive[ps] = nz
+            r = n // big
+            carried = logh[r]
+            logh[start:stop] = np.where(lpf[r] == big, carried, carried + logh[big])
+            alive[start:stop] = alive[r] & alive[big]
+        lo *= 2
     return logh, alive
+
+
+def _shape_statistics(log_abs: np.ndarray, mu: float, sigma2: float) -> tuple[float, float, float]:
+    """(KS distance to the normal law, skewness, excess kurtosis) of log_abs
+    standardized by (mu, sigma2); the full-length temporaries die on return."""
+    z = (log_abs - mu) / math.sqrt(sigma2)
+    ks = ks_statistic(z, normal_cdf)
+    del z
+    centered = log_abs - np.mean(log_abs)
+    m2 = float(np.mean(centered**2))
+    skew = float(np.mean(centered**3) / m2**1.5) if m2 > 0 else 0.0
+    kurt = float(np.mean(centered**4) / m2**2 - 3.0) if m2 > 0 else 0.0
+    return ks, skew, kurt
 
 
 def verify_thm3(
@@ -316,29 +370,23 @@ def verify_thm3(
     if ns.size == 0:
         raise ValueError("filtered support is empty")
     log_abs = np.log(np.abs(vals[ns]))
+    ps = primes_up_to(x)
 
     L2 = log2_iter(x)
     if standardization == "asymptotic":
         mu, sigma2 = -0.5 * L2, CLT_C * L2
     elif standardization == "finite-size":
-        moments = prime_log_moments(prime_values_of(seq, x), x, support.floor(x))
+        moments = prime_log_moments(_prime_angles(seq, ps, x), x, support.floor(x))
         mu, sigma2 = moments.mu, moments.sigma2
     else:
         mu, sigma2 = float(np.mean(log_abs)), float(np.var(log_abs))
     if sigma2 <= 0:
         raise ValueError("degenerate standardization variance")
-    z = (log_abs - mu) / math.sqrt(sigma2)
-
-    ks = ks_statistic(z, normal_cdf)
-    centered = log_abs - np.mean(log_abs)
-    m2 = float(np.mean(centered**2))
-    skew = float(np.mean(centered**3) / m2**1.5) if m2 > 0 else 0.0
-    kurt = float(np.mean(centered**4) / m2**2 - 3.0) if m2 > 0 else 0.0
+    ks, skew, kurt = _shape_statistics(log_abs, mu, sigma2)
 
     # additive identity over the zero-free part of [1, x]
     logh, alive = strongly_multiplicative_log(seq, x)
     lhs = float(np.sum(logh[1:][alive[1:]]))
-    ps = primes_up_to(x)
     if bool(np.all(alive[1:])):
         counts = x // ps
     else:
@@ -349,7 +397,7 @@ def verify_thm3(
     rel_err = abs(lhs - rhs) / max(1.0, abs(lhs))
 
     both = mask[ns] & alive[ns]
-    approx = StrongMultApprox(ns=ns[both], gaps=logh[ns[both]] - np.log(np.abs(vals[ns[both]])))
+    approx = StrongMultApprox(ns=ns[both], gaps=logh[ns[both]] - log_abs[both])
     row = {
         "x": x,
         "n_support": int(ns.size),
@@ -400,6 +448,41 @@ def verify_thm3(
 # ---------------------------------------------------------------------------
 
 
+def _partial_sums_at(
+    seq: NormalizedSequence, gammas: list[float], cps: list[int]
+) -> dict[int, list[float]]:
+    """Running sums of |a_n|/n, |a_n|^2, |a_n|^2/n and |a_n|^g per gamma,
+    read at each checkpoint x (n <= x).
+
+    Block by block: the carried total goes into the block's first term
+    before its cumsum.  np.cumsum adds in sequence, so every value is the
+    same float as a cumsum over the whole range.
+    """
+    carry = [0.0] * (3 + len(gammas))
+    out: dict[int, list[float]] = {x: [] for x in cps}
+    for start, stop in _blocks(1, cps[-1] + 1):
+        n = np.arange(start, stop, dtype=np.float64)
+        a = np.abs(seq.values[start:stop])
+        here = [x for x in cps if start <= x < stop]
+        for k, t in enumerate(_lemma_terms(a, n, gammas)):
+            t[0] += carry[k]
+            np.cumsum(t, out=t)
+            carry[k] = t[-1]
+            for x in here:
+                out[x].append(float(t[x - start]))
+    return out
+
+
+def _lemma_terms(a: np.ndarray, n: np.ndarray, gammas: list[float]):
+    """One block's summands of each series, made one at a time so that a
+    block holds a single series at once."""
+    yield a / n
+    yield a**2
+    yield a**2 / n
+    for g in gammas:
+        yield a**g
+
+
 def verify_lemma_sums(
     seq: NormalizedSequence,
     gammas: list[float],
@@ -416,25 +499,19 @@ def verify_lemma_sums(
     if any(not 0.0 < g <= 2.0 for g in gammas):
         raise ValueError("gammas must lie in (0, 2]")
     cps = validate_checkpoints(checkpoints, seq.limit)
-    top = cps[-1]
-    n = np.arange(1, top + 1, dtype=np.float64)
-    a = np.abs(seq.values[1 : top + 1])
-    cum_h = np.cumsum(a / n)
-    cum_s2 = np.cumsum(a**2)
-    cum_s2n = np.cumsum(a**2 / n)
-    cum_g = {g: np.cumsum(a**g) for g in gammas}
+    sums = _partial_sums_at(seq, gammas, cps)
     rows = []
     for x in cps:
-        i = x - 1
+        s = sums[x]
         row = {
             "x": x,
-            "sum_abs_over_n": float(cum_h[i]),
-            "sum_sq": float(cum_s2[i]),
-            "sum_sq_over_n": float(cum_s2n[i]),
-            "sum_sq_over_n_per_logx": float(cum_s2n[i] / math.log(x)),
+            "sum_abs_over_n": s[0],
+            "sum_sq": s[1],
+            "sum_sq_over_n": s[2],
+            "sum_sq_over_n_per_logx": s[2] / math.log(x),
         }
-        for g in gammas:
-            row[f"sum_gamma_{g:g}"] = float(cum_g[g][i])
+        for g, v in zip(gammas, s[3:]):
+            row[f"sum_gamma_{g:g}"] = v
         rows.append(row)
     fits = []
     for r1, r2 in zip(rows, rows[1:]):
@@ -590,7 +667,10 @@ def check_assumptions(
         alphas = np.linspace(0.0, math.pi, int(grid) + 1)
     else:
         alphas = np.asarray(grid, dtype=np.float64)
-    lg_p = np.array([log2_iter(float(p)) for p in angles.primes])
+    # log2_iter per prime: log_1 twice, as two vectorised passes of math.log
+    lg_p = angles.primes.astype(np.float64)
+    for _ in range(2):
+        lg_p = np.maximum(np.fromiter(map(math.log, lg_p.tolist()), np.float64), 1.0)
     tail_term = np.abs(angles.a) < lg_p ** (-A)
     rows = []
     for x in cps:

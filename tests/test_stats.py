@@ -215,3 +215,43 @@ class TestPrimeLogMoments:
         ang = AngleSeries.from_theta(ps, np.zeros(len(ps)), limit=100)
         with pytest.raises(ValueError):
             prime_log_moments(ang, 200)
+
+
+def ks_brute(sample, cdf) -> float:
+    """Every-point KS maximum, the pruned scan's oracle."""
+    x = np.sort(np.asarray(sample, dtype=np.float64))
+    n = x.size
+    f = np.asarray(cdf(x), dtype=np.float64)
+    return float(max(np.max(np.arange(1, n + 1) / n - f), np.max(f - np.arange(0, n) / n)))
+
+
+class TestKsBlockPruning:
+    # sizes around the 1024-point block: one block, one short of it, one over
+    SIZES = (1, 1023, 1024, 1025, 100_000)
+
+    @staticmethod
+    def samples(n, seed):
+        rng = np.random.default_rng(seed)
+        # rounding to a coarse grid makes ties at every size above a few hundred
+        normal = np.round(rng.normal(0.1, 1.2, n), 2)
+        angles = np.round(rng.uniform(0.0, math.pi, n), 2)
+        unit = np.round(rng.uniform(0.0, 1.0, n), 3)
+        return ((normal, normal_cdf), (np.clip(angles, 0.0, math.pi), st_cdf),
+                (unit, lambda v: v))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_equals_brute_force(self, n):
+        for sample, cdf in self.samples(n, n):
+            assert ks_statistic(sample, cdf) == ks_brute(sample, cdf)
+
+    def test_ties_present(self):
+        normal, angles, unit = (s for s, _ in self.samples(100_000, 3))
+        for s in (normal, angles, unit):
+            assert np.unique(s).size < s.size
+
+    def test_skewed_sample_far_from_cdf(self):
+        # a sample concentrated on one side puts the sup in a single region
+        rng = np.random.default_rng(9)
+        sample = np.concatenate([rng.normal(-3.0, 0.1, 5000), rng.normal(0.0, 1.0, 50_000)])
+        assert ks_statistic(sample, normal_cdf) == ks_brute(sample, normal_cdf)
+        assert ks_statistic(Ecdf(sample), normal_cdf) == ks_brute(sample, normal_cdf)

@@ -168,6 +168,16 @@ class TestIntegritySampledPath:
         assert rep.parameters["sampled"] is True
         assert rep.passed
 
+    def test_sample_stops_at_cap(self, monkeypatch):
+        import stseq.tau as tau_mod
+
+        # a block of 300 draws holds fewer than 300 coprime pairs, so this takes several
+        monkeypatch.setattr(tau_mod, "INTEGRITY_SAMPLE_CAP", 300)
+        rep = integrity_check(tau_naive_oracle(600))
+        assert rep.parameters["sampled"] is True
+        assert rep.rows[0]["pairs_checked"] == 300
+        assert rep.rows[0]["multiplicativity_failures"] == 0
+
     def test_sampled_branch_detects_corruption(self, monkeypatch):
         import stseq.tau as tau_mod
 

@@ -35,6 +35,29 @@ def zero_tail_sequence(limit: int) -> NormalizedSequence:
     return NormalizedSequence(limit=limit, values=vals, source="synthetic")
 
 
+def slice_strongly_multiplicative_log(seq: NormalizedSequence, x: int):
+    """Oracle: log|a_p| added to every multiple of p, primes in increasing
+    order, so logh[n] sums its distinct primes smallest first."""
+    logh = np.zeros(x + 1, dtype=np.float64)
+    alive = np.ones(x + 1, dtype=bool)
+    alive[0] = False
+    for p in primes_up_to(x):
+        ap = seq.values[p]
+        if ap == 0.0:
+            alive[p::p] = False
+        else:
+            logh[p::p] += math.log(abs(ap))
+    return logh, alive
+
+
+def full_range_sums(seq: NormalizedSequence, gammas, x: int) -> list[float]:
+    """Oracle for lemma-sums: one cumsum over all of 1..x per series."""
+    n = np.arange(1, x + 1, dtype=np.float64)
+    a = np.abs(seq.values[1 : x + 1])
+    series = [a / n, a**2, a**2 / n] + [a**g for g in gammas]
+    return [float(np.cumsum(t)[-1]) for t in series]
+
+
 @pytest.fixture(scope="module")
 def synth_seq(sieve_1e5_mod):
     _, seq = build_synthetic_sequence(SyntheticSpec(limit=100_000, seed=7), sieve_1e5_mod)
@@ -303,3 +326,91 @@ class TestAssumptions:
             synth_seq, ang, A=2.0, grid=256, checkpoints=[100_000], a2_gap_tol=0.05
         )
         assert rep.flags and rep.flags[0]["passed"]
+
+
+class TestStronglyMultiplicativeLogOracle:
+    """The largest-prime-factor pass equals the prime-slice oracle bit for bit."""
+
+    @staticmethod
+    def assert_same(seq, x):
+        logh, alive = strongly_multiplicative_log(seq, x)
+        want_logh, want_alive = slice_strongly_multiplicative_log(seq, x)
+        assert logh.tobytes() == want_logh.tobytes()
+        assert alive.tobytes() == want_alive.tobytes()
+
+    def test_synthetic(self, synth_seq):
+        for x in (1, 2, 3, 64, 65, 100_000):
+            self.assert_same(synth_seq, x)
+
+    def test_synthetic_small_blocks(self, synth_seq, monkeypatch):
+        import stseq.verify as verify_mod
+
+        monkeypatch.setattr(verify_mod, "_BLOCK", 7)
+        self.assert_same(synth_seq, 20_000)
+
+    def test_tau(self):
+        from stseq.tau import TauConfig, expand_delta, normalize_tau
+
+        self.assert_same(normalize_tau(expand_delta(TauConfig(limit=5000))), 5000)
+
+    def test_elliptic_with_zero_traces(self):
+        from stseq.elliptic import CurveSpec, ec_normalized_sequence, trace_series
+
+        # y^2 = x^3 + 1 has complex multiplication: t_p = 0 at every p = 2 mod 3
+        x = 20_000
+        seq = ec_normalized_sequence(trace_series(CurveSpec(0, 1), x), build_spf_sieve(x), x)
+        ps = primes_up_to(x)
+        assert np.count_nonzero(seq.values[ps] == 0.0) > 100
+        self.assert_same(seq, x)
+        _, alive = strongly_multiplicative_log(seq, x)
+        assert not alive[5] and not alive[10] and alive[7]
+
+
+class TestLemmaSumsBlocks:
+    """Block-wise partial sums equal one cumsum over the whole range."""
+
+    GAMMAS = [0.5, 1.0, 2.0]
+
+    @staticmethod
+    def noise_sequence(limit: int) -> NormalizedSequence:
+        rng = np.random.default_rng(5)
+        vals = rng.uniform(-2.0, 2.0, limit + 1)
+        vals[0] = np.nan
+        vals[1] = 1.0
+        vals[rng.integers(2, limit, 1000)] = 0.0
+        return NormalizedSequence(limit=limit, values=vals, source="synthetic")
+
+    def check(self, seq, cps):
+        rep = verify_lemma_sums(seq, self.GAMMAS, cps)
+        for row in rep.rows:
+            want = full_range_sums(seq, self.GAMMAS, row["x"])
+            got = [row["sum_abs_over_n"], row["sum_sq"], row["sum_sq_over_n"]] + [
+                row[f"sum_gamma_{g:g}"] for g in self.GAMMAS
+            ]
+            assert got == want
+            assert row["sum_sq_over_n_per_logx"] == want[2] / math.log(row["x"])
+
+    def test_checkpoints_around_block_edge(self):
+        import stseq.verify as verify_mod
+
+        edge = 1 + verify_mod._BLOCK  # first n of the second block
+        seq = self.noise_sequence(edge + 5000)
+        self.check(seq, [3, edge - 2, edge - 1, edge, edge + 1, edge + 5000])
+
+    def test_many_small_blocks(self, monkeypatch):
+        import stseq.verify as verify_mod
+
+        monkeypatch.setattr(verify_mod, "_BLOCK", 100)
+        seq = self.noise_sequence(5000)
+        self.check(seq, [99, 100, 101, 102, 1001, 4999, 5000])
+
+
+class TestGapQuantiles:
+    def test_one_call_equals_one_per_q(self):
+        from stseq.verify import StrongMultApprox
+
+        gaps = np.random.default_rng(2).normal(0.0, 1.0, 10_000)
+        got = StrongMultApprox(ns=np.arange(gaps.size), gaps=gaps).quantiles()
+        absg = np.abs(gaps)
+        assert got == {f"gap_q{int(q * 100)}": float(np.quantile(absg, q))
+                       for q in (0.5, 0.9, 0.99, 1.0)}
