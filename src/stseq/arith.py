@@ -6,9 +6,10 @@ The sieve derives n = spf(n)^e * core once, and `fill_multiplicative`
 fills any table f(n) = f(spf(n)^e) * f(core) from those pairs in dyadic
 blocks.  The kernel fills the sequences assembled from prime angles plus a
 prime-power rule (a_p = 2 cos(theta_p) in [-2, 2]; higher prime powers come
-from the rule), the elliptic sequences, d(n), sigma_11(n) mod 691 and the
-largest prime factor.  All heavy loops are vectorized; results are
-independent of evaluation order and thread count.
+from the rule), the elliptic sequences, d(n) and sigma_11(n) mod 691.  The
+largest prime factor has its own dyadic rule, P(n) = max(spf(n),
+P(n / spf(n))), which needs no (e, core).  All heavy loops are vectorized;
+results are independent of evaluation order and thread count.
 """
 
 from __future__ import annotations
@@ -208,9 +209,20 @@ def fill_multiplicative(sieve: SpfSieve, limit: int, prime_power, out: np.ndarra
 
 
 def largest_prime_factor_table(sieve: SpfSieve) -> np.ndarray:
-    """P(n) for all n <= limit, with P(1) = 1: max(p, P(core))."""
+    """P(n) for all n <= limit as int64, with P(0) = 0 and P(1) = 1.
+
+    P(n) = max(spf(n), P(n / spf(n))), filled in dyadic blocks, so every
+    lookup lands in an already-final earlier block: n / spf(n) <= n/2.
+    """
     lpf = np.zeros(sieve.limit + 1, dtype=np.int64)
-    return fill_multiplicative(sieve, sieve.limit, lambda p, e: p, lpf, combine=np.maximum)
+    lpf[1] = 1
+    lo = 2
+    while lo <= sieve.limit:
+        hi = min(2 * lo, sieve.limit + 1)
+        p = sieve.spf[lo:hi].astype(np.int64)
+        lpf[lo:hi] = np.maximum(p, lpf[np.arange(lo, hi) // p])
+        lo = hi
+    return lpf
 
 
 # ---------------------------------------------------------------------------

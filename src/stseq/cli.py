@@ -50,20 +50,11 @@ from .verify import (
 USAGE_EXIT = 2
 FAIL_EXIT = 1
 
-_CONFIG_KEYS = {
-    "limit": int,  # every key mirrors a flag; flags given on the command line win
-    "seed": int,
-    "curve": str,
-    "epsilon": float,
-    "gammas": str,
-    "checkpoints": str,
-    "A": float,
-    "threads": int,
-    "cache_dir": str,
-    "format": str,
-    "rule": str,
-    "rho": float,
-}
+# every key mirrors a flag's dest; flags given on the command line win
+_CONFIG_KEYS = frozenset({
+    "limit", "seed", "curve", "epsilon", "gammas", "checkpoints", "A", "threads",
+    "cache_dir", "format", "rule", "rho",
+})
 
 
 class UsageError(Exception):
@@ -85,7 +76,8 @@ def _parse_curve(text: str) -> tuple[int, int]:
     return parts[0], parts[1]
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str) -> dict[str, str]:
+    """Allowed key -> value text; the flag of the same dest converts it."""
     out = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
@@ -96,7 +88,7 @@ def load_config(path: str) -> dict:
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise UsageError(f"unknown config key {key!r}")
-        out[key] = _CONFIG_KEYS[key](val)
+        out[key] = val
     return out
 
 
@@ -133,7 +125,7 @@ def get_trace_series(args):
     a4, b6 = _parse_curve(_require(args, "curve"))
     path = cache_dir_of(args) / f"traces_{a4}_{b6}_{limit}.astc"
     return _cached([path], lambda: (
-        trace_series(CurveSpec(a4, b6), limit, threads=args.threads),))[0]
+        trace_series(CurveSpec(a4, b6), limit),))[0]
 
 
 def get_synthetic(args) -> tuple[AngleSeries, NormalizedSequence]:
@@ -462,26 +454,23 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _apply_config(args) -> None:
-    if not args.config:
-        return
-    conf = load_config(args.config)
-    for key, val in conf.items():
-        if getattr(args, key, None) in (None, _DEFAULTS.get(key)):
-            setattr(args, key, val)
-
-
-_DEFAULTS = {"threads": 1, "rho": 0.25, "rule": "hecke-chebyshev", "format": "text"}
+def _leaf_parser(parser: argparse.ArgumentParser, args) -> argparse.ArgumentParser:
+    """The (sub)parser that parsed the chosen command's own flags."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return _leaf_parser(action.choices[getattr(args, action.dest)], args)
+    return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        for name in ("verifier",):
-            if not hasattr(args, name):
-                setattr(args, name, None)
-        _apply_config(args)
+        if args.config:
+            # config text becomes the command's defaults, which argparse converts
+            # by each flag's own type on the second parse; explicit flags win
+            _leaf_parser(parser, args).set_defaults(**load_config(args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

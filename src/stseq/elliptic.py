@@ -241,14 +241,13 @@ class TraceSeries:
 def trace_series(
     curve: CurveSpec,
     limit: int,
-    threads: int = 1,
     budget: int = SERIES_DEFAULT_BUDGET,
 ) -> TraceSeries:
     """Traces at every prime <= limit, in prime order on the calling thread.
 
-    ``threads`` is accepted and ignored.  The traces are Python-integer
-    arithmetic that holds the interpreter lock; on a 2-vCPU VM a 2-worker
-    pool took 2.6-2.7 s against 1.1-1.2 s on one thread to 10^5.
+    The traces are Python-integer arithmetic that holds the interpreter
+    lock; on a 2-vCPU VM a 2-worker pool took 2.6-2.7 s against 1.1-1.2 s
+    on one thread to 10^5.
     """
     if limit > budget:
         raise ValueError(f"limit {limit} exceeds the series budget {budget}")

@@ -59,13 +59,11 @@ class ExactTauTable:
 
 
 def _seed_series_length(limit: int) -> int:
-    """Number of nonzero seed terms with index k(k+1)/2 <= limit - 1."""
-    k = int((math.isqrt(8 * (limit - 1) + 1) - 1) // 2) if limit > 1 else 0
-    while (k + 1) * (k + 2) // 2 <= limit - 1:
-        k += 1
-    while k > 0 and k * (k + 1) // 2 > limit - 1:
-        k -= 1
-    return k
+    """Largest k with k(k+1)/2 <= limit - 1 (limit >= 1).
+
+    k(k+1)/2 <= m is (2k+1)^2 <= 8m + 1, and math.isqrt is exact.
+    """
+    return (math.isqrt(8 * (limit - 1) + 1) - 1) // 2
 
 
 def deligne_bound(limit: int) -> int:
@@ -90,7 +88,6 @@ class TauConfig:
 
     limit: int
     ntt_primes: list[int] | None = None
-    verify_small: bool = True
 
     def transform_length(self) -> int:
         need = max(2 * self.limit - 1, 2)
@@ -139,7 +136,8 @@ def expand_delta(config: TauConfig) -> ExactTauTable:
     Residues of the true integer coefficients are carried modulo each prime
     through every stage (truncation commutes with power-series products),
     so capacity is only consumed at the final lift, which Deligne's bound
-    sizes.
+    sizes.  The first min(limit, 500) coefficients are checked against the
+    dense oracle.
     """
     limit = config.limit
     primes = config.resolve_primes()
@@ -156,11 +154,9 @@ def expand_delta(config: TauConfig) -> ExactTauTable:
     lifted = garner_lift(residues, primes)
     taus = [0] + [int(v) for v in lifted]
     table = ExactTauTable(limit=limit, taus=taus)
-    if config.verify_small:
-        n_check = min(limit, 500)
-        oracle = tau_naive_oracle(n_check)
-        if table.taus[1 : n_check + 1] != oracle.taus[1:]:
-            raise DataCorruptionError("fast expansion disagrees with the dense oracle")
+    n_check = min(limit, 500)
+    if table.taus[1 : n_check + 1] != tau_naive_oracle(n_check).taus[1:]:
+        raise DataCorruptionError("fast expansion disagrees with the dense oracle")
     return table
 
 

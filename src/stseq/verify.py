@@ -86,11 +86,18 @@ class SupportFilter:
         vals = seq.values[: x + 1]
         m[1:] &= vals[1:] != 0.0
         if self.mode == "floor-A":
-            floor = self.floor(x)
-            for p in primes_up_to(x):
-                if abs(seq.values[p]) <= floor:
-                    m[p::p] = False
+            ps = primes_up_to(x)
+            m &= prime_free_mask(ps[np.abs(seq.values[ps]) <= self.floor(x)], x)
         return m
+
+
+def prime_free_mask(primes: np.ndarray, x: int) -> np.ndarray:
+    """Boolean mask over 0..x of the n divisible by none of `primes` (0 False)."""
+    m = np.ones(x + 1, dtype=bool)
+    m[0] = False
+    for p in primes.tolist():
+        m[p::p] = False
+    return m
 
 
 def prime_values_of(seq: NormalizedSequence, x: int) -> AngleSeries:
@@ -103,6 +110,39 @@ def _prime_angles(seq: NormalizedSequence, ps: np.ndarray, x: int) -> AngleSerie
     """prime_values_of for the primes ps <= x already listed by the caller."""
     a = np.clip(seq.values[ps], -2.0, 2.0)
     return AngleSeries.from_a(ps, a, source=seq.source, limit=x)
+
+
+# Entries per block of the block-wise passes: bounds their temporaries.
+_BLOCK = 1 << 20
+
+
+def _blocks(lo: int, hi: int):
+    """[lo, hi) as consecutive (start, stop) pairs of at most _BLOCK entries."""
+    for start in range(lo, hi, _BLOCK):
+        yield start, min(start + _BLOCK, hi)
+
+
+def _running_sums_at(cps: list[int], first: int, terms) -> dict[int, list]:
+    """Running sums from n = first of each series, read at each checkpoint
+    x (first <= n <= x), one numpy scalar per series in series order.
+
+    terms(start, stop) yields the summands over [start, stop) of each
+    series in turn, in the dtype the sum is kept in.  Block by block: the
+    carried total goes into the block's first term before its cumsum.
+    np.cumsum adds in sequence, so every value is the same number as a
+    cumsum over the whole range.
+    """
+    carry: dict[int, object] = {}
+    out: dict[int, list] = {x: [] for x in cps}
+    for start, stop in _blocks(first, cps[-1] + 1):
+        here = [x for x in cps if start <= x < stop]
+        for k, t in enumerate(terms(start, stop)):
+            t[0] += carry.get(k, 0)
+            np.cumsum(t, out=t)
+            carry[k] = t[-1]
+            for x in here:
+                out[x].append(t[x - start])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -128,22 +168,22 @@ def verify_thm1(
     if not 0.0 < eps <= 0.5:
         raise ValueError("eps must lie in (0, 1/2]")
     cps = validate_checkpoints(checkpoints, seq.limit)
-    top = cps[-1]
-    n = np.arange(3, top + 1, dtype=np.float64)
-    ln = np.log(n)
-    a = np.abs(seq.values[3 : top + 1])
-    exceed = a > ln ** (-0.5 + eps)
-    below = a < ln ** (-0.5 - eps)
-    cum_ex = np.cumsum(exceed)
-    cum_be = np.cumsum(below)
+
+    def indicators(start: int, stop: int):
+        ln = np.log(np.arange(start, stop, dtype=np.float64))
+        a = np.abs(seq.values[start:stop])
+        yield (a > ln ** (-0.5 + eps)).astype(np.int64)
+        yield (a < ln ** (-0.5 - eps)).astype(np.int64)
+
+    counts = _running_sums_at(cps, 3, indicators)
     rows = []
     for x in cps:
-        count = x - 2
+        exceed, below = counts[x]
         rows.append(
             {
                 "x": x,
-                "exceed_fraction": float(cum_ex[x - 3] / count),
-                "below_fraction": float(cum_be[x - 3] / count),
+                "exceed_fraction": float(exceed / (x - 2)),
+                "below_fraction": float(below / (x - 2)),
             }
         )
     flags = []
@@ -269,16 +309,6 @@ class StrongMultApprox:
         return {f"gap_q{int(q * 100)}": float(v) for q, v in zip(qs, vals)}
 
 
-# Entries per block of the block-wise passes: bounds their temporaries.
-_BLOCK = 1 << 20
-
-
-def _blocks(lo: int, hi: int):
-    """[lo, hi) as consecutive (start, stop) pairs of at most _BLOCK entries."""
-    for start in range(lo, hi, _BLOCK):
-        yield start, min(start + _BLOCK, hi)
-
-
 def strongly_multiplicative_log(
     seq: NormalizedSequence, x: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -291,36 +321,29 @@ def strongly_multiplicative_log(
     logh[n] = logh[r] + log|a_P| (just logh[r] when P | r) is that same sum
     in that same order; a prime with a_p = 0 holds logh[p] = +0.0, and
     adding it changes no bit.  Blocks never cross a power of two, so r and,
-    for composite n, P are at most n/2 and lie in earlier blocks;
-    P(n) = max(spf(n), P(n / spf(n))) is filled in the same pass.
+    for composite n, P are at most n/2 and lie in earlier blocks.  The
+    primes with a_p = 0 are collected on the way and struck for alive.
     """
     logh = np.zeros(x + 1, dtype=np.float64)
-    alive = np.ones(x + 1, dtype=bool)
-    alive[0] = False
-    if x < 2:
-        return logh, alive
-    spf = build_spf_sieve(x).spf
-    lpf = np.ones(x + 1, dtype=np.uint32)
+    lpf = largest_prime_factor_table(build_spf_sieve(max(x, 2)))
     vals = seq.values
+    zero_primes = [np.empty(0, dtype=np.int64)]
     lo = 2
     while lo <= x:
         for start, stop in _blocks(lo, min(2 * lo, x + 1)):
             n = np.arange(start, stop, dtype=np.int64)
-            p = spf[start:stop]
-            big = np.maximum(p, lpf[n // p])
-            lpf[start:stop] = big
-            # a prime's own log and mask go in first; composites read them
+            big = lpf[start:stop]
+            # a prime's own log goes in first; composites read it
             ps = n[big == n]
             a = np.abs(vals[ps])
             nz = a != 0.0
             logh[ps[nz]] = np.fromiter(map(math.log, a[nz].tolist()), np.float64)
-            alive[ps] = nz
+            zero_primes.append(ps[~nz])
             r = n // big
             carried = logh[r]
             logh[start:stop] = np.where(lpf[r] == big, carried, carried + logh[big])
-            alive[start:stop] = alive[r] & alive[big]
         lo *= 2
-    return logh, alive
+    return logh, prime_free_mask(np.concatenate(zero_primes), x)
 
 
 def _shape_statistics(log_abs: np.ndarray, mu: float, sigma2: float) -> tuple[float, float, float]:
@@ -397,7 +420,9 @@ def verify_thm3(
     rel_err = abs(lhs - rhs) / max(1.0, abs(lhs))
 
     both = mask[ns] & alive[ns]
-    approx = StrongMultApprox(ns=ns[both], gaps=logh[ns[both]] - log_abs[both])
+    gaps = logh[ns[both]] - log_abs[both]
+    del logh, log_abs  # the gap profile below sets the call's peak: free these first
+    approx = StrongMultApprox(ns=ns[both], gaps=gaps)
     row = {
         "x": x,
         "n_support": int(ns.size),
@@ -448,34 +473,11 @@ def verify_thm3(
 # ---------------------------------------------------------------------------
 
 
-def _partial_sums_at(
-    seq: NormalizedSequence, gammas: list[float], cps: list[int]
-) -> dict[int, list[float]]:
-    """Running sums of |a_n|/n, |a_n|^2, |a_n|^2/n and |a_n|^g per gamma,
-    read at each checkpoint x (n <= x).
-
-    Block by block: the carried total goes into the block's first term
-    before its cumsum.  np.cumsum adds in sequence, so every value is the
-    same float as a cumsum over the whole range.
-    """
-    carry = [0.0] * (3 + len(gammas))
-    out: dict[int, list[float]] = {x: [] for x in cps}
-    for start, stop in _blocks(1, cps[-1] + 1):
-        n = np.arange(start, stop, dtype=np.float64)
-        a = np.abs(seq.values[start:stop])
-        here = [x for x in cps if start <= x < stop]
-        for k, t in enumerate(_lemma_terms(a, n, gammas)):
-            t[0] += carry[k]
-            np.cumsum(t, out=t)
-            carry[k] = t[-1]
-            for x in here:
-                out[x].append(float(t[x - start]))
-    return out
-
-
-def _lemma_terms(a: np.ndarray, n: np.ndarray, gammas: list[float]):
-    """One block's summands of each series, made one at a time so that a
-    block holds a single series at once."""
+def _lemma_terms(seq: NormalizedSequence, gammas: list[float], start: int, stop: int):
+    """Summands over [start, stop) of each series, made one at a time so that
+    a block holds a single series at once."""
+    n = np.arange(start, stop, dtype=np.float64)
+    a = np.abs(seq.values[start:stop])
     yield a / n
     yield a**2
     yield a**2 / n
@@ -499,10 +501,10 @@ def verify_lemma_sums(
     if any(not 0.0 < g <= 2.0 for g in gammas):
         raise ValueError("gammas must lie in (0, 2]")
     cps = validate_checkpoints(checkpoints, seq.limit)
-    sums = _partial_sums_at(seq, gammas, cps)
+    sums = _running_sums_at(cps, 1, lambda start, stop: _lemma_terms(seq, gammas, start, stop))
     rows = []
     for x in cps:
-        s = sums[x]
+        s = [float(v) for v in sums[x]]
         row = {
             "x": x,
             "sum_abs_over_n": s[0],

@@ -315,11 +315,11 @@ class TestCriterion7CltSynthetic:
 class TestCriterion8Elliptic:
     def test_trace_oracle_and_hasse(self):
         assert trace_at_prime(CurveSpec(1, 1), 5) == -3 == enum_trace(1, 1, 5)
-        series = trace_series(CurveSpec(-1, 1), 10**5, threads=2)
+        series = trace_series(CurveSpec(-1, 1), 10**5)
         g = series.good
         hasse = bool(np.all(series.t[g] ** 2 <= 4 * series.primes[g]))
 
-        cm = trace_series(CurveSpec(0, 1), 10**5, threads=2)
+        cm = trace_series(CurveSpec(0, 1), 10**5)
         good_two_mod_three = (cm.primes % 3 == 2) & cm.good
         cm_zero = bool(np.all(cm.t[good_two_mod_three] == 0))
 

@@ -31,7 +31,7 @@ def test_naive_oracle_ten_thousand_under_a_minute():
 
 def test_trace_series_hundred_thousand_under_two_minutes():
     t0 = time.perf_counter()
-    series = trace_series(CurveSpec(-1, 1), 10**5, threads=2)
+    series = trace_series(CurveSpec(-1, 1), 10**5)
     elapsed = time.perf_counter() - t0
     assert elapsed <= 120.0, f"trace series(1e5) took {elapsed:.1f}s"
     assert len(series) == 9592

@@ -136,6 +136,46 @@ def test_config_flag_overrides(tmp_path):
     assert code == 0
 
 
+def test_config_reaches_thm3_A(tmp_path):
+    conf = tmp_path / "conf.txt"
+    conf.write_text("A=5.0\n")
+    assert run(tmp_path, "verify", "thm3", "--source", "synth", "--limit", "2000",
+               "--seed", "7", "--config", str(conf)) == 0
+    report = VerificationReport.from_json((tmp_path / "thm3-clt.json").read_text())
+    assert report.parameters["support_A"] == 5.0
+
+
+def test_config_reaches_lemma_gammas(tmp_path):
+    conf = tmp_path / "conf.txt"
+    conf.write_text("gammas=0.5\n")
+    assert run(tmp_path, "verify", "lemma-sums", "--source", "synth", "--limit", "2000",
+               "--seed", "7", "--checkpoints", "1000,2000", "--config", str(conf)) == 0
+    report = VerificationReport.from_json((tmp_path / "lemma-moment-sums.json").read_text())
+    assert report.parameters["gammas"] == [0.5]
+    assert all([k for k in row if k.startswith("sum_gamma_")] == ["sum_gamma_0.5"]
+               for row in report.rows)
+
+
+def test_explicit_rho_beats_config(tmp_path):
+    conf = tmp_path / "conf.txt"
+    conf.write_text("rho=0.5\n")
+    assert run(tmp_path, "synth", "--limit", "500", "--seed", "7", "--rho", "0.25",
+               "--config", str(conf)) == 0
+    names = sorted(p.name for p in (tmp_path / "cache").iterdir())
+    assert names == ["synth_500_7_hecke-chebyshev_0.25.astc", "synth_angles_500_7.astc"]
+
+
+def test_bad_config_value_exits_two(tmp_path):
+    conf = tmp_path / "conf.txt"
+    conf.write_text("limit=many\n")
+    try:
+        code = run(tmp_path, "verify", "thm1", "--source", "synth", "--seed", "1",
+                   "--epsilon", "0.25", "--checkpoints", "50,100", "--config", str(conf))
+    except SystemExit as exc:  # argparse rejects it as it would the flag's value
+        code = exc.code
+    assert code == 2
+
+
 def test_bad_config_key(tmp_path):
     conf = tmp_path / "conf.txt"
     conf.write_text("bogus=1\n")

@@ -179,13 +179,6 @@ class TestTraceSeries:
         one_mod_three = (series.primes % 3 == 1) & good
         assert np.all(series.t[one_mod_three] != 0)
 
-    def test_thread_counts_agree(self):
-        curve = CurveSpec(-1, 1)
-        s1 = trace_series(curve, 2000, threads=1)
-        s3 = trace_series(curve, 2000, threads=3)
-        assert np.array_equal(s1.t, s3.t)
-        assert np.array_equal(s1.primes, s3.primes)
-
     def test_budget(self):
         with pytest.raises(ValueError):
             trace_series(CurveSpec(1, 1), 2_000_000)

@@ -8,6 +8,7 @@ from stseq.errors import ConfigurationError, DataCorruptionError
 from stseq.ntt import find_ntt_primes
 from stseq.tau import (
     TauConfig,
+    _seed_series_length,
     deligne_bound,
     expand_delta,
     integrity_check,
@@ -51,7 +52,7 @@ class TestExpandDelta:
 
     @pytest.mark.parametrize("limit", [1, 2, 3, 17, 100, 257])
     def test_agrees_with_oracle_across_truncations(self, limit):
-        fast = expand_delta(TauConfig(limit=limit, verify_small=False))
+        fast = expand_delta(TauConfig(limit=limit))
         assert fast.taus == tau_naive_oracle(limit).taus
 
     def test_deligne_bound_covers_oracle(self):
@@ -212,4 +213,11 @@ def test_verify_small_guard_catches_bad_engine(monkeypatch):
 
     monkeypatch.setattr(tau_mod, "_seed_residues", corrupted)
     with pytest.raises(DataCorruptionError):
-        expand_delta(TauConfig(limit=128, verify_small=True))
+        expand_delta(TauConfig(limit=128))
+
+
+def test_seed_series_length_matches_count():
+    # k = 0 is always a term; count the k >= 1 with k(k+1)/2 <= limit - 1
+    for limit in range(1, 5001):
+        count = sum(1 for k in range(1, 101) if k * (k + 1) // 2 <= limit - 1)
+        assert _seed_series_length(limit) == count

@@ -5,10 +5,12 @@ import pytest
 
 from stseq.arith import NormalizedSequence, build_spf_sieve, primes_up_to
 from stseq.errors import DataCorruptionError
+from stseq.report import VerificationReport
 from stseq.synthetic import SyntheticSpec, build_synthetic_sequence
 from stseq.verify import (
     SupportFilter,
     check_assumptions,
+    prime_free_mask,
     prime_values_of,
     smoothness_cutoff,
     strongly_multiplicative_log,
@@ -50,6 +52,53 @@ def slice_strongly_multiplicative_log(seq: NormalizedSequence, x: int):
     return logh, alive
 
 
+def noise_sequence(limit: int) -> NormalizedSequence:
+    """Uniform values on [-2, 2] with 1000 zeros: many |a_p| fall under any floor."""
+    rng = np.random.default_rng(5)
+    vals = rng.uniform(-2.0, 2.0, limit + 1)
+    vals[0] = np.nan
+    vals[1] = 1.0
+    vals[rng.integers(2, limit, 1000)] = 0.0
+    return NormalizedSequence(limit=limit, values=vals, source="synthetic")
+
+
+def full_array_thm1(seq: NormalizedSequence, eps: float, cps: list[int],
+                    monotone_slack: float | None = None) -> VerificationReport:
+    """Oracle for thm1: both indicators and their cumsums over all of 3..x."""
+    top = cps[-1]
+    ln = np.log(np.arange(3, top + 1, dtype=np.float64))
+    a = np.abs(seq.values[3 : top + 1])
+    cum_ex = np.cumsum(a > ln ** (-0.5 + eps))
+    cum_be = np.cumsum(a < ln ** (-0.5 - eps))
+    rows = [{"x": x, "exceed_fraction": float(cum_ex[x - 3] / (x - 2)),
+             "below_fraction": float(cum_be[x - 3] / (x - 2))} for x in cps]
+    flags = []
+    if monotone_slack is not None:
+        for prev, cur in zip(rows, rows[1:]):
+            flags.append({
+                "name": f"nonincreasing_{prev['x']}_to_{cur['x']}",
+                "passed": cur["exceed_fraction"] <= prev["exceed_fraction"] + monotone_slack,
+                "observed": cur["exceed_fraction"] - prev["exceed_fraction"],
+                "tolerance": f"<= +{monotone_slack}",
+            })
+    return VerificationReport(
+        name="thm1-typical-size",
+        parameters={"eps": eps, "source": seq.source, "checkpoints": cps},
+        rows=rows, flags=flags, runtime=0.0,
+    )
+
+
+def loop_floor_mask(seq: NormalizedSequence, x: int, A: float) -> np.ndarray:
+    """Oracle for the floor-A mask: every prime tested one at a time."""
+    m = np.zeros(x + 1, dtype=bool)
+    m[1:] = seq.values[1 : x + 1] != 0.0
+    floor = SupportFilter("floor-A", A=A).floor(x)
+    for p in primes_up_to(x):
+        if abs(seq.values[p]) <= floor:
+            m[p::p] = False
+    return m
+
+
 def full_range_sums(seq: NormalizedSequence, gammas, x: int) -> list[float]:
     """Oracle for lemma-sums: one cumsum over all of 1..x per series."""
     n = np.arange(1, x + 1, dtype=np.float64)
@@ -67,6 +116,15 @@ def synth_seq(sieve_1e5_mod):
 @pytest.fixture(scope="module")
 def sieve_1e5_mod():
     return build_spf_sieve(100_000)
+
+
+@pytest.fixture(scope="module")
+def cm_seq():
+    """y^2 = x^3 + 1 to 2 * 10^4: complex multiplication, a_p = 0 at p = 2 mod 3."""
+    from stseq.elliptic import CurveSpec, ec_normalized_sequence, trace_series
+
+    x = 20_000
+    return ec_normalized_sequence(trace_series(CurveSpec(0, 1), x), build_spf_sieve(x), x)
 
 
 class TestCheckpoints:
@@ -371,15 +429,6 @@ class TestLemmaSumsBlocks:
 
     GAMMAS = [0.5, 1.0, 2.0]
 
-    @staticmethod
-    def noise_sequence(limit: int) -> NormalizedSequence:
-        rng = np.random.default_rng(5)
-        vals = rng.uniform(-2.0, 2.0, limit + 1)
-        vals[0] = np.nan
-        vals[1] = 1.0
-        vals[rng.integers(2, limit, 1000)] = 0.0
-        return NormalizedSequence(limit=limit, values=vals, source="synthetic")
-
     def check(self, seq, cps):
         rep = verify_lemma_sums(seq, self.GAMMAS, cps)
         for row in rep.rows:
@@ -394,14 +443,14 @@ class TestLemmaSumsBlocks:
         import stseq.verify as verify_mod
 
         edge = 1 + verify_mod._BLOCK  # first n of the second block
-        seq = self.noise_sequence(edge + 5000)
+        seq = noise_sequence(edge + 5000)
         self.check(seq, [3, edge - 2, edge - 1, edge, edge + 1, edge + 5000])
 
     def test_many_small_blocks(self, monkeypatch):
         import stseq.verify as verify_mod
 
         monkeypatch.setattr(verify_mod, "_BLOCK", 100)
-        seq = self.noise_sequence(5000)
+        seq = noise_sequence(5000)
         self.check(seq, [99, 100, 101, 102, 1001, 4999, 5000])
 
 
@@ -414,3 +463,58 @@ class TestGapQuantiles:
         absg = np.abs(gaps)
         assert got == {f"gap_q{int(q * 100)}": float(np.quantile(absg, q))
                        for q in (0.5, 0.9, 0.99, 1.0)}
+
+
+class TestThm1Blocks:
+    """Block-wise thm1 counts equal the full-array cumsums, report for report."""
+
+    @staticmethod
+    def check(seq, cps):
+        for eps, slack in ((0.25, None), (0.1, 0.01), (0.5, 0.0)):
+            got = verify_thm1(seq, eps, cps, monotone_slack=slack)
+            want = full_array_thm1(seq, eps, cps, monotone_slack=slack)
+            assert got.rows == want.rows
+            assert got.canonical_bytes() == want.canonical_bytes()
+
+    def test_checkpoints_around_block_edge(self):
+        import stseq.verify as verify_mod
+
+        edge = 3 + verify_mod._BLOCK  # first n of the second block
+        seq = noise_sequence(edge + 5000)
+        self.check(seq, [3, edge - 2, edge - 1, edge, edge + 1, edge + 5000])
+
+    @pytest.mark.parametrize("block", [7, 100])
+    def test_small_blocks(self, monkeypatch, block):
+        import stseq.verify as verify_mod
+
+        monkeypatch.setattr(verify_mod, "_BLOCK", block)
+        seq = noise_sequence(5000)
+        edge = 3 + block
+        self.check(seq, [3, 4, edge - 1, edge, edge + 1, 2 * block + 3, 4999, 5000])
+
+
+class TestPrimeFreeMask:
+    """The floor-A mask strikes exactly what the per-prime loop strikes."""
+
+    @pytest.mark.parametrize("A", [1.5, 2.0, 4.0])
+    def test_noise_sequence(self, A):
+        seq = noise_sequence(20_000)
+        for x in (2, 3, 100, 20_000):
+            got = SupportFilter("floor-A", A=A).mask(seq, x)
+            assert got.tobytes() == loop_floor_mask(seq, x, A).tobytes()
+        ps = primes_up_to(20_000)
+        assert np.count_nonzero(np.abs(seq.values[ps]) <= SupportFilter("floor-A").floor(20_000)) > 50
+
+    def test_cm_curve(self, cm_seq):
+        x = cm_seq.limit
+        got = SupportFilter("floor-A", A=2.0).mask(cm_seq, x)
+        assert got.tobytes() == loop_floor_mask(cm_seq, x, 2.0).tobytes()
+        assert not got[5] and not got[10] and got[7]
+
+    def test_edges(self):
+        empty = np.empty(0, dtype=np.int64)
+        assert prime_free_mask(empty, 0).tolist() == [False]
+        assert prime_free_mask(empty, 1).tolist() == [False, True]
+        assert prime_free_mask(np.array([2, 7]), 14).tolist() == [
+            False, True, False, True, False, True, False, False,
+            False, True, False, True, False, True, False]
