@@ -3,13 +3,13 @@
 Everything downstream builds on three primitives: a smallest-prime-factor
 table, exact factorization against it, and one multiplicative kernel.
 The sieve derives n = spf(n)^e * core once, and `fill_multiplicative`
-fills any table f(n) = f(spf(n)^e) * f(core) from those pairs in dyadic
-blocks.  The kernel fills the sequences assembled from prime angles plus a
-prime-power rule (a_p = 2 cos(theta_p) in [-2, 2]; higher prime powers come
-from the rule), the elliptic sequences, d(n) and sigma_11(n) mod 691.  The
-largest prime factor has its own dyadic rule, P(n) = max(spf(n),
-P(n / spf(n))), which needs no (e, core).  All heavy loops are vectorized;
-results are independent of evaluation order and thread count.
+fills any table f(n) = f(spf(n)^e) * f(core) from those pairs.  The kernel
+fills the sequences assembled from prime angles plus a prime-power rule
+(a_p = 2 cos(theta_p) in [-2, 2]; higher prime powers come from the rule),
+the elliptic sequences, d(n) and sigma_11(n) mod 691.  The largest prime
+factor has its own rule, P(n) = max(spf(n), P(n / spf(n))), which needs no
+(e, core).  Every such pass walks `dyadic_blocks`.  All heavy loops are
+vectorized; results are independent of evaluation order and thread count.
 """
 
 from __future__ import annotations
@@ -158,27 +158,41 @@ def factorize(n: int, sieve: SpfSieve) -> Factorization:
     return Factorization(n=n, pairs=pairs)
 
 
+# Entries per block of `dyadic_blocks`: bounds the temporaries of each pass.
+_BLOCK = 1 << 20
+
+
+def dyadic_blocks(lo: int, hi: int):
+    """[lo, hi) as consecutive (start, stop) pairs, none crossing a power of
+    two and none holding more than _BLOCK entries.
+
+    Every pass over a per-n table that reads its own entries at m <= n/2
+    walks these blocks: n >= 2^k in a block inside [2^k, 2^(k+1)) puts m
+    below 2^k, so m lies before the block and is already final.
+    """
+    while lo < hi:
+        stop = min(hi, 1 << lo.bit_length(), lo + _BLOCK)
+        yield lo, stop
+        lo = stop
+
+
 def _derive_exponent_core(spf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-n decomposition n = spf(n)^e * core with spf(n) not dividing core.
 
     Returns (e, core) arrays indexed 0..limit (entries below 2 are 0/1
-    placeholders).  Filled in dyadic blocks so every lookup lands in an
-    already-final earlier block: n // spf(n) <= n/2.
+    placeholders), filled over `dyadic_blocks` from m = n // spf(n).
     """
     limit = len(spf) - 1
     e = np.zeros(limit + 1, dtype=np.int8)
     core = np.zeros(limit + 1, dtype=np.int64)
     core[1] = 1
-    lo = 2
-    while lo <= limit:
-        hi = min(2 * lo, limit + 1)
+    for lo, hi in dyadic_blocks(2, limit + 1):
         n = np.arange(lo, hi, dtype=np.int64)
         p = spf[lo:hi].astype(np.int64)
         m = n // p
         same = spf[m] == p
         e[lo:hi] = np.where(same, e[m] + 1, 1)
         core[lo:hi] = np.where(same, core[m], m)
-        lo = hi
     return e, core
 
 
@@ -191,37 +205,30 @@ def fill_multiplicative(sieve: SpfSieve, limit: int, prime_power, out: np.ndarra
                         combine=np.multiply) -> np.ndarray:
     """Fill out[1..limit] with f(1) = 1 and f(n) = combine(prime_power(p, e), f(core)).
 
-    p = spf(n) and e come in as int64 arrays over one dyadic block
-    [lo, 2 lo); every core is below lo, so one gather per block resolves
-    the recursion.  out[0] is left as the caller set it.
+    p = spf(n) and e come in as int64 arrays over one block of
+    `dyadic_blocks`, so one gather of f(core) per block resolves the
+    recursion.  out[0] is left as the caller set it.
     """
     if sieve.limit < limit:
         raise IncompleteInputError(f"sieve limit {sieve.limit} < requested {limit}")
     e, core = exponent_core_tables(sieve)
     out[1] = 1
-    lo = 2
-    while lo <= limit:
-        hi = min(2 * lo, limit + 1)
+    for lo, hi in dyadic_blocks(2, limit + 1):
         pv = prime_power(sieve.spf[lo:hi].astype(np.int64), e[lo:hi].astype(np.int64))
         out[lo:hi] = combine(pv, out[core[lo:hi]])
-        lo = hi
     return out
 
 
 def largest_prime_factor_table(sieve: SpfSieve) -> np.ndarray:
     """P(n) for all n <= limit as int64, with P(0) = 0 and P(1) = 1.
 
-    P(n) = max(spf(n), P(n / spf(n))), filled in dyadic blocks, so every
-    lookup lands in an already-final earlier block: n / spf(n) <= n/2.
+    P(n) = max(spf(n), P(n / spf(n))), filled over `dyadic_blocks`.
     """
     lpf = np.zeros(sieve.limit + 1, dtype=np.int64)
     lpf[1] = 1
-    lo = 2
-    while lo <= sieve.limit:
-        hi = min(2 * lo, sieve.limit + 1)
+    for lo, hi in dyadic_blocks(2, sieve.limit + 1):
         p = sieve.spf[lo:hi].astype(np.int64)
         lpf[lo:hi] = np.maximum(p, lpf[np.arange(lo, hi) // p])
-        lo = hi
     return lpf
 
 
@@ -263,12 +270,11 @@ def chebyshev_sin_ratio(theta, k):
     return out
 
 
-def chebyshev_recurrence(a, k, k_max: int | None = None):
+def chebyshev_recurrence(a, k):
     """U_k evaluated from a = 2 cos(theta) by u_{j+1} = a u_j - u_{j-1}."""
     a = np.asarray(a, dtype=np.float64)
     k = np.asarray(k)
-    if k_max is None:
-        k_max = int(k.max()) if k.size else 0
+    k_max = int(k.max()) if k.size else 0
     u_prev = np.zeros_like(a)  # U_{-1}
     u_cur = np.ones_like(a)  # U_0
     out = np.where(k == 0, 1.0, 0.0)

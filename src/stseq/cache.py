@@ -180,10 +180,10 @@ def _parse_traces(limit: int, buf: memoryview) -> TraceSeries:
 
 
 _SAVERS = {
-    ExactTauTable: (KIND_EXACT_TAU, _payload_exact_tau, lambda o: o.limit),
-    NormalizedSequence: (KIND_NORMALIZED, _payload_normalized, lambda o: o.limit),
-    AngleSeries: (KIND_ANGLES, _payload_angles, lambda o: o.limit),
-    TraceSeries: (KIND_TRACES, _payload_traces, lambda o: o.limit),
+    ExactTauTable: (KIND_EXACT_TAU, _payload_exact_tau),
+    NormalizedSequence: (KIND_NORMALIZED, _payload_normalized),
+    AngleSeries: (KIND_ANGLES, _payload_angles),
+    TraceSeries: (KIND_TRACES, _payload_traces),
 }
 
 _PARSERS = {
@@ -197,11 +197,11 @@ _PARSERS = {
 def save_cache(path, obj) -> None:
     """Write header + payload for any of the four cacheable types."""
     try:
-        kind, encode, limit_of = _SAVERS[type(obj)]
+        kind, encode = _SAVERS[type(obj)]
     except KeyError:
         raise TypeError(f"cannot cache objects of type {type(obj).__name__}") from None
     payload = encode(obj)
-    header = _HEADER.pack(MAGIC, VERSION, kind, limit_of(obj), _checksum(payload))
+    header = _HEADER.pack(MAGIC, VERSION, kind, obj.limit, _checksum(payload))
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

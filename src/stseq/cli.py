@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arith import AngleSeries, NormalizedSequence, PrimePowerRule, build_spf_sieve
+from .arith import RULE_KINDS, AngleSeries, NormalizedSequence, PrimePowerRule, build_spf_sieve
 from .cache import load_cache, save_cache
 from .elliptic import (
     CurveSpec,
@@ -350,8 +350,7 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--limit", type=int, help="sequence length N")
     p.add_argument("--seed", type=int, help="synthetic sampler seed")
     p.add_argument("--curve", help="elliptic curve as 'A,B'")
-    p.add_argument("--rule", default="hecke-chebyshev",
-                   choices=["hecke-chebyshev", "truncate-zero", "exact-integer-hecke"])
+    p.add_argument("--rule", default="hecke-chebyshev", choices=RULE_KINDS)
     p.add_argument("--rho", type=float, default=0.25, help="growth exponent rho")
 
 
@@ -385,8 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("synth", help="sample a synthetic sequence")
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--rule", default="hecke-chebyshev",
-                   choices=["hecke-chebyshev", "truncate-zero", "exact-integer-hecke"])
+    p.add_argument("--rule", default="hecke-chebyshev", choices=RULE_KINDS)
     p.add_argument("--rho", type=float, default=0.25)
     p.set_defaults(func=cmd_synth)
 

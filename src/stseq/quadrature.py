@@ -9,6 +9,9 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
+# Halvings per panel before the estimate is accepted as it stands.
+_MAX_DEPTH = 50
+
 
 def _simpson(f, a, fa, b, fb, m, fm):
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
@@ -35,7 +38,6 @@ def adaptive_simpson(
     b: float,
     tol: float = 1e-10,
     split_at: Iterable[float] = (),
-    max_depth: int = 50,
 ) -> float:
     """Integrate f over [a, b] to absolute tolerance ~tol."""
     points = [a] + sorted(x for x in split_at if a < x < b) + [b]
@@ -45,5 +47,5 @@ def adaptive_simpson(
         m = 0.5 * (lo + hi)
         flo, fhi, fm = f(lo), f(hi), f(m)
         whole = _simpson(f, lo, flo, hi, fhi, m, fm)
-        total += _adapt(f, lo, flo, hi, fhi, m, fm, whole, panel_tol, max_depth)
+        total += _adapt(f, lo, flo, hi, fhi, m, fm, whole, panel_tol, _MAX_DEPTH)
     return total

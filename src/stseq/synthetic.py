@@ -31,6 +31,8 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _MAX_ATTEMPTS = 512
+# Highest prime power k whose growth bound each sampled rule is checked at.
+_GROWTH_MAX_EXPONENT = 6
 
 
 def mix64(z: np.ndarray) -> np.ndarray:
@@ -104,7 +106,7 @@ class SyntheticSpec:
 
 
 def build_synthetic_sequence(
-    spec: SyntheticSpec, sieve: SpfSieve, max_exponent_checked: int = 6
+    spec: SyntheticSpec, sieve: SpfSieve
 ) -> tuple[AngleSeries, NormalizedSequence]:
     """Sample angles for every prime <= limit, then assemble the sequence.
 
@@ -119,7 +121,7 @@ def build_synthetic_sequence(
     angles = AngleSeries.from_theta(ps, theta, source="synthetic", limit=spec.limit)
     seq = assemble_multiplicative(angles, spec.rule, spec.limit, sieve=sieve, source="synthetic")
     violations = (
-        growth_violations(spec.rule, angles, max_exponent_checked) if len(ps) else []
+        growth_violations(spec.rule, angles, _GROWTH_MAX_EXPONENT) if len(ps) else []
     )
     seq.meta.update(
         {

@@ -27,6 +27,7 @@ from .arith import (
     NormalizedSequence,
     SpfSieve,
     build_spf_sieve,
+    dyadic_blocks,
     largest_prime_factor_table,
     primes_up_to,
 )
@@ -44,6 +45,8 @@ from .stats import (
 
 STANDARDIZATIONS = ("asymptotic", "finite-size", "self")
 CLT_C = 0.5 + math.pi**2 / 12.0
+# thm3's additive identity holds exactly; this relative error absorbs rounding
+IDENTITY_RTOL = 1e-6
 
 
 def validate_checkpoints(checkpoints: list[int], limit: int) -> list[int]:
@@ -112,16 +115,6 @@ def _prime_angles(seq: NormalizedSequence, ps: np.ndarray, x: int) -> AngleSerie
     return AngleSeries.from_a(ps, a, source=seq.source, limit=x)
 
 
-# Entries per block of the block-wise passes: bounds their temporaries.
-_BLOCK = 1 << 20
-
-
-def _blocks(lo: int, hi: int):
-    """[lo, hi) as consecutive (start, stop) pairs of at most _BLOCK entries."""
-    for start in range(lo, hi, _BLOCK):
-        yield start, min(start + _BLOCK, hi)
-
-
 def _running_sums_at(cps: list[int], first: int, terms) -> dict[int, list]:
     """Running sums from n = first of each series, read at each checkpoint
     x (first <= n <= x), one numpy scalar per series in series order.
@@ -134,7 +127,7 @@ def _running_sums_at(cps: list[int], first: int, terms) -> dict[int, list]:
     """
     carry: dict[int, object] = {}
     out: dict[int, list] = {x: [] for x in cps}
-    for start, stop in _blocks(first, cps[-1] + 1):
+    for start, stop in dyadic_blocks(first, cps[-1] + 1):
         here = [x for x in cps if start <= x < stop]
         for k, t in enumerate(terms(start, stop)):
             t[0] += carry.get(k, 0)
@@ -292,21 +285,15 @@ def verify_thm2(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class StrongMultApprox:
-    """Per-n gaps c(n) = log|h(n)| - log|a_n| for the strongly multiplicative
-    companion h (h(p) = a_p, h(p^k) = h(p)); zero on squarefree n."""
-
-    ns: np.ndarray
-    gaps: np.ndarray
-
-    def quantiles(self, qs=(0.5, 0.9, 0.99, 1.0)) -> dict:
-        absg = np.abs(self.gaps)
-        if absg.size == 0:
-            return {f"gap_q{int(q * 100)}": 0.0 for q in qs}
-        # one selection for every q; absg is a fresh array, free to reorder
-        vals = np.quantile(absg, list(qs), overwrite_input=True)
-        return {f"gap_q{int(q * 100)}": float(v) for q, v in zip(qs, vals)}
+def _gap_quantiles(gaps: np.ndarray) -> dict:
+    """The gap_q50/q90/q99/q100 quantiles of |gaps|, taken in place: `gaps`
+    is overwritten and reordered."""
+    qs = (0.5, 0.9, 0.99, 1.0)
+    if gaps.size == 0:
+        return {f"gap_q{int(q * 100)}": 0.0 for q in qs}
+    np.abs(gaps, out=gaps)
+    vals = np.quantile(gaps, list(qs), overwrite_input=True)
+    return {f"gap_q{int(q * 100)}": float(v) for q, v in zip(qs, vals)}
 
 
 def strongly_multiplicative_log(
@@ -320,29 +307,26 @@ def strongly_multiplicative_log(
     the primes of r are those of n below P, plus P itself when P^2 | n, so
     logh[n] = logh[r] + log|a_P| (just logh[r] when P | r) is that same sum
     in that same order; a prime with a_p = 0 holds logh[p] = +0.0, and
-    adding it changes no bit.  Blocks never cross a power of two, so r and,
-    for composite n, P are at most n/2 and lie in earlier blocks.  The
-    primes with a_p = 0 are collected on the way and struck for alive.
+    adding it changes no bit.  The pass walks `dyadic_blocks`, which puts r
+    and, for composite n, P before n's block.  The primes with a_p = 0 are
+    collected on the way and struck for alive.
     """
     logh = np.zeros(x + 1, dtype=np.float64)
     lpf = largest_prime_factor_table(build_spf_sieve(max(x, 2)))
     vals = seq.values
     zero_primes = [np.empty(0, dtype=np.int64)]
-    lo = 2
-    while lo <= x:
-        for start, stop in _blocks(lo, min(2 * lo, x + 1)):
-            n = np.arange(start, stop, dtype=np.int64)
-            big = lpf[start:stop]
-            # a prime's own log goes in first; composites read it
-            ps = n[big == n]
-            a = np.abs(vals[ps])
-            nz = a != 0.0
-            logh[ps[nz]] = np.fromiter(map(math.log, a[nz].tolist()), np.float64)
-            zero_primes.append(ps[~nz])
-            r = n // big
-            carried = logh[r]
-            logh[start:stop] = np.where(lpf[r] == big, carried, carried + logh[big])
-        lo *= 2
+    for start, stop in dyadic_blocks(2, x + 1):
+        n = np.arange(start, stop, dtype=np.int64)
+        big = lpf[start:stop]
+        # a prime's own log goes in first; composites read it
+        ps = n[big == n]
+        a = np.abs(vals[ps])
+        nz = a != 0.0
+        logh[ps[nz]] = np.fromiter(map(math.log, a[nz].tolist()), np.float64)
+        zero_primes.append(ps[~nz])
+        r = n // big
+        carried = logh[r]
+        logh[start:stop] = np.where(lpf[r] == big, carried, carried + logh[big])
     return logh, prime_free_mask(np.concatenate(zero_primes), x)
 
 
@@ -364,7 +348,6 @@ def verify_thm3(
     x: int,
     support: SupportFilter | None = None,
     standardization: str = "self",
-    identity_rtol: float = 1e-6,
     ks_tol: float | None = None,
     skew_tol: float | None = None,
 ) -> VerificationReport:
@@ -410,19 +393,19 @@ def verify_thm3(
     # additive identity over the zero-free part of [1, x]
     logh, alive = strongly_multiplicative_log(seq, x)
     lhs = float(np.sum(logh[1:][alive[1:]]))
-    if bool(np.all(alive[1:])):
-        counts = x // ps
-    else:
-        counts = np.array([int(np.count_nonzero(alive[p::p])) for p in ps], dtype=np.int64)
     ap = seq.values[ps]
     nz = ap != 0.0
-    rhs = float(np.sum(np.log(np.abs(ap[nz])) * counts[nz]))
+    # for a_p != 0, p * m is alive exactly when m is: count the alive m <= x/p
+    counts = np.cumsum(alive[: x // 2 + 1], dtype=np.int64)[x // ps[nz]]
+    rhs = float(np.sum(np.log(np.abs(ap[nz])) * counts))
     rel_err = abs(lhs - rhs) / max(1.0, abs(lhs))
 
-    both = mask[ns] & alive[ns]
-    gaps = logh[ns[both]] - log_abs[both]
+    # gaps c(n) = log|h(n)| - log|a_n| to the strongly multiplicative
+    # companion h (h(p^k) = a_p), zero on squarefree n
+    gaps = logh[ns]
+    gaps -= log_abs
     del logh, log_abs  # the gap profile below sets the call's peak: free these first
-    approx = StrongMultApprox(ns=ns[both], gaps=gaps)
+    gaps = gaps[alive[ns]]
     row = {
         "x": x,
         "n_support": int(ns.size),
@@ -435,13 +418,13 @@ def verify_thm3(
         "identity_rhs": rhs,
         "identity_rel_err": rel_err,
     }
-    row.update(approx.quantiles())
+    row.update(_gap_quantiles(gaps))
     flags = [
         {
             "name": "additive_identity",
-            "passed": rel_err <= identity_rtol,
+            "passed": rel_err <= IDENTITY_RTOL,
             "observed": rel_err,
-            "tolerance": f"rel err <= {identity_rtol}",
+            "tolerance": f"rel err <= {IDENTITY_RTOL}",
         }
     ]
     if ks_tol is not None:

@@ -12,6 +12,7 @@ from stseq.arith import (
     build_spf_sieve,
     chebyshev_recurrence,
     chebyshev_sin_ratio,
+    dyadic_blocks,
     exponent_core_tables,
     factorize,
     growth_violations,
@@ -112,6 +113,39 @@ class TestDerivedTables:
         assert lpf[1] == 1
         for n in range(2, 2000):
             assert lpf[n] == brute_factor(n)[-1][0]
+
+
+def _assert_walker_blocks(blocks, lo, hi, block):
+    """blocks partition [lo, hi), each inside one [2^k, 2^(k+1)), none longer
+    than block."""
+    edges = [lo] + [stop for _, stop in blocks]
+    assert edges[-1] == hi
+    assert [start for start, _ in blocks] == edges[:-1]
+    for start, stop in blocks:
+        assert 1 <= stop - start <= block
+        assert (stop - 1).bit_length() == start.bit_length()
+
+
+class TestDyadicBlocks:
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.sampled_from([1, 2, 3]), span=st.integers(0, 5000), block=st.integers(1, 300))
+    def test_partition_with_small_blocks(self, lo, span, block):
+        import stseq.arith as arith_mod
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arith_mod, "_BLOCK", block)
+            blocks = list(dyadic_blocks(lo, lo + span))
+        _assert_walker_blocks(blocks, lo, lo + span, block)
+
+    @pytest.mark.parametrize("lo", [1, 2, 3])
+    def test_partition_to_ten_million(self, lo):
+        import stseq.arith as arith_mod
+
+        blocks = list(dyadic_blocks(lo, 10**7 + 1))
+        _assert_walker_blocks(blocks, lo, 10**7 + 1, arith_mod._BLOCK)
+        # the 2^20 cap splits [2^22, 2^23) into four blocks
+        assert [b for b in blocks if 1 << 22 <= b[0] < 1 << 23] == [
+            ((k + 4) << 20, (k + 5) << 20) for k in range(4)]
 
 
 class TestIsPrime:

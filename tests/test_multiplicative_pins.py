@@ -21,6 +21,7 @@ from stseq.arith import (
     primes_up_to,
 )
 from stseq.elliptic import CurveSpec, ec_normalized_sequence, trace_series
+from stseq.synthetic import SyntheticSpec, build_synthetic_sequence
 from stseq.tau import _divisor_counts, _sigma11_mod691
 
 LIMIT = 2**15
@@ -76,3 +77,30 @@ def test_integer_table_bytes(sieve):
     assert _digest(_sigma11_mod691(LIMIT, sieve)) == PINS["sigma11_mod691"]
     assert _digest(largest_prime_factor_table(sieve)) == PINS["largest_prime_factor"]
     assert _digest(*exponent_core_tables(sieve)) == PINS["exponent_core"]
+
+
+def _walked_tables(limit: int, cm_traces) -> list[np.ndarray]:
+    """Every table filled over `dyadic_blocks`, from a fresh sieve so that
+    (e, core) is derived under the current block size."""
+    sieve = build_spf_sieve(limit)
+    _, synth = build_synthetic_sequence(SyntheticSpec(limit=limit, seed=7), sieve)
+    return [
+        *exponent_core_tables(sieve),
+        largest_prime_factor_table(sieve),
+        synth.values,
+        ec_normalized_sequence(cm_traces, sieve, limit).values,
+        _divisor_counts(limit, sieve),
+        _sigma11_mod691(limit, sieve),
+    ]
+
+
+@pytest.mark.parametrize("block", [7, 100])
+def test_tables_independent_of_block_size(monkeypatch, block):
+    import stseq.arith as arith_mod
+
+    limit = 20_000
+    # y^2 = x^3 + 1: a_p = 0 at every p = 2 mod 3
+    cm_traces = trace_series(CurveSpec(0, 1), limit)
+    want = [t.tobytes() for t in _walked_tables(limit, cm_traces)]
+    monkeypatch.setattr(arith_mod, "_BLOCK", block)
+    assert [t.tobytes() for t in _walked_tables(limit, cm_traces)] == want

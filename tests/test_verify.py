@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -97,6 +98,18 @@ def loop_floor_mask(seq: NormalizedSequence, x: int, A: float) -> np.ndarray:
         if abs(seq.values[p]) <= floor:
             m[p::p] = False
     return m
+
+
+def loop_identity(seq: NormalizedSequence, x: int) -> tuple[float, float]:
+    """Oracle for thm3's additive identity (lhs, rhs): the alive multiples of
+    every prime counted one prime at a time."""
+    logh, alive = strongly_multiplicative_log(seq, x)
+    ps = primes_up_to(x)
+    counts = np.array([int(np.count_nonzero(alive[p::p])) for p in ps], dtype=np.int64)
+    ap = seq.values[ps]
+    nz = ap != 0.0
+    lhs = float(np.sum(logh[1:][alive[1:]]))
+    return lhs, float(np.sum(np.log(np.abs(ap[nz])) * counts[nz]))
 
 
 def full_range_sums(seq: NormalizedSequence, gammas, x: int) -> list[float]:
@@ -270,6 +283,26 @@ class TestThm3:
             assert sf
             assert logh[n] == pytest.approx(math.log(abs(synth_seq.values[n])), abs=1e-9)
 
+    # BLAKE2b-128 of the canonical report at x = 2 * 10^4, "self" standardization,
+    # recorded while the identity counts came from the per-prime loop
+    ZERO_PRIME_PINS = {
+        ("cm", "nonzero"): "32679e7bc03716a3d6ed259589810bab",
+        ("cm", "floor-A"): "5ba7509d2391a10c6a90020d78634208",
+        ("noise", "nonzero"): "558a3d03ab31eaf9b2efbcdff9b951c5",
+        ("noise", "floor-A"): "c516577e9aa827dd7ca413d5ffa6dd30",
+    }
+
+    @pytest.mark.parametrize("name, mode", sorted(ZERO_PRIME_PINS))
+    def test_identity_with_zero_primes(self, cm_seq, name, mode):
+        x = 20_000
+        seq = cm_seq if name == "cm" else noise_sequence(x)
+        assert np.count_nonzero(seq.values[primes_up_to(x)] == 0.0) > 50
+        rep = verify_thm3(seq, x, SupportFilter(mode), "self")
+        row = rep.rows[0]
+        assert (row["identity_lhs"], row["identity_rhs"]) == loop_identity(seq, x)
+        digest = hashlib.blake2b(rep.canonical_bytes(), digest_size=16).hexdigest()
+        assert digest == self.ZERO_PRIME_PINS[name, mode]
+
     def test_standardization_modes(self, synth_seq):
         for mode in ("asymptotic", "finite-size", "self"):
             rep = verify_thm3(synth_seq, 100_000, SupportFilter("nonzero"), mode)
@@ -401,9 +434,9 @@ class TestStronglyMultiplicativeLogOracle:
             self.assert_same(synth_seq, x)
 
     def test_synthetic_small_blocks(self, synth_seq, monkeypatch):
-        import stseq.verify as verify_mod
+        import stseq.arith as arith_mod
 
-        monkeypatch.setattr(verify_mod, "_BLOCK", 7)
+        monkeypatch.setattr(arith_mod, "_BLOCK", 7)
         self.assert_same(synth_seq, 20_000)
 
     def test_tau(self):
@@ -440,26 +473,25 @@ class TestLemmaSumsBlocks:
             assert row["sum_sq_over_n_per_logx"] == want[2] / math.log(row["x"])
 
     def test_checkpoints_around_block_edge(self):
-        import stseq.verify as verify_mod
-
-        edge = 1 + verify_mod._BLOCK  # first n of the second block
+        edge = 1 << 20  # first n of a block
         seq = noise_sequence(edge + 5000)
         self.check(seq, [3, edge - 2, edge - 1, edge, edge + 1, edge + 5000])
 
     def test_many_small_blocks(self, monkeypatch):
-        import stseq.verify as verify_mod
+        import stseq.arith as arith_mod
 
-        monkeypatch.setattr(verify_mod, "_BLOCK", 100)
+        monkeypatch.setattr(arith_mod, "_BLOCK", 100)
         seq = noise_sequence(5000)
-        self.check(seq, [99, 100, 101, 102, 1001, 4999, 5000])
+        # 128 starts a block at a power of two, 228 one at the entry cap
+        self.check(seq, [99, 100, 101, 102, 127, 128, 227, 228, 1001, 4999, 5000])
 
 
 class TestGapQuantiles:
     def test_one_call_equals_one_per_q(self):
-        from stseq.verify import StrongMultApprox
+        from stseq.verify import _gap_quantiles
 
         gaps = np.random.default_rng(2).normal(0.0, 1.0, 10_000)
-        got = StrongMultApprox(ns=np.arange(gaps.size), gaps=gaps).quantiles()
+        got = _gap_quantiles(gaps.copy())
         absg = np.abs(gaps)
         assert got == {f"gap_q{int(q * 100)}": float(np.quantile(absg, q))
                        for q in (0.5, 0.9, 0.99, 1.0)}
@@ -477,20 +509,18 @@ class TestThm1Blocks:
             assert got.canonical_bytes() == want.canonical_bytes()
 
     def test_checkpoints_around_block_edge(self):
-        import stseq.verify as verify_mod
-
-        edge = 3 + verify_mod._BLOCK  # first n of the second block
+        edge = 1 << 20  # first n of a block
         seq = noise_sequence(edge + 5000)
         self.check(seq, [3, edge - 2, edge - 1, edge, edge + 1, edge + 5000])
 
     @pytest.mark.parametrize("block", [7, 100])
     def test_small_blocks(self, monkeypatch, block):
-        import stseq.verify as verify_mod
+        import stseq.arith as arith_mod
 
-        monkeypatch.setattr(verify_mod, "_BLOCK", block)
+        monkeypatch.setattr(arith_mod, "_BLOCK", block)
         seq = noise_sequence(5000)
-        edge = 3 + block
-        self.check(seq, [3, 4, edge - 1, edge, edge + 1, 2 * block + 3, 4999, 5000])
+        edge = 128 + block  # a block start the entry cap makes
+        self.check(seq, [3, 4, 2 * block + 3, edge - 1, edge, edge + 1, 4999, 5000])
 
 
 class TestPrimeFreeMask:
