@@ -47,7 +47,6 @@ from .synthetic import (
 )
 from .tau import (
     ExactTauTable,
-    TauConfig,
     expand_delta,
     integrity_check,
     normalize_tau,

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import CapacityError, IncompleteInputError
 
 # Sieve entries are uint32 (largest prime below 2^32 fits), 4 bytes each.
-DEFAULT_SIEVE_BUDGET_BYTES = 2 * 1024**3
+SIEVE_BUDGET_BYTES = 2 * 1024**3
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -93,21 +93,22 @@ class SpfSieve:
             raise CapacityError(f"sieve limit must be >= 2, got {self.limit}")
 
 
-def build_spf_sieve(limit: int, budget_bytes: int = DEFAULT_SIEVE_BUDGET_BYTES) -> SpfSieve:
-    """Fill a smallest-prime-factor table up to `limit`.
+def build_spf_sieve(limit: int) -> SpfSieve:
+    """Fill a smallest-prime-factor table up to max(limit, 2).
 
     Vectorized Eratosthenes over the odd part: even slots get 2 up front,
     then each odd prime p claims the still-unmarked odd multiples from p^2
     (any smaller odd composite already belongs to a smaller prime).
     """
-    if limit < 2:
-        raise CapacityError(f"limit must be >= 2, got {limit}")
+    if limit < 0:
+        raise CapacityError(f"limit must be >= 0, got {limit}")
+    limit = max(limit, 2)
     if limit > 2**32 - 1:
         raise CapacityError(f"limit {limit} exceeds the 32-bit table format")
     need = 4 * (limit + 1)
-    if need > budget_bytes:
+    if need > SIEVE_BUDGET_BYTES:
         raise CapacityError(
-            f"sieve of {limit + 1} entries needs {need} bytes, budget is {budget_bytes}"
+            f"sieve of {limit + 1} entries needs {need} bytes, budget is {SIEVE_BUDGET_BYTES}"
         )
     spf = np.zeros(limit + 1, dtype=np.uint32)
     spf[2::2] = 2
@@ -387,23 +388,16 @@ class NormalizedSequence:
 
 
 def assemble_multiplicative(
-    angles: AngleSeries,
-    rule: PrimePowerRule,
-    limit: int,
-    sieve: SpfSieve | None = None,
-    source: str = "synthetic",
+    angles: AngleSeries, rule: PrimePowerRule, limit: int
 ) -> NormalizedSequence:
-    """Build a_n = prod over p^k || n of rule(theta_p, k); a_1 = 1.
+    """Build the synthetic a_n = prod over p^k || n of rule(theta_p, k); a_1 = 1.
 
     Angles must cover every prime <= limit.  Filled by
     `fill_multiplicative` with the rule as the prime-power value.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    if sieve is None:
-        sieve = build_spf_sieve(max(limit, 2))
-    if sieve.limit < limit:
-        raise IncompleteInputError(f"sieve limit {sieve.limit} < requested {limit}")
+    sieve = build_spf_sieve(limit)
 
     theta_at = np.full(limit + 1, np.nan)
     in_range = angles.primes <= limit
@@ -419,27 +413,23 @@ def assemble_multiplicative(
     values = np.empty(limit + 1, dtype=np.float64)
     values[0] = np.nan
     fill_multiplicative(sieve, limit, lambda p, e: rule.value(theta_at[p], e), values)
-    return NormalizedSequence(limit=limit, values=values, source=source)
+    return NormalizedSequence(limit=limit, values=values, source="synthetic")
 
 
 def growth_violations(
-    rule: PrimePowerRule,
-    angles: AngleSeries,
-    max_exponent: int,
-    rho: float | None = None,
+    rule: PrimePowerRule, angles: AngleSeries, max_exponent: int
 ) -> list[tuple[int, int, float, float]]:
     """All (p, k, |a_{p^k}|, bound) with 2 <= k <= max_exponent breaking
-    |a_{p^k}| <= p^((k-1)/2 - rho), sorted by p then k."""
+    |a_{p^k}| <= p^((k-1)/2 - rule.rho), sorted by p then k."""
     if max_exponent < 2:
         raise ValueError("max_exponent must be >= 2")
-    rho = rule.rho if rho is None else rho
-    if not rho > 0:
+    if not rule.rho > 0:
         raise ValueError("rho must be > 0")
     out: list[tuple[int, int, float, float]] = []
     p = angles.primes.astype(np.float64)
     for k in range(2, max_exponent + 1):
         vals = np.abs(rule.value(angles.theta, k))
-        bound = p ** ((k - 1) / 2.0 - rho)
+        bound = p ** ((k - 1) / 2.0 - rule.rho)
         bad = np.nonzero(vals > bound)[0]
         for i in bad:
             out.append((int(angles.primes[i]), k, float(vals[i]), float(bound[i])))

@@ -3,7 +3,8 @@
 Subcommands build coefficient sources (tau, ec, synth, angles), print the
 distribution constants, and run the verifiers; every verify subcommand
 writes the report as JSON plus a CSV of its rows and exits 0 only if all
-declared flags pass (1 on failed verification, 2 on usage errors).
+declared flags pass (1 on failed verification or data corruption, 2 on
+usage errors and invalid values).
 
 A flat key=value config file supplies defaults; explicit flags win.  The
 cache directory comes from --cache-dir, the STSEQ_CACHE_DIR environment
@@ -22,21 +23,22 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arith import RULE_KINDS, AngleSeries, NormalizedSequence, PrimePowerRule, build_spf_sieve
+from .arith import RULE_KINDS, AngleSeries, NormalizedSequence, PrimePowerRule
 from .cache import load_cache, save_cache
 from .elliptic import (
     CurveSpec,
+    TraceSeries,
     angles_from_traces,
     ec_normalized_sequence,
     kappa_partial,
     supersingular_census,
     trace_series,
 )
-from .errors import CacheFormatError
+from .errors import CacheFormatError, DataCorruptionError
 from .report import VerificationReport
 from .stats import STConstants, prime_angle_summary
 from .synthetic import SyntheticSpec, build_synthetic_sequence
-from .tau import TauConfig, expand_delta, integrity_check, normalize_tau, tau_angles
+from .tau import ExactTauTable, expand_delta, integrity_check, normalize_tau, tau_angles
 from .verify import (
     SupportFilter,
     check_assumptions,
@@ -99,7 +101,7 @@ def cache_dir_of(args) -> Path:
     return p
 
 
-def _cached(paths: list[Path], builder, fits=lambda *objs: True) -> tuple:
+def _cached(paths: list[Path], builder, fits) -> tuple:
     """Objects at `paths` if all load and `fits` them, else builder()'s, saved one per path."""
     try:
         if all(p.exists() for p in paths):
@@ -114,18 +116,28 @@ def _cached(paths: list[Path], builder, fits=lambda *objs: True) -> tuple:
     return objs
 
 
-def get_tau_table(args):
+def get_tau_table(args) -> ExactTauTable:
+    """Exact tau table for --limit; a cached table is used only if it fits the request."""
     limit = _require(args, "limit")
     path = cache_dir_of(args) / f"tau_{limit}.astc"
-    return _cached([path], lambda: (expand_delta(TauConfig(limit=limit)),))[0]
+    return _cached(
+        [path],
+        lambda: (expand_delta(limit),),
+        lambda table: isinstance(table, ExactTauTable) and table.limit == limit,
+    )[0]
 
 
-def get_trace_series(args):
+def get_trace_series(args) -> TraceSeries:
+    """Traces for --curve and --limit; a cached series is used only if it fits the request."""
     limit = _require(args, "limit")
     a4, b6 = _parse_curve(_require(args, "curve"))
     path = cache_dir_of(args) / f"traces_{a4}_{b6}_{limit}.astc"
-    return _cached([path], lambda: (
-        trace_series(CurveSpec(a4, b6), limit),))[0]
+    return _cached(
+        [path],
+        lambda: (trace_series(CurveSpec(a4, b6), limit),),
+        lambda series: isinstance(series, TraceSeries) and series.limit == limit
+        and (series.curve.a4, series.curve.a6) == (a4, b6),
+    )[0]
 
 
 def get_synthetic(args) -> tuple[AngleSeries, NormalizedSequence]:
@@ -137,7 +149,7 @@ def get_synthetic(args) -> tuple[AngleSeries, NormalizedSequence]:
     spec = SyntheticSpec(limit=limit, seed=seed, rule=PrimePowerRule(args.rule, args.rho))
     return _cached(
         paths,
-        lambda: build_synthetic_sequence(spec, build_spf_sieve(max(limit, 2))),
+        lambda: build_synthetic_sequence(spec),
         lambda angles, seq: isinstance(angles, AngleSeries)
         and isinstance(seq, NormalizedSequence) and seq.limit == angles.limit == limit
         and [seq.meta.get(k) for k in ("seed", "rule", "rho")] == [seed, args.rule, args.rho],
@@ -160,8 +172,7 @@ def resolve_sequence(args):
         return normalize_tau(table), tau_angles(table)
     if source == "ec":
         series = get_trace_series(args)
-        sieve = build_spf_sieve(max(limit, 2))
-        return ec_normalized_sequence(series, sieve, limit), angles_from_traces(series)
+        return ec_normalized_sequence(series, limit), angles_from_traces(series)
     if source == "synth":
         angles, seq = get_synthetic(args)
         return seq, angles
@@ -473,9 +484,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (ValueError,) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    except DataCorruptionError as exc:
+        print(f"data corruption: {exc}", file=sys.stderr)
+        return FAIL_EXIT
 
 
 if __name__ == "__main__":

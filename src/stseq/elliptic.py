@@ -25,7 +25,7 @@ import numpy as np
 from .arith import (
     AngleSeries,
     NormalizedSequence,
-    SpfSieve,
+    build_spf_sieve,
     chebyshev_recurrence,
     fill_multiplicative,
     is_prime,
@@ -35,7 +35,7 @@ from .errors import DataCorruptionError, IncompleteInputError
 from .report import VerificationReport
 
 TRACE_PRIME_GUARD = 10_000_000
-SERIES_DEFAULT_BUDGET = 1_000_000
+SERIES_BUDGET = 1_000_000
 _SWEEP_CHUNK = 1 << 20
 # Mestre: for p > 229, E or its twist has a point whose order has exactly one
 # multiple in the Hasse interval.  BSGS is also the faster kernel at every p
@@ -238,19 +238,15 @@ class TraceSeries:
         return len(self.primes)
 
 
-def trace_series(
-    curve: CurveSpec,
-    limit: int,
-    budget: int = SERIES_DEFAULT_BUDGET,
-) -> TraceSeries:
+def trace_series(curve: CurveSpec, limit: int) -> TraceSeries:
     """Traces at every prime <= limit, in prime order on the calling thread.
 
     The traces are Python-integer arithmetic that holds the interpreter
     lock; on a 2-vCPU VM a 2-worker pool took 2.6-2.7 s against 1.1-1.2 s
     on one thread to 10^5.
     """
-    if limit > budget:
-        raise ValueError(f"limit {limit} exceeds the series budget {budget}")
+    if limit > SERIES_BUDGET:
+        raise ValueError(f"limit {limit} exceeds the series budget {SERIES_BUDGET}")
     ps = primes_up_to(limit)
     traces = [trace_at_prime(curve, int(p)) for p in ps]
     disc = curve.discriminant
@@ -260,9 +256,7 @@ def trace_series(
     )
 
 
-def ec_normalized_sequence(
-    series: TraceSeries, sieve: SpfSieve, limit: int
-) -> NormalizedSequence:
+def ec_normalized_sequence(series: TraceSeries, limit: int) -> NormalizedSequence:
     """t_n / n^(1/2) for n <= limit as a normalized multiplicative sequence.
 
     Good p: u_{k+1} = a_p u_k - u_{k-1} with a_p = t_p/sqrt(p) (normalized
@@ -285,7 +279,7 @@ def ec_normalized_sequence(
 
     values = np.empty(limit + 1, dtype=np.float64)
     values[0] = np.nan
-    fill_multiplicative(sieve, limit, prime_power, values)
+    fill_multiplicative(build_spf_sieve(limit), limit, prime_power, values)
     bad_ps = series.primes[~series.good]
     return NormalizedSequence(
         limit=limit,

@@ -21,7 +21,6 @@ from .arith import (
     AngleSeries,
     NormalizedSequence,
     PrimePowerRule,
-    SpfSieve,
     assemble_multiplicative,
     growth_violations,
     primes_up_to,
@@ -105,21 +104,17 @@ class SyntheticSpec:
     rule: PrimePowerRule = field(default_factory=PrimePowerRule)
 
 
-def build_synthetic_sequence(
-    spec: SyntheticSpec, sieve: SpfSieve
-) -> tuple[AngleSeries, NormalizedSequence]:
+def build_synthetic_sequence(spec: SyntheticSpec) -> tuple[AngleSeries, NormalizedSequence]:
     """Sample angles for every prime <= limit, then assemble the sequence.
 
     Growth-bound violations of the chosen rule (possible at small primes
     with near-boundary angles) are counted into the sequence metadata.
     """
-    if sieve.limit < spec.limit:
-        raise ValueError(f"sieve limit {sieve.limit} < spec limit {spec.limit}")
     ps = primes_up_to(spec.limit)
     stream = StRngStream(spec.seed)
     theta, n_acc, n_prop = sample_st_angles(stream, ps, return_stats=True)
     angles = AngleSeries.from_theta(ps, theta, source="synthetic", limit=spec.limit)
-    seq = assemble_multiplicative(angles, spec.rule, spec.limit, sieve=sieve, source="synthetic")
+    seq = assemble_multiplicative(angles, spec.rule, spec.limit)
     violations = (
         growth_violations(spec.rule, angles, _GROWTH_MAX_EXPONENT) if len(ps) else []
     )

@@ -31,11 +31,10 @@ from .arith import (
     SpfSieve,
     build_spf_sieve,
     fill_multiplicative,
-    is_prime,
     primes_up_to,
 )
 from .errors import ConfigurationError, DataCorruptionError
-from .ntt import MAX_MODULUS, cyclic_square_truncated, find_ntt_primes, garner_lift, get_plan
+from .ntt import cyclic_square_truncated, find_ntt_primes, garner_lift, get_plan
 from .report import VerificationReport
 
 NAIVE_ORACLE_MAX = 10_000
@@ -76,47 +75,21 @@ def deligne_bound(limit: int) -> int:
     return 2 * limit**6
 
 
-@dataclass
-class TauConfig:
-    """Parameters for expand_delta.
+def _transform_length(limit: int) -> int:
+    """Smallest power of two >= 2 * limit - 1 (limit >= 2): no cyclic wrap
+    reaches the first limit coefficients of a square."""
+    return 1 << (2 * limit - 2).bit_length()
 
-    ntt_primes defaults to the fewest primes from find_ntt_primes whose
-    product exceeds 2 * deligne_bound(limit).  An explicit list must hold
-    distinct primes below 2^31 whose product clears the same bound; it is
-    validated before any transform runs.
-    """
 
-    limit: int
-    ntt_primes: list[int] | None = None
-
-    def transform_length(self) -> int:
-        need = max(2 * self.limit - 1, 2)
-        return 1 << (need - 1).bit_length()
-
-    def resolve_primes(self) -> list[int]:
-        if self.limit < 1:
-            raise ConfigurationError("limit must be >= 1")
-        length = self.transform_length()
-        need = 2 * deligne_bound(self.limit) + 1
-        if self.ntt_primes is None:
-            primes: list[int] = []
-            count = 1
-            while True:
-                primes = find_ntt_primes(length, count)
-                if math.prod(primes) >= need:
-                    return primes
-                count += 1
-        primes = list(self.ntt_primes)
-        for p in primes:
-            if not (p < MAX_MODULUS and is_prime(p)):
-                raise ConfigurationError(f"modulus {p} is not a prime below 2^31")
-        if len(set(primes)) != len(primes):
-            raise ConfigurationError("moduli must be distinct")
-        if math.prod(primes) < need:
-            raise ConfigurationError(
-                f"CRT capacity {math.prod(primes)} below required {need} for limit {self.limit}"
-            )
-        return primes
+def _crt_moduli(limit: int) -> list[int]:
+    """The fewest primes from find_ntt_primes whose product exceeds
+    2 * deligne_bound(limit), so the lift recovers every signed tau(n)."""
+    length = _transform_length(limit)
+    need = 2 * deligne_bound(limit) + 1
+    count = 1
+    while math.prod(primes := find_ntt_primes(length, count)) < need:
+        count += 1
+    return primes
 
 
 def _seed_residues(limit: int, p: int) -> np.ndarray:
@@ -130,8 +103,8 @@ def _seed_residues(limit: int, p: int) -> np.ndarray:
     return res
 
 
-def expand_delta(config: TauConfig) -> ExactTauTable:
-    """Exact tau(n) for n <= config.limit via three squarings per prime.
+def expand_delta(limit: int) -> ExactTauTable:
+    """Exact tau(n) for n <= limit via three squarings per prime.
 
     Residues of the true integer coefficients are carried modulo each prime
     through every stage (truncation commutes with power-series products),
@@ -139,11 +112,12 @@ def expand_delta(config: TauConfig) -> ExactTauTable:
     sizes.  The first min(limit, 500) coefficients are checked against the
     dense oracle.
     """
-    limit = config.limit
-    primes = config.resolve_primes()
+    if limit < 1:
+        raise ConfigurationError("limit must be >= 1")
     if limit == 1:
         return ExactTauTable(limit=1, taus=[0, 1])
-    length = config.transform_length()
+    primes = _crt_moduli(limit)
+    length = _transform_length(limit)
     residues = []
     for p in primes:
         plan = get_plan(p, length)
@@ -247,7 +221,7 @@ INTEGRITY_SAMPLE_CAP = 100_000
 _INTEGRITY_SEED = 0x5EED_0691
 
 
-def integrity_check(table: ExactTauTable, sieve: SpfSieve | None = None) -> VerificationReport:
+def integrity_check(table: ExactTauTable) -> VerificationReport:
     """Three independent error detectors over an exact table.
 
     Counts failures of (a) multiplicativity tau(mn) = tau(m) tau(n) on
@@ -261,8 +235,7 @@ def integrity_check(table: ExactTauTable, sieve: SpfSieve | None = None) -> Veri
 
     t0 = time.perf_counter()
     limit = table.limit
-    if sieve is None or sieve.limit < limit:
-        sieve = build_spf_sieve(max(limit, 2))
+    sieve = build_spf_sieve(limit)
 
     # (a) multiplicativity
     mult_fail = 0
@@ -332,16 +305,14 @@ def integrity_check(table: ExactTauTable, sieve: SpfSieve | None = None) -> Veri
     )
 
 
-def reconstruct_from_primes(table: ExactTauTable, sieve: SpfSieve | None = None) -> int:
+def reconstruct_from_primes(table: ExactTauTable) -> int:
     """Rebuild the table from {tau(p)} alone and count mismatches.
 
     Uses tau(p^(k+1)) = tau(p) tau(p^k) - p^11 tau(p^(k-1)) plus
     multiplicativity; an independent internal oracle for the expansion.
     """
     limit = table.limit
-    if sieve is None or sieve.limit < limit:
-        sieve = build_spf_sieve(max(limit, 2))
-    spf = sieve.spf
+    spf = build_spf_sieve(limit).spf
     taus = table.taus
     rebuilt: list[int] = [0] * (limit + 1)
     if limit >= 1:

@@ -25,7 +25,6 @@ import numpy as np
 from .arith import (
     AngleSeries,
     NormalizedSequence,
-    SpfSieve,
     build_spf_sieve,
     dyadic_blocks,
     largest_prime_factor_table,
@@ -216,7 +215,6 @@ def smoothness_cutoff(x: int) -> float:
 def verify_thm2(
     seq: NormalizedSequence,
     checkpoints: list[int],
-    sieve: SpfSieve | None = None,
     ratio_tol: float | None = None,
 ) -> VerificationReport:
     """Window sums S = sum a_n and T = sum |a_n| over (x/2, x].
@@ -229,9 +227,7 @@ def verify_thm2(
     """
     t0 = time.perf_counter()
     cps = validate_checkpoints(checkpoints, seq.limit)
-    if sieve is None or sieve.limit < cps[-1]:
-        sieve = build_spf_sieve(max(cps[-1], 2))
-    lpf = largest_prime_factor_table(sieve)
+    lpf = largest_prime_factor_table(build_spf_sieve(cps[-1]))
     rows = []
     for x in cps:
         lo = x // 2 + 1
@@ -312,7 +308,7 @@ def strongly_multiplicative_log(
     collected on the way and struck for alive.
     """
     logh = np.zeros(x + 1, dtype=np.float64)
-    lpf = largest_prime_factor_table(build_spf_sieve(max(x, 2)))
+    lpf = largest_prime_factor_table(build_spf_sieve(x))
     vals = seq.values
     zero_primes = [np.empty(0, dtype=np.int64)]
     for start, stop in dyadic_blocks(2, x + 1):
@@ -596,6 +592,17 @@ def verify_hall_tenenbaum(
 # ---------------------------------------------------------------------------
 
 
+def _integer_root(n: int, k: int) -> int:
+    """Largest r with r^k <= n (n >= 0): the float root corrected to exact,
+    since 343 ** (1/3) is 6.999... and would drop 7^3."""
+    r = round(n ** (1.0 / k))
+    while r**k > n:
+        r -= 1
+    while (r + 1) ** k <= n:
+        r += 1
+    return r
+
+
 def check_assumptions(
     seq: NormalizedSequence,
     angles: AngleSeries,
@@ -632,7 +639,7 @@ def check_assumptions(
     examined = 0
     k = 1
     while 2**k <= limit:
-        ps_k = angles.primes[angles.primes <= int(limit ** (1.0 / k))]
+        ps_k = angles.primes[angles.primes <= _integer_root(limit, k)]
         if ps_k.size == 0:
             break
         ap = seq.values[ps_k]

@@ -9,11 +9,6 @@ def sieve_10k():
     return build_spf_sieve(10_000)
 
 
-@pytest.fixture(scope="session")
-def sieve_1e5():
-    return build_spf_sieve(100_000)
-
-
 def brute_spf(n: int) -> int:
     for p in range(2, n + 1):
         if n % p == 0:

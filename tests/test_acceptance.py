@@ -25,8 +25,6 @@ from stseq import (
     CurveSpec,
     StRngStream,
     SyntheticSpec,
-    TauConfig,
-    build_spf_sieve,
     build_synthetic_sequence,
     expand_delta,
     h_gamma,
@@ -77,22 +75,14 @@ def announce(num: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def tau_million():
     t0 = time.perf_counter()
-    table = expand_delta(TauConfig(limit=10**6))
+    table = expand_delta(10**6)
     elapsed = time.perf_counter() - t0
     return table, elapsed
 
 
 @pytest.fixture(scope="module")
-def sieve_million():
-    return build_spf_sieve(10**6)
-
-
-@pytest.fixture(scope="module")
-def synth_million(sieve_million):
-    angles, seq = build_synthetic_sequence(
-        SyntheticSpec(limit=10**6, seed=DEFAULT_SEED), sieve_million
-    )
-    return angles, seq
+def synth_million():
+    return build_synthetic_sequence(SyntheticSpec(limit=10**6, seed=DEFAULT_SEED))
 
 
 class TestCriterion1ExactTau:
@@ -232,10 +222,10 @@ class TestCriterion4Sampler:
 
 
 class TestCriterion5CancellationTau:
-    def test_thm2_tau(self, tau_million, sieve_million):
+    def test_thm2_tau(self, tau_million):
         table, _ = tau_million
         seq = normalize_tau(table)
-        rep = verify_thm2(seq, [10**5, 10**6], sieve=sieve_million, ratio_tol=0.01)
+        rep = verify_thm2(seq, [10**5, 10**6], ratio_tol=0.01)
         last = rep.rows[-1]
         triangle = all(abs(r["S"]) <= r["T"] for r in rep.rows)
         checks = {
@@ -251,10 +241,7 @@ class TestCriterion5CancellationTau:
 
 class TestCriterion6TypicalSizeSynthetic:
     def test_thm1_to_ten_million(self):
-        sieve = build_spf_sieve(10**7)
-        _, seq = build_synthetic_sequence(
-            SyntheticSpec(limit=10**7, seed=DEFAULT_SEED), sieve
-        )
+        _, seq = build_synthetic_sequence(SyntheticSpec(limit=10**7, seed=DEFAULT_SEED))
         rep = verify_thm1(seq, 0.25, [10**5, 10**6, 10**7], monotone_slack=0.005)
         fracs = [r["exceed_fraction"] for r in rep.rows]
         nonincreasing = rep.passed
@@ -370,17 +357,16 @@ class TestCriterion9LemmaSuite:
 
 
 class TestCriterion10Determinism:
-    def test_reports_byte_identical(self, tau_million, sieve_million):
+    def test_reports_byte_identical(self, tau_million):
         table, _ = tau_million
         seq = normalize_tau(table)
-        r1 = verify_thm2(seq, [10**5, 10**6], sieve=sieve_million)
-        r2 = verify_thm2(seq, [10**5, 10**6], sieve=sieve_million)
+        r1 = verify_thm2(seq, [10**5, 10**6])
+        r2 = verify_thm2(seq, [10**5, 10**6])
         thm2_stable = r1.canonical_bytes() == r2.canonical_bytes() and r1.to_csv() == r2.to_csv()
 
-        sieve = build_spf_sieve(10**5)
         spec = SyntheticSpec(limit=10**5, seed=DEFAULT_SEED)
-        _, s1 = build_synthetic_sequence(spec, sieve)
-        _, s2 = build_synthetic_sequence(spec, sieve)
+        _, s1 = build_synthetic_sequence(spec)
+        _, s2 = build_synthetic_sequence(spec)
         a1 = verify_thm1(s1, 0.25, [10**4, 10**5], monotone_slack=0.005)
         a2 = verify_thm1(s2, 0.25, [10**4, 10**5], monotone_slack=0.005)
         thm1_stable = a1.canonical_bytes() == a2.canonical_bytes()

@@ -45,11 +45,20 @@ class TestSpfSieve:
         prime_mask = spf == n
         assert np.array_equal(n[prime_mask], primes_up_to(10_000)[0:])
 
-    def test_capacity_errors(self):
+    def test_capacity_errors(self, monkeypatch):
+        import stseq.arith as arith_mod
+
         with pytest.raises(CapacityError):
-            build_spf_sieve(1)
+            build_spf_sieve(-1)
+        monkeypatch.setattr(arith_mod, "SIEVE_BUDGET_BYTES", 1000)
         with pytest.raises(CapacityError):
-            build_spf_sieve(10**6, budget_bytes=1000)
+            build_spf_sieve(10**6)
+
+    @pytest.mark.parametrize("limit", [0, 1])
+    def test_limits_below_two_give_the_sieve_to_two(self, limit):
+        sv = build_spf_sieve(limit)
+        assert sv.limit == 2
+        assert sv.spf.tolist() == [0, 0, 2]
 
 
 class TestFactorize:
@@ -86,7 +95,7 @@ class TestDerivedTables:
 
     def test_exponent_core_read_only_and_derived_once(self, monkeypatch):
         import stseq.arith as arith_mod
-        from stseq.tau import TauConfig, expand_delta, integrity_check
+        from stseq.tau import expand_delta, integrity_check
 
         calls = []
         derive = arith_mod._derive_exponent_core
@@ -96,13 +105,14 @@ class TestDerivedTables:
             return derive(spf)
 
         monkeypatch.setattr(arith_mod, "_derive_exponent_core", counted)
-        sieve = build_spf_sieve(300)
         # integrity_check fills d(n) and sigma_11(n) mod 691 from one derivation
-        assert integrity_check(expand_delta(TauConfig(limit=300)), sieve).passed
+        assert integrity_check(expand_delta(300)).passed
         assert calls == [301]
+        sieve = build_spf_sieve(300)
         e, core = exponent_core_tables(sieve)
-        assert calls == [301]
+        assert calls == [301, 301]
         assert exponent_core_tables(sieve)[0] is e
+        assert calls == [301, 301]
         with pytest.raises(ValueError):
             e[2] = 5
         with pytest.raises(ValueError):
@@ -211,46 +221,47 @@ def _angles_for(limit: int, seed: int = 3) -> AngleSeries:
 
 
 class TestAssembly:
-    def test_trivial_and_composite(self, sieve_10k):
+    def test_trivial_and_composite(self):
         ang = _angles_for(1000)
         rule = PrimePowerRule()
-        seq = assemble_multiplicative(ang, rule, 1000, sieve=sieve_10k)
+        seq = assemble_multiplicative(ang, rule, 1000)
+        assert seq.source == "synthetic"
         assert seq.values[1] == 1.0
         v2 = rule.value(ang.theta[0], 2)  # p=2, k=2
         v3 = rule.value(ang.theta[1], 1)
         assert seq.values[12] == pytest.approx(v2 * v3, rel=1e-12)
 
-    def test_quarter_pi_fourth_power(self, sieve_10k):
+    def test_quarter_pi_fourth_power(self):
         # theta_2 = pi/2 makes a_4 = U_2(0) = -1
         ang = _angles_for(100)
         ang.theta[0] = math.pi / 2
         ang = AngleSeries.from_theta(ang.primes, ang.theta, limit=100)
-        seq = assemble_multiplicative(ang, PrimePowerRule(), 100, sieve=sieve_10k)
+        seq = assemble_multiplicative(ang, PrimePowerRule(), 100)
         assert seq.values[4] == pytest.approx(-1.0, abs=1e-12)
 
-    def test_prime_values_are_2cos(self, sieve_10k):
+    def test_prime_values_are_2cos(self):
         ang = _angles_for(2000)
-        seq = assemble_multiplicative(ang, PrimePowerRule(), 2000, sieve=sieve_10k)
+        seq = assemble_multiplicative(ang, PrimePowerRule(), 2000)
         ps = ang.primes
         assert np.allclose(seq.values[ps], 2.0 * np.cos(ang.theta), rtol=1e-12)
         assert np.max(np.abs(seq.values[ps])) <= 2.0
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=2, max_value=90), st.integers(min_value=2, max_value=90))
-    def test_multiplicative_on_coprime_pairs(self, sieve_10k, m, n):
+    def test_multiplicative_on_coprime_pairs(self, m, n):
         if math.gcd(m, n) != 1:
             return
         ang = _angles_for(10_000)
-        seq = assemble_multiplicative(ang, PrimePowerRule(), 10_000, sieve=sieve_10k)
+        seq = assemble_multiplicative(ang, PrimePowerRule(), 10_000)
         assert seq.values[m * n] == pytest.approx(
             seq.values[m] * seq.values[n], rel=1e-9, abs=1e-12
         )
 
-    def test_missing_prime_rejected(self, sieve_10k):
+    def test_missing_prime_rejected(self):
         ang = _angles_for(100)
         short = AngleSeries(ang.primes[:-1], ang.a[:-1], ang.theta[:-1])
         with pytest.raises(IncompleteInputError):
-            assemble_multiplicative(short, PrimePowerRule(), 100, sieve=sieve_10k)
+            assemble_multiplicative(short, PrimePowerRule(), 100)
 
 
 class TestGrowthViolations:

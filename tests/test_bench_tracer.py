@@ -5,6 +5,7 @@ cache key would only show as a digest mismatch.  These keep them in step."""
 
 import importlib
 import importlib.util
+import inspect
 import os
 import sys
 from pathlib import Path
@@ -45,6 +46,30 @@ def test_every_target_exists(tracer):
 def test_square_hook_reads_plan_length(tracer):
     plan = get_plan(find_ntt_primes(8, 1)[0], 8)
     assert tracer._square_attrs((None, plan), {}, None) == {"transform_len": 8}
+
+
+# hook -> (module, function, position, parameter) it reads positionally
+HOOK_READS = {
+    "_square_attrs": [("stseq.ntt", "cyclic_square_truncated", 1, "plan")],
+    "_garner_attrs": [("stseq.ntt", "garner_lift", 1, "primes")],
+    "_sweep_attrs": [("stseq.elliptic", "trace_at_prime", 1, "p")],
+    "_file_attrs": [("stseq.cache", "load_cache", 0, "path"),
+                    ("stseq.cache", "save_cache", 0, "path")],
+}
+
+
+def test_hook_positions_name_their_parameters(tracer):
+    # _series_attrs reads `threads` at position 2 of trace_series, a parameter
+    # gone since traces run on one thread; it falls back to 1, and the metric
+    # it feeds goes with the next benchmark change (ROADMAP item 2)
+    hooks = {hook.__name__ for funcs in tracer.TARGETS.values() for hook in funcs.values()
+             if hook is not None}
+    assert hooks - {"_sample_attrs", "_series_attrs"} == set(HOOK_READS)
+    for reads in HOOK_READS.values():
+        for modname, fname, pos, name in reads:
+            params = list(inspect.signature(
+                getattr(importlib.import_module(modname), fname)).parameters)
+            assert params[pos] == name, (fname, params)
 
 
 def test_synth_session_caches_once(tmp_path, monkeypatch):

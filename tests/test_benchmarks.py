@@ -13,7 +13,7 @@ pytestmark = pytest.mark.slow
 
 def test_sieve_hundred_million_under_ten_seconds():
     t0 = time.perf_counter()
-    sieve = build_spf_sieve(10**8, budget_bytes=1_000_000_000)
+    sieve = build_spf_sieve(10**8)
     elapsed = time.perf_counter() - t0
     assert elapsed <= 10.0, f"sieve(1e8) took {elapsed:.1f}s"
     assert sieve.spf.nbytes <= 1_000_000_000

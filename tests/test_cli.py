@@ -3,9 +3,12 @@ import json
 import pytest
 
 import stseq.cli
-from stseq.cache import load_cache
+from stseq.cache import load_cache, save_cache
 from stseq.cli import main
+from stseq.elliptic import CurveSpec, trace_series
+from stseq.errors import DataCorruptionError
 from stseq.report import VerificationReport, rows_from_csv
+from stseq.tau import tau_naive_oracle
 
 
 def run(tmp_path, *argv):
@@ -54,6 +57,18 @@ def test_failed_verification_exits_one(tmp_path):
     assert code == 1
 
 
+def test_data_corruption_exits_one(tmp_path, capsys, monkeypatch):
+    def corrupt(limit):
+        raise DataCorruptionError("fast expansion disagrees with the dense oracle")
+
+    monkeypatch.setattr(stseq.cli, "expand_delta", corrupt)
+    assert run(tmp_path, "tau", "--limit", "100") == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "data corruption: fast expansion disagrees with the dense oracle"]
+    assert "Traceback" not in err
+
+
 def test_missing_source_usage_error(tmp_path):
     code = run(tmp_path, "verify", "thm1", "--epsilon", "0.25", "--checkpoints", "10,100")
     assert code == 2
@@ -78,6 +93,34 @@ def test_ec_command(tmp_path, capsys):
     assert run(tmp_path, "ec", "--curve", "0,1", "--limit", "100") == 0
     out = capsys.readouterr().out
     assert "zero traces" in out
+
+
+def test_tau_cache_of_another_limit_is_rebuilt(tmp_path, capsys):
+    path = tmp_path / "cache" / "tau_100.astc"
+    path.parent.mkdir()
+    save_cache(path, tau_naive_oracle(50))
+    assert run(tmp_path, "tau", "--limit", "100") == 0
+    assert "tau table up to 100 " in capsys.readouterr().out
+    assert load_cache(path).taus == tau_naive_oracle(100).taus
+
+
+def test_ec_cache_of_another_curve_is_rebuilt(tmp_path, capsys):
+    path = tmp_path / "cache" / "traces_-1_1_2000.astc"
+    path.parent.mkdir()
+    save_cache(path, trace_series(CurveSpec(1, 1), 2000))
+    assert run(tmp_path, "ec", "--curve=-1,1", "--limit", "2000") == 0
+    assert "y^2 = x^3 + -1x + 1 up to 2000" in capsys.readouterr().out
+    series = load_cache(path)
+    assert (series.curve.a4, series.curve.a6, series.limit) == (-1, 1, 2000)
+    assert series.t.tolist() == trace_series(CurveSpec(-1, 1), 2000).t.tolist()
+
+
+def test_ec_cache_of_another_limit_is_rebuilt(tmp_path):
+    path = tmp_path / "cache" / "traces_-1_1_2000.astc"
+    path.parent.mkdir()
+    save_cache(path, trace_series(CurveSpec(-1, 1), 1000))
+    assert run(tmp_path, "ec", "--curve=-1,1", "--limit", "2000") == 0
+    assert load_cache(path).limit == 2000
 
 
 def test_stats_command(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -181,7 +182,7 @@ class TestTraceSeries:
 
     def test_budget(self):
         with pytest.raises(ValueError):
-            trace_series(CurveSpec(1, 1), 2_000_000)
+            trace_series(CurveSpec(1, 1), elliptic.SERIES_BUDGET + 1)
 
     def test_hasse_violation_raises(self):
         with pytest.raises(DataCorruptionError):
@@ -193,9 +194,9 @@ class TestTraceSeries:
 
 
 class TestNormalizedSequence:
-    def test_prime_and_prime_square(self, sieve_10k):
+    def test_prime_and_prime_square(self):
         series = trace_series(CurveSpec(-1, 1), 10_000)
-        seq = ec_normalized_sequence(series, sieve_10k, 10_000)
+        seq = ec_normalized_sequence(series, 10_000)
         assert seq.values[1] == 1.0
         assert seq.source == "elliptic"
         g = series.good
@@ -206,27 +207,33 @@ class TestNormalizedSequence:
             if p * p <= 10_000:
                 assert seq.values[p * p] == pytest.approx(a * a - 1.0, rel=1e-12, abs=1e-12)
 
-    def test_coprime_product(self, sieve_10k):
+    def test_coprime_product(self):
         series = trace_series(CurveSpec(-1, 1), 10_000)
-        seq = ec_normalized_sequence(series, sieve_10k, 10_000)
+        seq = ec_normalized_sequence(series, 10_000)
         for m, n in [(3, 5), (4, 9), (8, 25), (7, 11)]:
             assert seq.values[m * n] == pytest.approx(
                 seq.values[m] * seq.values[n], rel=1e-10, abs=1e-12
             )
 
-    def test_bad_prime_powers(self, sieve_10k):
+    def test_bad_prime_powers(self):
         # 2 is always bad in this model; a_{2^k} = (t_2/sqrt(2))^k
         series = trace_series(CurveSpec(-1, 1), 10_000)
-        seq = ec_normalized_sequence(series, sieve_10k, 10_000)
+        seq = ec_normalized_sequence(series, 10_000)
         t2 = int(series.t[0])
         a2 = t2 / math.sqrt(2.0)
         for k in (1, 2, 3, 4):
             assert seq.values[2**k] == pytest.approx(a2**k, rel=1e-12, abs=1e-15)
 
-    def test_series_too_short(self, sieve_10k):
+    def test_values_bytes_pinned(self):
+        # value bytes recorded before ec_normalized_sequence built its own sieve
+        seq = ec_normalized_sequence(trace_series(CurveSpec(-1, 1), 10_000), 10_000)
+        digest = hashlib.blake2b(seq.values.tobytes(), digest_size=16).hexdigest()
+        assert digest == "658cc5f5c8c904c02939785e93b31e52"
+
+    def test_series_too_short(self):
         series = trace_series(CurveSpec(-1, 1), 100)
         with pytest.raises(IncompleteInputError):
-            ec_normalized_sequence(series, sieve_10k, 1000)
+            ec_normalized_sequence(series, 1000)
 
 
 class TestKappa:

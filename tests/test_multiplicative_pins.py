@@ -61,14 +61,14 @@ def _angles() -> AngleSeries:
 
 
 @pytest.mark.parametrize("kind", RULE_KINDS)
-def test_assembled_sequence_bytes(sieve, kind):
-    seq = assemble_multiplicative(_angles(), PrimePowerRule(kind=kind), LIMIT, sieve=sieve)
+def test_assembled_sequence_bytes(kind):
+    seq = assemble_multiplicative(_angles(), PrimePowerRule(kind=kind), LIMIT)
     assert _digest(seq.values) == PINS[kind]
 
 
-def test_elliptic_sequence_bytes(sieve):
+def test_elliptic_sequence_bytes():
     series = trace_series(CurveSpec(-1, 1), LIMIT)
-    seq = ec_normalized_sequence(series, sieve, LIMIT)
+    seq = ec_normalized_sequence(series, LIMIT)
     assert _digest(seq.values) == PINS["ec(-1,1)"]
 
 
@@ -83,12 +83,12 @@ def _walked_tables(limit: int, cm_traces) -> list[np.ndarray]:
     """Every table filled over `dyadic_blocks`, from a fresh sieve so that
     (e, core) is derived under the current block size."""
     sieve = build_spf_sieve(limit)
-    _, synth = build_synthetic_sequence(SyntheticSpec(limit=limit, seed=7), sieve)
+    _, synth = build_synthetic_sequence(SyntheticSpec(limit=limit, seed=7))
     return [
         *exponent_core_tables(sieve),
         largest_prime_factor_table(sieve),
         synth.values,
-        ec_normalized_sequence(cm_traces, sieve, limit).values,
+        ec_normalized_sequence(cm_traces, limit).values,
         _divisor_counts(limit, sieve),
         _sigma11_mod691(limit, sieve),
     ]

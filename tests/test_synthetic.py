@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stseq.arith import PrimePowerRule, build_spf_sieve, primes_up_to
+from stseq.arith import PrimePowerRule, primes_up_to
 from stseq.stats import ks_statistic, st_cdf
 from stseq.synthetic import (
     StRngStream,
@@ -77,36 +77,30 @@ class TestSamplerStatistics:
 
 class TestBuildSequence:
     def test_limit_one(self):
-        sieve = build_spf_sieve(2)
-        angles, seq = build_synthetic_sequence(SyntheticSpec(limit=1, seed=3), sieve)
+        angles, seq = build_synthetic_sequence(SyntheticSpec(limit=1, seed=3))
         assert seq.values[1] == 1.0
         assert len(angles) == 0
 
-    def test_deterministic_rebuild(self, sieve_10k):
+    def test_deterministic_rebuild(self):
         spec = SyntheticSpec(limit=10_000, seed=123)
-        a1, s1 = build_synthetic_sequence(spec, sieve_10k)
-        a2, s2 = build_synthetic_sequence(spec, sieve_10k)
+        a1, s1 = build_synthetic_sequence(spec)
+        a2, s2 = build_synthetic_sequence(spec)
         assert np.array_equal(s1.values[1:], s2.values[1:])
         assert np.array_equal(a1.theta, a2.theta)
 
-    def test_truncate_zero_has_no_growth_violations(self, sieve_10k):
+    def test_truncate_zero_has_no_growth_violations(self):
         spec = SyntheticSpec(
             limit=10_000, seed=9, rule=PrimePowerRule(kind="truncate-zero", rho=0.5)
         )
-        _, seq = build_synthetic_sequence(spec, sieve_10k)
+        _, seq = build_synthetic_sequence(spec)
         assert seq.meta["growth_violations"] == 0
         # k >= 2 prime powers all vanish under this rule
         assert seq.values[4] == 0.0
         assert seq.values[8] == 0.0
 
-    def test_metadata(self, sieve_10k):
+    def test_metadata(self):
         spec = SyntheticSpec(limit=10_000, seed=21)
-        _, seq = build_synthetic_sequence(spec, sieve_10k)
+        _, seq = build_synthetic_sequence(spec)
         assert seq.meta["seed"] == 21
         assert seq.meta["rule"] == "hecke-chebyshev"
         assert 0.4 < seq.meta["acceptance_rate"] < 0.6
-
-    def test_sieve_too_short(self):
-        sieve = build_spf_sieve(100)
-        with pytest.raises(ValueError):
-            build_synthetic_sequence(SyntheticSpec(limit=1000, seed=1), sieve)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from stseq.arith import primes_up_to
 from stseq.errors import ConfigurationError, DataCorruptionError
 from stseq.ntt import find_ntt_primes
 from stseq.tau import (
-    TauConfig,
+    _crt_moduli,
     _seed_series_length,
     deligne_bound,
     expand_delta,
@@ -43,16 +44,16 @@ class TestNaiveOracle:
 
 class TestExpandDelta:
     def test_limit_one(self):
-        assert expand_delta(TauConfig(limit=1)).taus == [0, 1]
+        assert expand_delta(1).taus == [0, 1]
 
     def test_agrees_with_oracle_600(self):
-        fast = expand_delta(TauConfig(limit=600))
+        fast = expand_delta(600)
         slow = tau_naive_oracle(600)
         assert fast.taus == slow.taus
 
     @pytest.mark.parametrize("limit", [1, 2, 3, 17, 100, 257])
     def test_agrees_with_oracle_across_truncations(self, limit):
-        fast = expand_delta(TauConfig(limit=limit))
+        fast = expand_delta(limit)
         assert fast.taus == tau_naive_oracle(limit).taus
 
     def test_deligne_bound_covers_oracle(self):
@@ -62,35 +63,17 @@ class TestExpandDelta:
         for n in (1, 2, 17, 500, 2000):
             assert deligne_bound(n) >= max(abs(t) for t in taus[1 : n + 1])
 
+    def test_limit_zero_rejected(self):
+        with pytest.raises(ConfigurationError):
+            expand_delta(0)
+
     @pytest.mark.parametrize("limit", [2**19, 10**6])
     def test_four_moduli_at_scale(self, limit):
-        cfg = TauConfig(limit=limit)
-        primes = cfg.resolve_primes()
-        assert len(primes) == 4
+        length = {2**19: 2**20, 10**6: 2**21}[limit]
+        primes = _crt_moduli(limit)
+        assert primes == find_ntt_primes(length, 4)
         assert math.prod(primes) > 2 * deligne_bound(limit)
-        assert primes == find_ntt_primes(cfg.transform_length(), 4)
-
-    @pytest.mark.parametrize("moduli", [[2**31 - 1, 2**31 - 1], [2**31 + 11], [2**31 - 2]])
-    def test_explicit_moduli_must_be_distinct_primes_below_2_31(self, moduli):
-        cfg = TauConfig(limit=4, ntt_primes=moduli)
-        with pytest.raises(ConfigurationError):
-            cfg.resolve_primes()
-
-    def test_capacity_checked_before_compute(self):
-        cfg = TauConfig(limit=4096, ntt_primes=find_ntt_primes(8192, 1))
-        with pytest.raises(ConfigurationError):
-            cfg.resolve_primes()
-
-    def test_wrong_modulus_rejected(self):
-        cfg = TauConfig(limit=4096, ntt_primes=[7919])
-        with pytest.raises(ConfigurationError):
-            cfg.resolve_primes()
-
-    def test_explicit_sufficient_primes_accepted(self):
-        primes = find_ntt_primes(512, 8)
-        cfg = TauConfig(limit=256, ntt_primes=primes)
-        table = expand_delta(cfg)
-        assert table.taus[1:13] == TAU_1_TO_12
+        assert math.prod(primes[:3]) <= 2 * deligne_bound(limit)
 
 
 class TestNormalize:
@@ -160,6 +143,13 @@ class TestIntegrity:
         assert rep.rows[0]["mod691_failures"] >= 1
 
 
+    def test_report_bytes_pinned(self):
+        # canonical report bytes recorded before integrity_check built its own sieve
+        rep = integrity_check(expand_delta(2000))
+        digest = hashlib.blake2b(rep.canonical_bytes(), digest_size=16).hexdigest()
+        assert digest == "04f1e51620e489385ea7c450bfa083ec"
+
+
 class TestIntegritySampledPath:
     def test_sampled_branch(self, monkeypatch):
         import stseq.tau as tau_mod
@@ -192,7 +182,7 @@ class TestIntegritySampledPath:
 
 class TestHeckeReconstruction:
     def test_rebuild_from_primes(self):
-        table = expand_delta(TauConfig(limit=2000))
+        table = expand_delta(2000)
         assert reconstruct_from_primes(table) == 0
 
     def test_rebuild_detects_corruption(self):
@@ -213,7 +203,7 @@ def test_verify_small_guard_catches_bad_engine(monkeypatch):
 
     monkeypatch.setattr(tau_mod, "_seed_residues", corrupted)
     with pytest.raises(DataCorruptionError):
-        expand_delta(TauConfig(limit=128))
+        expand_delta(128)
 
 
 def test_seed_series_length_matches_count():

@@ -121,8 +121,8 @@ def full_range_sums(seq: NormalizedSequence, gammas, x: int) -> list[float]:
 
 
 @pytest.fixture(scope="module")
-def synth_seq(sieve_1e5_mod):
-    _, seq = build_synthetic_sequence(SyntheticSpec(limit=100_000, seed=7), sieve_1e5_mod)
+def synth_seq():
+    _, seq = build_synthetic_sequence(SyntheticSpec(limit=100_000, seed=7))
     return seq
 
 
@@ -137,7 +137,7 @@ def cm_seq():
     from stseq.elliptic import CurveSpec, ec_normalized_sequence, trace_series
 
     x = 20_000
-    return ec_normalized_sequence(trace_series(CurveSpec(0, 1), x), build_spf_sieve(x), x)
+    return ec_normalized_sequence(trace_series(CurveSpec(0, 1), x), x)
 
 
 class TestCheckpoints:
@@ -215,6 +215,12 @@ class TestThm2:
         seq.values[700] = np.nan
         with pytest.raises(DataCorruptionError):
             verify_thm2(seq, [1000])
+
+    def test_report_bytes_pinned(self, synth_seq):
+        # canonical report bytes recorded before verify_thm2 built its own sieve
+        rep = verify_thm2(synth_seq, [1000, 10_000, 100_000])
+        digest = hashlib.blake2b(rep.canonical_bytes(), digest_size=16).hexdigest()
+        assert digest == "2ae31973a42a2a30c9fb47772383a965"
 
     def test_ratio_flag(self, synth_seq):
         rep = verify_thm2(synth_seq, [100_000], ratio_tol=1e-12)
@@ -406,6 +412,15 @@ class TestAssumptions:
         # the remaining unit values
         assert rep.parameters["empirical_C"] == 0.0
 
+    @pytest.mark.parametrize("limit", [125, 343, 344])
+    def test_exact_prime_powers_examined(self, limit):
+        # 5^3 = 125 and 7^3 = 343 are cube roots that a float root rounds down
+        angles, seq = build_synthetic_sequence(SyntheticSpec(limit=limit, seed=7))
+        rep = check_assumptions(seq, angles, A=2.0, grid=64)
+        ps = [int(p) for p in angles.primes if seq.values[p] != 0.0]
+        brute = sum(1 for p in ps for k in range(1, limit.bit_length()) if p**k <= limit)
+        assert rep.parameters["prime_powers_examined"] == brute
+
     def test_a_validation(self, synth_seq):
         ang = prime_values_of(synth_seq, 1000)
         with pytest.raises(ValueError):
@@ -440,16 +455,16 @@ class TestStronglyMultiplicativeLogOracle:
         self.assert_same(synth_seq, 20_000)
 
     def test_tau(self):
-        from stseq.tau import TauConfig, expand_delta, normalize_tau
+        from stseq.tau import expand_delta, normalize_tau
 
-        self.assert_same(normalize_tau(expand_delta(TauConfig(limit=5000))), 5000)
+        self.assert_same(normalize_tau(expand_delta(5000)), 5000)
 
     def test_elliptic_with_zero_traces(self):
         from stseq.elliptic import CurveSpec, ec_normalized_sequence, trace_series
 
         # y^2 = x^3 + 1 has complex multiplication: t_p = 0 at every p = 2 mod 3
         x = 20_000
-        seq = ec_normalized_sequence(trace_series(CurveSpec(0, 1), x), build_spf_sieve(x), x)
+        seq = ec_normalized_sequence(trace_series(CurveSpec(0, 1), x), x)
         ps = primes_up_to(x)
         assert np.count_nonzero(seq.values[ps] == 0.0) > 100
         self.assert_same(seq, x)
