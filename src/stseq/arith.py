@@ -75,10 +75,6 @@ class SpfSieve:
     limit: int
     spf: np.ndarray
 
-    def primes(self) -> np.ndarray:
-        n = np.arange(2, self.limit + 1, dtype=np.int64)
-        return n[self.spf[2:] == n]
-
     @cached_property
     def exponent_core(self) -> tuple[np.ndarray, np.ndarray]:
         """(e, core) from `_derive_exponent_core`, derived on first use and
@@ -402,12 +398,15 @@ def assemble_multiplicative(
     theta_at = np.full(limit + 1, np.nan)
     in_range = angles.primes <= limit
     theta_at[angles.primes[in_range]] = angles.theta[in_range]
-    sieve_primes = sieve.primes()
-    sieve_primes = sieve_primes[sieve_primes <= limit]
-    missing = sieve_primes[np.isnan(theta_at[sieve_primes])]
-    if missing.size:
+    missing, first = 0, None
+    for lo, hi in dyadic_blocks(2, limit + 1):
+        n = np.arange(lo, hi, dtype=np.int64)
+        gaps = n[(sieve.spf[lo:hi] == n) & np.isnan(theta_at[lo:hi])]
+        missing += gaps.size
+        first = first if first is not None or not gaps.size else int(gaps[0])
+    if missing:
         raise IncompleteInputError(
-            f"angles missing for {missing.size} primes <= {limit} (first: {int(missing[0])})"
+            f"angles missing for {missing} primes <= {limit} (first: {first})"
         )
 
     values = np.empty(limit + 1, dtype=np.float64)

@@ -9,13 +9,20 @@ Layout: a fixed header followed by a kind-specific payload.
   checksum u64 LE   BLAKE2b-64 of the payload bytes
 
 Exact tau entries are stored as a u32 LE length prefix plus that many
-little-endian two's-complement bytes.  Float payloads are IEEE-754 binary64
-little-endian; non-finite values refuse to serialize.  Loads verify magic,
-version, kind, and checksum before any parsing.  The header is outside the
-checksum, so parsers check the header limit against the payload length and
-the stored primes, and raise CacheFormatError on any disagreement.  Saves
-write a temporary file beside the target and rename it into place, so an
-interrupted save never leaves a partial file under the target name.
+bytes of the entry's shortest little-endian two's-complement form, so at
+least one.  Entries are encoded from and decoded to the table's 64-bit
+limbs (`stseq.limbs`) in numpy.  The decoder reads prefixes of 1..255
+only; a zero or larger prefix is a CacheFormatError, and save_cache raises
+ValueError on a value whose shortest form passes 255 bytes (outside
+[-2^2039, 2^2039)), which could not be read back.
+
+Float payloads are IEEE-754 binary64 little-endian; non-finite values
+refuse to serialize.  Loads verify magic, version, kind, and checksum
+before any parsing.  The header is outside the checksum, so parsers check
+the header limit against the payload length and the stored primes, and
+raise CacheFormatError on any disagreement.  Saves write a temporary file
+beside the target and rename it into place, so an interrupted save never
+leaves a partial file under the target name.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import limbs as lb
 from .arith import AngleSeries, NormalizedSequence, is_prime
 from .elliptic import CurveSpec, TraceSeries
 from .errors import CacheFormatError, ChecksumError
@@ -41,15 +49,12 @@ KIND_ANGLES = 3
 KIND_TRACES = 4
 
 _HEADER = struct.Struct("<4sIBQQ")
+# longest exact-tau entry the decoder reads: the prefix's high three bytes are 0
+MAX_ENTRY_BYTES = 255
 
 
 def _checksum(payload) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
-
-
-def _signed_le_bytes(v: int) -> bytes:
-    nbytes = ((v if v >= 0 else ~v).bit_length() // 8) + 1
-    return v.to_bytes(nbytes, "little", signed=True)
 
 
 def _floats_bytes(arr: np.ndarray) -> bytes:
@@ -83,30 +88,51 @@ def _check_primes(primes: np.ndarray, limit: int, complete: bool) -> None:
 
 
 def _payload_exact_tau(table: ExactTauTable) -> bytes:
-    parts = []
-    for n in range(1, table.limit + 1):
-        raw = _signed_le_bytes(table.taus[n])
-        parts.append(struct.pack("<I", len(raw)))
-        parts.append(raw)
-    return b"".join(parts)
+    body = table.limbs[1:]
+    n, w = body.shape
+    lengths = lb.byte_lengths(body)
+    if n and lengths.max() > MAX_ENTRY_BYTES:
+        raise ValueError(f"exact-tau entry of {int(lengths.max())} bytes exceeds "
+                         f"{MAX_ENTRY_BYTES}, the longest the decoder reads")
+    # each row: the u32 prefix, then all 8W bytes; a mask keeps the prefix and
+    # the entry's first `length` bytes, and row-major order lays them end to end
+    rows = np.empty((n, 4 + 8 * w), dtype=np.uint8)
+    rows[:, :4] = lengths.astype("<u4").view(np.uint8).reshape(n, 4)
+    rows[:, 4:] = body.astype("<u8").view(np.uint8).reshape(n, 8 * w)
+    keep = np.arange(4 + 8 * w) < 4 + lengths[:, None]
+    return rows[keep].tobytes()
+
+
+def _entry_ends(buf: memoryview, limit: int):
+    """Where each of `limit` entries ends, following the length prefixes'
+    low bytes only; the parser rejects any prefix with another byte set."""
+    off = 0
+    for _ in range(limit):
+        off += buf[off] + 4
+        yield off
 
 
 def _parse_exact_tau(limit: int, buf: memoryview) -> ExactTauTable:
     if 5 * limit > len(buf):  # every entry is a 4-byte length plus at least one byte
         raise CacheFormatError(f"exact-tau payload too short for header limit {limit}")
-    data = bytes(buf)  # one copy: slicing bytes beats a bytes() copy per entry
-    taus = [0] * (limit + 1)
-    off = 0
-    for n in range(1, limit + 1):
-        ln = int.from_bytes(data[off : off + 4], "little")
-        off += 4
-        taus[n] = int.from_bytes(data[off : off + ln], "little", signed=True)
-        off += ln
-    # a slice past the end comes back short, so a truncated payload ends with
-    # off > len(data) and an overlong one with off < len(data)
-    if off != len(data):
-        raise CacheFormatError(f"exact-tau entries end at byte {off} of a {len(data)}-byte payload")
-    return ExactTauTable(limit=limit, taus=taus)
+    try:
+        ends = np.fromiter(_entry_ends(buf, limit), dtype=np.int64, count=limit)
+    except IndexError:
+        raise CacheFormatError(f"exact-tau entries run past the {len(buf)}-byte payload") from None
+    end = int(ends[-1]) if limit else 0
+    if end != len(buf):
+        raise CacheFormatError(f"exact-tau entries end at byte {end} of a {len(buf)}-byte payload")
+    data = np.frombuffer(buf, dtype=np.uint8)
+    at = np.concatenate([[0], ends[:-1]])
+    lengths = data[at]
+    bad = np.nonzero((lengths == 0) | ((data[at + 1] | data[at + 2] | data[at + 3]) != 0))[0]
+    if bad.size:
+        raise CacheFormatError(f"exact-tau entry {int(bad[0]) + 1} has a length prefix "
+                               f"outside 1..{MAX_ENTRY_BYTES}")
+    body = lb.from_le_bytes(data, at + 4, lengths)
+    table = np.zeros((limit + 1, body.shape[1]), dtype=np.uint64)
+    table[1:] = body
+    return ExactTauTable(limit=limit, limbs=table)
 
 
 def _payload_normalized(seq: NormalizedSequence) -> bytes:

@@ -223,7 +223,7 @@ def _finish(report, args) -> int:
 
 def cmd_tau(args) -> int:
     table = get_tau_table(args)
-    print(f"tau table up to {table.limit} (tau(2)={table.taus[2] if table.limit >= 2 else '-'})")
+    print(f"tau table up to {table.limit} (tau(2)={table[2] if table.limit >= 2 else '-'})")
     if args.check:
         report = integrity_check(table)
         return _finish(report, args)

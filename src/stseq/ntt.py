@@ -108,11 +108,13 @@ def cyclic_square_truncated(res: np.ndarray, plan: SquarePlan, keep: int) -> np.
 
 
 def garner_lift(residues: list[np.ndarray], primes: list[int]) -> np.ndarray:
-    """Centered CRT lift of per-prime residue vectors to Python ints.
+    """Centered CRT lift of per-prime residue vectors, as an (N, W) array of
+    64-bit limbs in the form of `stseq.limbs`.
 
     Mixed-radix digits are computed in uint64 (all moduli < 2^31 so every
-    intermediate product fits); the final Horner evaluation runs on an
-    object array.  Values above prod/2 map to negatives.
+    intermediate product fits).  The Horner evaluation and the centring run
+    on 32-bit limbs held in uint64, where a limb times a modulus plus a carry
+    stays below 2^64.  Values above prod/2 map to negatives.
     """
     k = len(primes)
     if k == 0:
@@ -127,10 +129,35 @@ def garner_lift(residues: list[np.ndarray], primes: list[int]) -> np.ndarray:
         prod_inv = pow(math.prod(primes[:i]) % primes[i], primes[i] - 2, primes[i])
         d = ((residues[i] + (pi - acc % pi)) * np.uint64(prod_inv)) % pi
         digits.append(d)
-    big = digits[-1].astype(object)
-    for j in range(k - 2, -1, -1):
-        big = big * primes[j] + digits[j].astype(object)
     modulus = math.prod(primes)
-    half = modulus // 2
-    big = np.where(big > half, big - modulus, big)
-    return big
+    # |centred value| <= modulus / 2 < 2^(bits - 1): `bits` signed bits hold it
+    width = (modulus.bit_length() + 63) // 64
+    n32 = 2 * width
+    mask = np.uint64(0xFFFF_FFFF)
+    big = np.zeros((n32, len(digits[0])), dtype=np.uint64)
+    big[0] = digits[-1]
+    for j in range(k - 2, -1, -1):
+        carry = digits[j]
+        for t in range(n32):
+            v = big[t] * np.uint64(primes[j]) + carry
+            big[t] = v & mask
+            carry = v >> np.uint64(32)
+    # value > modulus // 2, compared limb by limb from the top
+    half = _limbs32(modulus // 2, n32)
+    above = np.zeros(big.shape[1], dtype=bool)
+    tied = np.ones(big.shape[1], dtype=bool)
+    for t in range(n32 - 1, -1, -1):
+        above |= tied & (big[t] > half[t])
+        tied &= big[t] == half[t]
+    # subtract the modulus where above, wrapping to two's complement
+    sub = _limbs32(modulus, n32)
+    borrow = np.zeros(big.shape[1], dtype=np.uint64)
+    for t in range(n32):
+        v = big[t] - np.where(above, sub[t], np.uint64(0)) - borrow
+        borrow = (v >> np.uint64(63)) & np.uint64(1)  # went below 0 (inputs < 2^33)
+        big[t] = v & mask
+    return (big[0::2] | (big[1::2] << np.uint64(32))).T.copy()
+
+
+def _limbs32(value: int, count: int) -> list[np.uint64]:
+    return [np.uint64((value >> (32 * t)) & 0xFFFF_FFFF) for t in range(count)]

@@ -14,8 +14,10 @@ Two independent routes compute it:
                     then 23 further multiplications by the same truncated
                     product.  Shares no series identity with the fast path.
 
-Coefficients reach ~10^35 at n = 10^6, so everything stays in exact
-integers; doubles appear only in normalize_tau output.
+Coefficients reach ~10^35 at n = 10^6, so tables stay exact: they are
+packed as 64-bit limbs (`stseq.limbs`), and doubles appear only in the
+normalize_tau and tau_angles output and in float screens that hand every
+near-equality case to exact integers.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import limbs as lb
 from .arith import (
     AngleSeries,
     NormalizedSequence,
@@ -38,23 +41,40 @@ from .ntt import cyclic_square_truncated, find_ntt_primes, garner_lift, get_plan
 from .report import VerificationReport
 
 NAIVE_ORACLE_MAX = 10_000
+# float screens decide only outside this relative band around a bound; the
+# float values carry a few ulp of error, so the band leaves exact ints the rest
+_SCREEN_BAND = 1e-12
 
 
 @dataclass
 class ExactTauTable:
-    """tau(1)..tau(limit) as exact Python ints; taus[0] is unused (0)."""
+    """tau(0)..tau(limit) as an (limit + 1, W) uint64 array of limbs
+    (`stseq.limbs`); row 0 is unused (0).  Ints come out on demand: table[n],
+    or the whole `taus` tuple."""
 
     limit: int
-    taus: list[int]
+    limbs: np.ndarray
 
     def __post_init__(self):
-        if len(self.taus) != self.limit + 1:
-            raise ValueError("taus must have length limit + 1")
+        if self.limbs.dtype != np.uint64 or self.limbs.ndim != 2 or self.limbs.shape[1] < 1:
+            raise ValueError("limbs must be a 2-d uint64 array with at least one column")
+        if len(self.limbs) != self.limit + 1:
+            raise ValueError("limbs must have limit + 1 rows")
+
+    @classmethod
+    def from_ints(cls, taus) -> ExactTauTable:
+        """The table of taus[0..limit] (taus[0] unused), packed in the fewest limbs."""
+        return cls(limit=len(taus) - 1, limbs=lb.from_ints(taus))
+
+    @property
+    def taus(self) -> tuple[int, ...]:
+        """Every entry as a Python int, index 0 included; built on each access."""
+        return tuple(lb.to_ints(self.limbs))
 
     def __getitem__(self, n: int) -> int:
         if not 1 <= n <= self.limit:
             raise IndexError(f"n={n} outside 1..{self.limit}")
-        return self.taus[n]
+        return lb.to_ints(self.limbs[n : n + 1])[0]
 
 
 def _seed_series_length(limit: int) -> int:
@@ -115,7 +135,7 @@ def expand_delta(limit: int) -> ExactTauTable:
     if limit < 1:
         raise ConfigurationError("limit must be >= 1")
     if limit == 1:
-        return ExactTauTable(limit=1, taus=[0, 1])
+        return ExactTauTable.from_ints([0, 1])
     primes = _crt_moduli(limit)
     length = _transform_length(limit)
     residues = []
@@ -126,12 +146,12 @@ def expand_delta(limit: int) -> ExactTauTable:
             r = cyclic_square_truncated(r, plan, limit)
         residues.append(r)
     lifted = garner_lift(residues, primes)
-    taus = [0] + [int(v) for v in lifted]
-    table = ExactTauTable(limit=limit, taus=taus)
     n_check = min(limit, 500)
-    if table.taus[1 : n_check + 1] != tau_naive_oracle(n_check).taus[1:]:
+    if lb.to_ints(lifted[:n_check]) != list(tau_naive_oracle(n_check).taus[1:]):
         raise DataCorruptionError("fast expansion disagrees with the dense oracle")
-    return table
+    table = np.zeros((limit + 1, lifted.shape[1]), dtype=np.uint64)
+    table[1:] = lifted
+    return ExactTauTable(limit=limit, limbs=table)
 
 
 def tau_naive_oracle(limit: int) -> ExactTauTable:
@@ -161,8 +181,7 @@ def tau_naive_oracle(limit: int) -> ExactTauTable:
             else:
                 new[i:] = new[i:] + c * acc[: deg - i]
         acc = new
-    taus = [0] + [int(acc[n - 1]) for n in range(1, limit + 1)]
-    return ExactTauTable(limit=limit, taus=taus)
+    return ExactTauTable.from_ints([0] + [int(acc[n - 1]) for n in range(1, limit + 1)])
 
 
 def normalize_tau(table: ExactTauTable) -> NormalizedSequence:
@@ -171,7 +190,7 @@ def normalize_tau(table: ExactTauTable) -> NormalizedSequence:
         raise ValueError("empty table")
     vals = np.empty(table.limit + 1, dtype=np.float64)
     vals[0] = np.nan
-    vals[1:] = np.fromiter(map(float, table.taus[1:]), dtype=np.float64, count=table.limit)
+    vals[1:] = lb.to_float(table.limbs[1:])
     n = np.arange(1, table.limit + 1, dtype=np.float64)
     vals[1:] /= n**5.5
     return NormalizedSequence(limit=table.limit, values=vals, source="tau")
@@ -180,20 +199,35 @@ def normalize_tau(table: ExactTauTable) -> NormalizedSequence:
 def tau_angles(table: ExactTauTable) -> AngleSeries:
     """theta_p = arccos(tau(p) / (2 p^(11/2))) for every prime p <= limit.
 
-    The admissibility bound |tau(p)| <= 2 p^(11/2) is checked exactly
-    (tau(p)^2 <= 4 p^11 in integers) before any float conversion.
+    The admissibility bound |tau(p)| <= 2 p^(11/2) is float-screened, and
+    every prime near it is checked exactly (tau(p)^2 <= 4 p^11 in integers),
+    before any angle is taken.
     """
     if table.limit < 2:
         raise ValueError("need limit >= 2 for at least one prime")
     ps = primes_up_to(table.limit)
-    a = np.empty(len(ps), dtype=np.float64)
-    for i, p in enumerate(ps):
-        t = table.taus[p]
-        p_int = int(p)
-        if t * t > 4 * p_int**11:
-            raise DataCorruptionError(f"|tau({p_int})| exceeds 2 p^(11/2)")
-        a[i] = float(t) / float(p_int) ** 5.5
-    return AngleSeries.from_a(ps, a, source="tau", limit=table.limit)
+    rows = table.limbs[ps]
+    t = lb.to_float(rows)
+    # Python's pow, not numpy's: the two differ in the last bit for some p
+    scale = np.array([float(p) ** 5.5 for p in ps.tolist()])
+    over = _exceeds(rows, np.abs(t), 2.0 * scale, lambda i: 4 * int(ps[i]) ** 11)
+    if over.size:
+        raise DataCorruptionError(f"|tau({int(ps[over[0]])})| exceeds 2 p^(11/2)")
+    return AngleSeries.from_a(ps, t / scale, source="tau", limit=table.limit)
+
+
+def _exceeds(rows: np.ndarray, size: np.ndarray, bound: np.ndarray, exact_sq) -> np.ndarray:
+    """Indices i with value_i^2 > exact_sq(i), the exact form of size_i > bound_i.
+
+    size and bound are floats within a few ulp of |value| and of the exact
+    bound; only entries inside _SCREEN_BAND of equality are decided in ints.
+    """
+    over = size > bound * (1 + _SCREEN_BAND)
+    near = np.nonzero(~over & (size >= bound * (1 - _SCREEN_BAND)))[0]
+    if near.size:
+        vals = lb.to_ints(rows[near])
+        over[near] = [v * v > exact_sq(i) for i, v in zip(near.tolist(), vals)]
+    return np.nonzero(over)[0]
 
 
 def _sigma11_mod691(limit: int, sieve: SpfSieve) -> np.ndarray:
@@ -226,10 +260,11 @@ def integrity_check(table: ExactTauTable) -> VerificationReport:
 
     Counts failures of (a) multiplicativity tau(mn) = tau(m) tau(n) on
     coprime pairs (all pairs when limit <= 1e5, a fixed-seed sample above),
-    (b) the divisor bound |tau(n)| <= d(n) n^(11/2) checked in exact
-    integers, (c) the classical congruence tau(n) = sigma_11(n) mod 691.
-    All three counts are zero for a correct table; failures are reported,
-    never raised.
+    (b) the divisor bound |tau(n)| <= d(n) n^(11/2), float-screened with
+    exact integers near equality, (c) the classical congruence
+    tau(n) = sigma_11(n) mod 691, exact on the limbs.  Ints are built only
+    for the pairs of (a) and the near-equality entries of (b).  All three
+    counts are zero for a correct table; failures are reported, never raised.
     """
     import time
 
@@ -240,8 +275,8 @@ def integrity_check(table: ExactTauTable) -> VerificationReport:
     # (a) multiplicativity
     mult_fail = 0
     pairs_checked = 0
-    taus = table.taus
     if limit <= INTEGRITY_SAMPLE_CAP:
+        taus = table.taus
         for m in range(2, limit // 2 + 1):
             for n in range(m + 1, limit // m + 1):
                 if math.gcd(m, n) == 1:
@@ -259,25 +294,19 @@ def integrity_check(table: ExactTauTable) -> VerificationReport:
             keep = np.gcd(m, n) == 1
             m, n = m[keep][: want - pairs_checked], n[keep][: want - pairs_checked]
             pairs_checked += m.size
-            for i, j in zip(m.tolist(), n.tolist()):
-                if taus[i] * taus[j] != taus[i * j]:
-                    mult_fail += 1
+            tm, tn, tmn = (lb.to_ints(table.limbs[x]) for x in (m, n, m * n))
+            mult_fail += sum(a * b != c for a, b, c in zip(tm, tn, tmn))
 
-    # (b) divisor bound, exact: tau(n)^2 <= d(n)^2 * n^11
-    # lists, not arrays: indexing a Python list per n is several times faster
-    d = _divisor_counts(limit, sieve).tolist()
-    bound_fail = 0
-    for n in range(1, limit + 1):
-        t = taus[n]
-        if t * t > d[n] ** 2 * n**11:
-            bound_fail += 1
+    # (b) divisor bound: tau(n)^2 <= d(n)^2 * n^11 exactly
+    body = table.limbs[1:]
+    d = _divisor_counts(limit, sieve)[1:]
+    n = np.arange(1, limit + 1, dtype=np.float64)
+    bound_fail = _exceeds(body, np.abs(lb.to_float(body)), d * n**5.5,
+                          lambda i: int(d[i]) ** 2 * (i + 1) ** 11).size
 
     # (c) mod-691 congruence against sigma_11
-    sig = _sigma11_mod691(limit, sieve).tolist()
-    cong_fail = 0
-    for n in range(1, limit + 1):
-        if taus[n] % 691 != sig[n]:
-            cong_fail += 1
+    sig = _sigma11_mod691(limit, sieve)[1:]
+    cong_fail = int(np.count_nonzero(lb.mod_small(body, 691) != sig))
 
     rows = [
         {

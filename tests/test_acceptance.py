@@ -91,7 +91,7 @@ class TestCriterion1ExactTau:
         oracle = tau_naive_oracle(2000)
         agree = table.taus[1:2001] == oracle.taus[1:]
         in_time = elapsed <= 300.0
-        sub = ExactTauTable(limit=10**5, taus=table.taus[: 10**5 + 1])
+        sub = ExactTauTable(limit=10**5, limbs=table.limbs[: 10**5 + 1])
         rep = integrity_check(sub)
         counts = rep.rows[0]
         clean = rep.passed

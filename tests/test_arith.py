@@ -263,6 +263,17 @@ class TestAssembly:
         with pytest.raises(IncompleteInputError):
             assemble_multiplicative(short, PrimePowerRule(), 100)
 
+    @pytest.mark.parametrize("block", [7, 1 << 20])
+    def test_missing_primes_counted_across_blocks(self, monkeypatch, block):
+        import stseq.arith as arith_mod
+
+        monkeypatch.setattr(arith_mod, "_BLOCK", block)
+        ang = _angles_for(100)
+        keep = ~np.isin(ang.primes, [5, 53, 97])
+        short = AngleSeries(ang.primes[keep], ang.a[keep], ang.theta[keep])
+        with pytest.raises(IncompleteInputError, match=r"for 3 primes <= 100 \(first: 5\)"):
+            assemble_multiplicative(short, PrimePowerRule(), 100)
+
 
 class TestGrowthViolations:
     def test_truncate_zero_always_clean(self):

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stseq.arith import AngleSeries, NormalizedSequence, primes_up_to
 from stseq.cache import (
@@ -16,7 +18,7 @@ from stseq.cache import (
 from stseq.elliptic import CurveSpec, trace_series
 from stseq.errors import CacheFormatError, ChecksumError
 from stseq.synthetic import StRngStream, sample_st_angles
-from stseq.tau import tau_naive_oracle
+from stseq.tau import ExactTauTable, tau_naive_oracle
 
 
 def test_exact_tau_roundtrip(tmp_path):
@@ -29,9 +31,10 @@ def test_exact_tau_roundtrip(tmp_path):
 
 
 def test_exact_tau_big_values(tmp_path):
-    table = tau_naive_oracle(50)
-    table.taus[7] = -(10**40)  # force a long negative entry through the codec
-    table.taus[9] = 10**45
+    taus = list(tau_naive_oracle(50).taus)
+    taus[7] = -(10**40)  # force a long negative entry through the codec
+    taus[9] = 10**45
+    table = ExactTauTable.from_ints(taus)
     path = tmp_path / "t.astc"
     save_cache(path, table)
     assert load_cache(path).taus == table.taus
@@ -51,6 +54,72 @@ def test_exact_tau_payload_cut_or_padded(tmp_path, change):
     path.write_bytes(_HEADER.pack(MAGIC, VERSION, KIND_EXACT_TAU, 300, _checksum(cut)) + cut)
     with pytest.raises(CacheFormatError):
         load_cache(path)
+
+
+def _write_exact_tau(path, limit, payload):
+    """A file whose header and checksum are valid for `payload`."""
+    path.write_bytes(_HEADER.pack(MAGIC, VERSION, KIND_EXACT_TAU, limit, _checksum(payload))
+                     + payload)
+
+
+def test_zero_length_entry_rejected(tmp_path):
+    """The encoder writes every entry in at least one byte; an empty one is
+    not read as 0."""
+    path = tmp_path / "t.astc"
+    # 1, an empty entry, then -24 in two bytes: 15 bytes, as long as 3 shortest entries
+    _write_exact_tau(path, 3, b"\x01\0\0\0\x01" + b"\0\0\0\0" + b"\x02\0\0\0\xe8\xff")
+    with pytest.raises(CacheFormatError, match="entry 2"):
+        load_cache(path)
+
+
+@pytest.mark.parametrize("length", [256, 257, 1 << 16, 1 << 24])
+def test_length_prefix_past_255_rejected(tmp_path, length):
+    """A prefix of 256 or more is refused, even where following its low byte
+    alone would land exactly on the payload's end."""
+    path = tmp_path / "t.astc"
+    entry = struct.pack("<I", length) + b"\x07" * length
+    ones = b"\x01\0\0\0\x01"
+    for payload, limit in ((ones + entry, 2), (entry + ones, 2),
+                           (struct.pack("<I", length) + b"\x07" * (length & 0xFF), 1)):
+        _write_exact_tau(path, limit, payload)
+        with pytest.raises(CacheFormatError):
+            load_cache(path)
+
+
+def test_entry_past_255_bytes_refused_on_save(tmp_path):
+    path = tmp_path / "t.astc"
+    fits = (0, -(2**2039), 2**2039 - 1)  # 255 bytes each
+    save_cache(path, ExactTauTable.from_ints(fits))
+    assert load_cache(path).taus == fits
+    for v in (2**2039, -(2**2039) - 1):  # 256 bytes
+        with pytest.raises(ValueError):
+            save_cache(path, ExactTauTable.from_ints([0, v]))
+
+
+def _edge_ints():
+    """0, +-1, +-2^(8k-1) +-1 for every byte length k up to 19."""
+    out = [0, 1, -1]
+    for k in range(1, 20):
+        out += [s * (2 ** (8 * k - 1)) + d for s in (1, -1) for d in (-1, 0, 1)]
+    return out
+
+
+_ints = st.one_of(st.sampled_from(_edge_ints()), st.integers(-(2**151), 2**151),
+                  st.integers(-(2**70), 2**70))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_ints, min_size=1, max_size=40))
+def test_exact_tau_roundtrip_property(tmp_path_factory, values):
+    taus = [0, *values]
+    path = tmp_path_factory.mktemp("prop") / "t.astc"
+    save_cache(path, ExactTauTable.from_ints(taus))
+    back = load_cache(path)
+    assert back.limit == len(values)
+    assert back.taus == tuple(taus)
+    # the stored bytes are each value's shortest two's-complement form
+    payload = path.read_bytes()[_HEADER.size :]
+    assert len(payload) == sum(4 + (v if v >= 0 else ~v).bit_length() // 8 + 1 for v in values)
 
 
 def test_normalized_roundtrip(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from stseq.arith import is_prime
 from stseq.errors import ConfigurationError, DataCorruptionError
+from stseq.limbs import to_ints
 from stseq.ntt import (
     cyclic_square_truncated,
     find_ntt_primes,
@@ -89,7 +90,7 @@ def test_garner_lift_roundtrip(rng):
     vals = [v if abs(v) * 2 < M else v % (M // 3) for v in vals]
     residues = [np.array([v % p for v in vals], dtype=np.uint64) for p in primes]
     lifted = garner_lift(residues, primes)
-    assert [int(v) for v in lifted] == vals
+    assert to_ints(lifted) == vals
 
 
 def test_garner_lift_centering():
@@ -97,7 +98,7 @@ def test_garner_lift_centering():
     vals = [-1, 0, 1, -(257 * 263 // 2) + 1]
     residues = [np.array([v % p for v in vals], dtype=np.uint64) for p in primes]
     lifted = garner_lift(residues, primes)
-    assert [int(v) for v in lifted] == vals
+    assert to_ints(lifted) == vals
 
 
 def test_plan_rejects_bad_modulus():

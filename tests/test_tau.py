@@ -8,6 +8,7 @@ from stseq.arith import primes_up_to
 from stseq.errors import ConfigurationError, DataCorruptionError
 from stseq.ntt import find_ntt_primes
 from stseq.tau import (
+    ExactTauTable,
     _crt_moduli,
     _seed_series_length,
     deligne_bound,
@@ -23,15 +24,23 @@ from stseq.tau import (
 TAU_1_TO_12 = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920, 534612, -370944]
 
 
+def _with(table: ExactTauTable, changes: dict[int, int]) -> ExactTauTable:
+    """A copy of `table` with the entries in `changes` replaced."""
+    taus = list(table.taus)
+    for n, v in changes.items():
+        taus[n] = v
+    return ExactTauTable.from_ints(taus)
+
+
 class TestNaiveOracle:
     def test_limit_one(self):
-        assert tau_naive_oracle(1).taus == [0, 1]
+        assert tau_naive_oracle(1).taus == (0, 1)
 
     def test_first_five(self):
-        assert tau_naive_oracle(5).taus[1:] == [1, -24, 252, -1472, 4830]
+        assert tau_naive_oracle(5).taus[1:] == (1, -24, 252, -1472, 4830)
 
     def test_first_twelve(self):
-        assert tau_naive_oracle(12).taus[1:] == TAU_1_TO_12
+        assert list(tau_naive_oracle(12).taus[1:]) == TAU_1_TO_12
 
     def test_multiplicativity_at_six(self):
         t = tau_naive_oracle(6).taus
@@ -44,7 +53,7 @@ class TestNaiveOracle:
 
 class TestExpandDelta:
     def test_limit_one(self):
-        assert expand_delta(1).taus == [0, 1]
+        assert expand_delta(1).taus == (0, 1)
 
     def test_agrees_with_oracle_600(self):
         fast = expand_delta(600)
@@ -103,16 +112,23 @@ class TestTauAngles:
         assert ang.limit == 1000
 
     def test_zero_tau_maps_to_right_angle(self):
-        table = tau_naive_oracle(10)
-        table.taus[3] = 0
+        table = _with(tau_naive_oracle(10), {3: 0})
         ang = tau_angles(table)
         assert ang.theta[1] == pytest.approx(math.pi / 2)
 
     def test_admissibility_violation_detected(self):
-        table = tau_naive_oracle(10)
-        table.taus[5] = 2 * 5**6  # exceeds 2 * 5^(11/2)
+        table = _with(tau_naive_oracle(10), {5: 2 * 5**6})  # exceeds 2 * 5^(11/2)
         with pytest.raises(DataCorruptionError):
             tau_angles(table)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_admissibility_decided_exactly_at_the_bound(self, sign):
+        # |tau(p)| = floor(2 p^(11/2)) sits on the bound and passes; one more fails
+        edge = {p: sign * math.isqrt(4 * p**11) for p in (2, 3, 5, 7)}
+        ang = tau_angles(_with(tau_naive_oracle(10), edge))
+        assert np.all(np.abs(ang.a) <= 2.0)
+        with pytest.raises(DataCorruptionError, match=r"tau\(7\)"):
+            tau_angles(_with(tau_naive_oracle(10), {**edge, 7: edge[7] + sign}))
 
 
 class TestIntegrity:
@@ -130,15 +146,14 @@ class TestIntegrity:
         assert (-24) % 691 == 667
 
     def test_corrupted_multiplicativity_detected(self):
-        table = tau_naive_oracle(600)
-        table.taus[6] = 0
+        table = _with(tau_naive_oracle(600), {6: 0})
         rep = integrity_check(table)
         assert not rep.passed
         assert rep.rows[0]["multiplicativity_failures"] >= 1
 
     def test_corrupted_congruence_detected(self):
         table = tau_naive_oracle(600)
-        table.taus[77] += 1
+        table = _with(table, {77: table[77] + 1})
         rep = integrity_check(table)
         assert rep.rows[0]["mod691_failures"] >= 1
 
@@ -174,8 +189,8 @@ class TestIntegritySampledPath:
 
         monkeypatch.setattr(tau_mod, "INTEGRITY_SAMPLE_CAP", 200)
         table = tau_naive_oracle(600)
-        for n in range(2, 601):
-            table.taus[n] += n  # break everything; the sample must notice
+        # break everything; the sample must notice
+        table = _with(table, {n: table[n] + n for n in range(2, 601)})
         rep = integrity_check(table)
         assert not rep.passed
 
@@ -187,7 +202,7 @@ class TestHeckeReconstruction:
 
     def test_rebuild_detects_corruption(self):
         table = tau_naive_oracle(200)
-        table.taus[8] += 7
+        table = _with(table, {8: table[8] + 7})
         assert reconstruct_from_primes(table) >= 1
 
 
