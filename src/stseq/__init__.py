@@ -4,13 +4,11 @@ __version__ = "0.1.0"
 
 from .arith import (
     AngleSeries,
-    Factorization,
     NormalizedSequence,
     PrimePowerRule,
     SpfSieve,
     assemble_multiplicative,
     build_spf_sieve,
-    factorize,
     growth_violations,
     is_prime,
     primes_up_to,
@@ -28,7 +26,6 @@ from .elliptic import (
 )
 from .report import VerificationReport
 from .stats import (
-    Ecdf,
     LogMomentEstimate,
     STConstants,
     h_gamma,
@@ -42,7 +39,6 @@ from .synthetic import (
     StRngStream,
     SyntheticSpec,
     build_synthetic_sequence,
-    sample_st_angle,
     sample_st_angles,
 )
 from .tau import (

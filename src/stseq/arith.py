@@ -1,15 +1,15 @@
-"""Sieves, factorization, and assembly of multiplicative sequences.
+"""Sieves and the assembly of multiplicative sequences.
 
-Everything downstream builds on three primitives: a smallest-prime-factor
-table, exact factorization against it, and one multiplicative kernel.
-The sieve derives n = spf(n)^e * core once, and `fill_multiplicative`
-fills any table f(n) = f(spf(n)^e) * f(core) from those pairs.  The kernel
-fills the sequences assembled from prime angles plus a prime-power rule
-(a_p = 2 cos(theta_p) in [-2, 2]; higher prime powers come from the rule),
-the elliptic sequences, d(n) and sigma_11(n) mod 691.  The largest prime
-factor has its own rule, P(n) = max(spf(n), P(n / spf(n))), which needs no
-(e, core).  Every such pass walks `dyadic_blocks`.  All heavy loops are
-vectorized; results are independent of evaluation order and thread count.
+Everything downstream builds on two primitives: a smallest-prime-factor
+table and one multiplicative kernel.  The sieve derives n = spf(n)^e * core
+once, and `fill_multiplicative` fills any table f(n) = f(spf(n)^e) * f(core)
+from those pairs.  The kernel fills the sequences assembled from prime
+angles plus a prime-power rule (a_p = 2 cos(theta_p) in [-2, 2]; higher
+prime powers come from the rule), the elliptic sequences, d(n) and
+sigma_11(n) mod 691.  The largest prime factor has its own rule,
+P(n) = max(spf(n), P(n / spf(n))), which needs no (e, core).  Every such
+pass walks `dyadic_blocks`.  All heavy loops are vectorized; results are
+independent of evaluation order and thread count.
 """
 
 from __future__ import annotations
@@ -119,42 +119,6 @@ def build_spf_sieve(limit: int) -> SpfSieve:
     return SpfSieve(limit=limit, spf=spf)
 
 
-@dataclass
-class Factorization:
-    """Canonical factorization: (prime, exponent) pairs, strictly increasing."""
-
-    n: int
-    pairs: list[tuple[int, int]]
-
-    def reconstruct(self) -> int:
-        out = 1
-        for p, k in self.pairs:
-            out *= p**k
-        return out
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-
-def factorize(n: int, sieve: SpfSieve) -> Factorization:
-    """Factor n by chasing the sieve; n == 1 gives the empty product."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if n > sieve.limit:
-        raise ValueError(f"n={n} exceeds sieve limit {sieve.limit}")
-    pairs: list[tuple[int, int]] = []
-    m = n
-    spf = sieve.spf
-    while m > 1:
-        p = int(spf[m])
-        k = 0
-        while m % p == 0:
-            m //= p
-            k += 1
-        pairs.append((p, k))
-    return Factorization(n=n, pairs=pairs)
-
-
 # Entries per block of `dyadic_blocks`: bounds the temporaries of each pass.
 _BLOCK = 1 << 20
 
@@ -233,7 +197,7 @@ def largest_prime_factor_table(sieve: SpfSieve) -> np.ndarray:
 # Prime-power rules and sequence assembly
 # ---------------------------------------------------------------------------
 
-RULE_KINDS = ("hecke-chebyshev", "truncate-zero", "exact-integer-hecke")
+RULE_KINDS = ("hecke-chebyshev", "truncate-zero")
 
 # Below SIN_EPS the sine ratio switches to its analytic limit +-(k+1); in the
 # band up to SIN_STABLE the ratio loses ~eps/|sin theta| absolute accuracy to
@@ -288,12 +252,11 @@ class PrimePowerRule:
     """How a_{p^k} extends beyond k = 1 for a sequence with a_p = 2 cos(theta_p).
 
     kind:
-      hecke-chebyshev     sin((k+1)theta)/sin(theta), the normalized Hecke
-                          recursion obeyed by the real coefficient sequences
-      truncate-zero       2 cos(theta) at k = 1 and 0 for k >= 2
-      exact-integer-hecke same values as hecke-chebyshev, evaluated by the
-                          recurrence from a = 2 cos(theta) instead of the
-                          sine ratio
+      hecke-chebyshev  sin((k+1)theta)/sin(theta), the normalized Hecke
+                       recursion obeyed by the real coefficient sequences
+                       (`chebyshev_sin_ratio`, which hands the angles near 0
+                       and pi to the three-term recurrence)
+      truncate-zero    2 cos(theta) at k = 1 and 0 for k >= 2
     rho: growth-condition exponent, must be > 0; the admissible bound at
          (p, k >= 2) is p^((k-1)/2 - rho).
     """
@@ -311,8 +274,6 @@ class PrimePowerRule:
         """Rule value at (theta, k), elementwise over arrays."""
         if self.kind == "hecke-chebyshev":
             return chebyshev_sin_ratio(theta, k)
-        if self.kind == "exact-integer-hecke":
-            return chebyshev_recurrence(2.0 * np.cos(np.asarray(theta, dtype=np.float64)), k)
         k_arr = np.asarray(k)
         out = np.where(k_arr == 1, 2.0 * np.cos(np.asarray(theta, dtype=np.float64)), 0.0)
         if out.ndim == 0:
@@ -356,11 +317,6 @@ class AngleSeries:
 
     def __len__(self) -> int:
         return len(self.primes)
-
-    def restrict(self, limit: int) -> "AngleSeries":
-        keep = self.primes <= limit
-        return AngleSeries(self.primes[keep], self.a[keep], self.theta[keep], self.source,
-                           limit=min(limit, self.limit))
 
 
 @dataclass

@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands build coefficient sources (tau, ec, synth, angles), print the
-distribution constants, and run the verifiers; every verify subcommand
-writes the report as JSON plus a CSV of its rows and exits 0 only if all
-declared flags pass (1 on failed verification or data corruption, 2 on
-usage errors and invalid values).
+Subcommands build coefficient sources (tau, ec, synth), count a source's
+prime angles (angles), print the distribution constants, and run the
+verifiers; every verify subcommand writes the report as JSON plus a CSV of
+its rows and exits 0 only if all declared flags pass (1 on failed
+verification or data corruption, 2 on usage errors and invalid values).
 
 A flat key=value config file supplies defaults; explicit flags win.  The
 cache directory comes from --cache-dir, the STSEQ_CACHE_DIR environment
@@ -40,6 +40,8 @@ from .stats import STConstants, prime_angle_summary
 from .synthetic import SyntheticSpec, build_synthetic_sequence
 from .tau import ExactTauTable, expand_delta, integrity_check, normalize_tau, tau_angles
 from .verify import (
+    STANDARDIZATIONS,
+    SUPPORT_MODES,
     SupportFilter,
     check_assumptions,
     verify_hall_tenenbaum,
@@ -61,6 +63,13 @@ _CONFIG_KEYS = frozenset({
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line in one stderr line, as every exit 2 does."""
+
+    def error(self, message):
+        self.exit(USAGE_EXIT, f"usage error: {message}\n")
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -255,10 +264,7 @@ def cmd_synth(args) -> int:
 
 def cmd_angles(args) -> int:
     _, angles = resolve_sequence(args)
-    stem = f"angles_{args.source}_{args.limit}"
-    path = cache_dir_of(args) / f"{stem}.astc"
-    save_cache(path, angles)
-    print(f"{len(angles)} angle records from source {args.source} cached at {path}")
+    print(f"{len(angles)} angle records from source {args.source}")
     return 0
 
 
@@ -366,7 +372,7 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="stseq", description=__doc__)
+    top = _Parser(prog="stseq", description=__doc__)
     top.add_argument("--version", action="version", version=f"stseq {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value defaults file")
@@ -399,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=0.25)
     p.set_defaults(func=cmd_synth)
 
-    p = add_parser("angles", help="extract and cache prime angles")
+    p = add_parser("angles", help="count the prime angles of a source")
     _add_source_args(p)
     p.set_defaults(func=cmd_angles)
 
@@ -431,10 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser("thm3", parents=[common])
     _add_source_args(p)
     p.add_argument("--x", type=int, default=None)
-    p.add_argument("--support", default="nonzero", choices=["all", "nonzero", "floor-A"])
+    p.add_argument("--support", default="nonzero", choices=SUPPORT_MODES)
     p.add_argument("--A", type=float, default=2.0)
-    p.add_argument("--standardization", default="self",
-                   choices=["asymptotic", "finite-size", "self"])
+    p.add_argument("--standardization", default="self", choices=STANDARDIZATIONS)
     p.add_argument("--ks-tol", type=float, default=None)
     p.add_argument("--skew-tol", type=float, default=None)
     p.set_defaults(func=cmd_verify)

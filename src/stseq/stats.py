@@ -160,22 +160,6 @@ class STConstants:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Ecdf:
-    """Sorted sample for sup-distance comparisons."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.sort(np.asarray(self.values, dtype=np.float64))
-        if self.values.size < 1:
-            raise ValueError("empty sample")
-
-    @property
-    def size(self) -> int:
-        return int(self.values.size)
-
-
 # Sorted points per block of the KS scan.
 _KS_BLOCK = 1024
 
@@ -188,11 +172,12 @@ def ks_statistic(sample, cdf) -> float:
     F(x_{e-1}) - s/n.  cdf is evaluated at the block ends first, and then
     only inside the blocks whose bound reaches the best term seen there
     (less a 1e-12 margin), so the result is the same float as the maximum
-    over every point.
+    over every point.  The sample is sorted here and must not be empty.
     """
-    ecdf = sample if isinstance(sample, Ecdf) else Ecdf(np.asarray(sample))
-    x = ecdf.values
-    n = ecdf.size
+    x = np.sort(np.asarray(sample, dtype=np.float64))
+    n = int(x.size)
+    if n < 1:
+        raise ValueError("empty sample")
     starts = np.arange(0, n, _KS_BLOCK)
     ends = np.minimum(starts + _KS_BLOCK, n)
     f_ends = np.asarray(cdf(np.concatenate([x[starts], x[ends - 1]])), dtype=np.float64)
@@ -286,7 +271,7 @@ def prime_angle_summary(angles: AngleSeries, gammas: list[float]) -> Verificatio
                 "mertens_sum": float(np.sum(ug / p)),
             }
         )
-    ks = ks_statistic(Ecdf(angles.theta), st_cdf)
+    ks = ks_statistic(angles.theta, st_cdf)
     params = {
         "n_primes": len(angles),
         "source": angles.source,

@@ -61,13 +61,11 @@ class StRngStream:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
 
-def sample_st_angles(
-    stream: StRngStream, primes: np.ndarray, return_stats: bool = False
-):
+def sample_st_angles(stream: StRngStream, primes: np.ndarray):
     """Vectorized rejection sampler over a prime array.
 
-    Returns theta (float64 per prime), plus (n_accepted, n_proposed) when
-    return_stats is set.
+    Returns (theta, n_accepted, n_proposed): one float64 angle per prime,
+    and the sampler's acceptance counts.
     """
     primes = np.asarray(primes, dtype=np.int64)
     theta = np.empty(len(primes), dtype=np.float64)
@@ -85,14 +83,7 @@ def sample_st_angles(
         proposed += len(pending)
         pending = pending[~accept]
         attempt += 1
-    if return_stats:
-        return theta, len(primes), proposed
-    return theta
-
-
-def sample_st_angle(stream: StRngStream, p: int) -> float:
-    """Single-prime form; identical value to the vectorized path."""
-    return float(sample_st_angles(stream, np.array([p], dtype=np.int64))[0])
+    return theta, len(primes), proposed
 
 
 @dataclass
@@ -112,7 +103,7 @@ def build_synthetic_sequence(spec: SyntheticSpec) -> tuple[AngleSeries, Normaliz
     """
     ps = primes_up_to(spec.limit)
     stream = StRngStream(spec.seed)
-    theta, n_acc, n_prop = sample_st_angles(stream, ps, return_stats=True)
+    theta, n_acc, n_prop = sample_st_angles(stream, ps)
     angles = AngleSeries.from_theta(ps, theta, source="synthetic", limit=spec.limit)
     seq = assemble_multiplicative(angles, spec.rule, spec.limit)
     violations = (

@@ -231,19 +231,19 @@ def _exceeds(rows: np.ndarray, size: np.ndarray, bound: np.ndarray, exact_sq) ->
 
 
 def _sigma11_mod691(limit: int, sieve: SpfSieve) -> np.ndarray:
-    """sigma_11(n) mod 691 for n <= limit."""
+    """sigma_11(n) mod 691 for n <= limit.
+
+    sigma_11(p^e) = 1 + p^11 + ... + p^(11e) depends on p only mod 691, so
+    one table S[r, e] over the residues r, by Horner in e, gives every
+    prime-power value as the gather S[p % 691, e].
+    """
     pow11 = np.array([pow(r, 11, 691) for r in range(691)], dtype=np.int64)
-
-    def sigma11_pe(p, e):
-        # 1 + p^11 + ... + p^(11e) mod 691 by Horner
-        p11 = pow11[p % 691]
-        out = np.ones_like(p)
-        for step in range(1, int(e.max()) + 1):
-            out = np.where(e >= step, (out * p11 + 1) % 691, out)
-        return out
-
+    S = np.ones((691, limit.bit_length() + 1), dtype=np.int64)
+    for e in range(1, S.shape[1]):
+        S[:, e] = (S[:, e - 1] * pow11 + 1) % 691
     out = np.zeros(limit + 1, dtype=np.int64)
-    return fill_multiplicative(sieve, limit, sigma11_pe, out, combine=lambda a, b: a * b % 691)
+    return fill_multiplicative(sieve, limit, lambda p, e: S[p % 691, e], out,
+                               combine=lambda a, b: a * b % 691)
 
 
 def _divisor_counts(limit: int, sieve: SpfSieve) -> np.ndarray:
@@ -253,6 +253,34 @@ def _divisor_counts(limit: int, sieve: SpfSieve) -> np.ndarray:
 
 INTEGRITY_SAMPLE_CAP = 100_000
 _INTEGRITY_SEED = 0x5EED_0691
+# Pairs per block of the multiplicativity check: bounds the Python ints alive.
+_PAIR_BLOCK = 1 << 14
+
+
+def _coprime_pairs(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every coprime (m, n) with 2 <= m < n and mn <= limit, by m then n."""
+    m = np.arange(2, math.isqrt(limit) + 1, dtype=np.int64)
+    runs = limit // m - m  # n runs over m + 1 .. limit // m
+    m = np.repeat(m, runs)
+    n = m + 1 + np.arange(m.size) - np.repeat(np.cumsum(runs) - runs, runs)
+    keep = np.gcd(m, n) == 1
+    return m[keep], n[keep]
+
+
+def _sampled_pairs(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first INTEGRITY_SAMPLE_CAP coprime pairs of a fixed-seed draw:
+    m uniform on [2, limit/2], then n uniform on [2, limit/m], in blocks."""
+    rng = np.random.default_rng(_INTEGRITY_SEED)
+    want = INTEGRITY_SAMPLE_CAP
+    ms, ns, got = [], [], 0
+    while got < want:
+        m = rng.integers(2, limit // 2 + 1, size=want)
+        n = rng.integers(2, limit // m + 1)
+        keep = np.gcd(m, n) == 1
+        ms.append(m[keep][: want - got])
+        ns.append(n[keep][: want - got])
+        got += ms[-1].size
+    return np.concatenate(ms), np.concatenate(ns)
 
 
 def integrity_check(table: ExactTauTable) -> VerificationReport:
@@ -273,29 +301,14 @@ def integrity_check(table: ExactTauTable) -> VerificationReport:
     sieve = build_spf_sieve(limit)
 
     # (a) multiplicativity
+    sampled = limit > INTEGRITY_SAMPLE_CAP
+    m, n = _sampled_pairs(limit) if sampled else _coprime_pairs(limit)
+    pairs_checked = int(m.size)
     mult_fail = 0
-    pairs_checked = 0
-    if limit <= INTEGRITY_SAMPLE_CAP:
-        taus = table.taus
-        for m in range(2, limit // 2 + 1):
-            for n in range(m + 1, limit // m + 1):
-                if math.gcd(m, n) == 1:
-                    pairs_checked += 1
-                    if taus[m] * taus[n] != taus[m * n]:
-                        mult_fail += 1
-    else:
-        # m uniform on [2, limit/2], then n uniform on [2, limit/m], drawn
-        # in blocks; the first INTEGRITY_SAMPLE_CAP coprime pairs are kept
-        rng = np.random.default_rng(_INTEGRITY_SEED)
-        want = INTEGRITY_SAMPLE_CAP
-        while pairs_checked < want:
-            m = rng.integers(2, limit // 2 + 1, size=want)
-            n = rng.integers(2, limit // m + 1)
-            keep = np.gcd(m, n) == 1
-            m, n = m[keep][: want - pairs_checked], n[keep][: want - pairs_checked]
-            pairs_checked += m.size
-            tm, tn, tmn = (lb.to_ints(table.limbs[x]) for x in (m, n, m * n))
-            mult_fail += sum(a * b != c for a, b, c in zip(tm, tn, tmn))
+    for lo in range(0, pairs_checked, _PAIR_BLOCK):
+        mb, nb = m[lo : lo + _PAIR_BLOCK], n[lo : lo + _PAIR_BLOCK]
+        tm, tn, tmn = (lb.to_ints(table.limbs[x]) for x in (mb, nb, mb * nb))
+        mult_fail += sum(a * b != c for a, b, c in zip(tm, tn, tmn))
 
     # (b) divisor bound: tau(n)^2 <= d(n)^2 * n^11 exactly
     body = table.limbs[1:]
@@ -327,7 +340,7 @@ def integrity_check(table: ExactTauTable) -> VerificationReport:
     ]
     return VerificationReport(
         name="tau-integrity",
-        parameters={"limit": limit, "sampled": limit > INTEGRITY_SAMPLE_CAP},
+        parameters={"limit": limit, "sampled": sampled},
         rows=rows,
         flags=flags,
         runtime=time.perf_counter() - t0,

@@ -7,9 +7,8 @@ desk-scale targets by themselves, so flags are opt-in where a tolerance is
 not intrinsic; callers (CLI, acceptance suite) pass the bands they commit
 to.
 
-Supports three notions of support for the size statistics:
+Supports two notions of support for the size statistics:
 
-  all       every n (distributional checks still skip a_n = 0)
   nonzero   {n <= x : a_n != 0}
   floor-A   nonzero n whose every prime factor p has |a_p| > (log_2 x)^-A
 """
@@ -43,6 +42,7 @@ from .stats import (
 )
 
 STANDARDIZATIONS = ("asymptotic", "finite-size", "self")
+SUPPORT_MODES = ("nonzero", "floor-A")
 CLT_C = 0.5 + math.pi**2 / 12.0
 # thm3's additive identity holds exactly; this relative error absorbs rounding
 IDENTITY_RTOL = 1e-6
@@ -69,7 +69,7 @@ class SupportFilter:
     A: float = 2.0
 
     def __post_init__(self):
-        if self.mode not in ("all", "nonzero", "floor-A"):
+        if self.mode not in SUPPORT_MODES:
             raise ValueError(f"unknown support mode {self.mode!r}")
         if self.mode == "floor-A" and not self.A > 1:
             raise ValueError("floor-A needs A > 1")
@@ -82,11 +82,7 @@ class SupportFilter:
     def mask(self, seq: NormalizedSequence, x: int) -> np.ndarray:
         """Boolean include-mask over indices 0..x (0 always False)."""
         m = np.zeros(x + 1, dtype=bool)
-        m[1:] = True
-        if self.mode == "all":
-            return m
-        vals = seq.values[: x + 1]
-        m[1:] &= vals[1:] != 0.0
+        m[1:] = seq.values[1 : x + 1] != 0.0
         if self.mode == "floor-A":
             ps = primes_up_to(x)
             m &= prime_free_mask(ps[np.abs(seq.values[ps]) <= self.floor(x)], x)
@@ -365,10 +361,8 @@ def verify_thm3(
     if x > seq.limit:
         raise ValueError(f"cutoff {x} beyond sequence limit {seq.limit}")
     support = support or SupportFilter()
-    mask = support.mask(seq, x)
     vals = seq.values[: x + 1]
-    mask = mask & np.concatenate([[False], vals[1:] != 0.0])
-    ns = np.nonzero(mask)[0]
+    ns = np.nonzero(support.mask(seq, x))[0]
     if ns.size == 0:
         raise ValueError("filtered support is empty")
     log_abs = np.log(np.abs(vals[ns]))
@@ -607,7 +601,7 @@ def check_assumptions(
     seq: NormalizedSequence,
     angles: AngleSeries,
     A: float,
-    grid: int | np.ndarray = 512,
+    grid: int = 512,
     checkpoints: list[int] | None = None,
     a2_gap_tol: float | None = None,
 ) -> VerificationReport:
@@ -619,7 +613,8 @@ def check_assumptions(
     conditional on a_p != 0, so primes with a_p = 0 never enter).
 
     Panel 2 (convergence rate): sup-gap between the angle ECDF and the
-    exact CDF on a grid, per checkpoint x, against (log_2 x)^-A.
+    exact CDF on grid + 1 equally spaced angles in [0, pi], per checkpoint
+    x, against (log_2 x)^-A.
 
     Panel 3 (reciprocal tail): sum of 1/p over p >= y with
     |a_p| < (log_2 p)^-A against (log_2 y)^-(A-1), y running over the
@@ -655,10 +650,7 @@ def check_assumptions(
         examined += int(np.count_nonzero(cond))
         k += 1
 
-    if isinstance(grid, (int, np.integer)):
-        alphas = np.linspace(0.0, math.pi, int(grid) + 1)
-    else:
-        alphas = np.asarray(grid, dtype=np.float64)
+    alphas = np.linspace(0.0, math.pi, grid + 1)
     # log2_iter per prime: log_1 twice, as two vectorised passes of math.log
     lg_p = angles.primes.astype(np.float64)
     for _ in range(2):

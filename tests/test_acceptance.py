@@ -190,7 +190,7 @@ class TestCriterion4Sampler:
     def test_million_draws(self):
         ps = primes_up_to(MILLIONTH_PRIME)
         assert len(ps) == 10**6
-        theta, acc, prop = sample_st_angles(StRngStream(DEFAULT_SEED), ps, return_stats=True)
+        theta, acc, prop = sample_st_angles(StRngStream(DEFAULT_SEED), ps)
         ks = ks_statistic(theta, st_cdf)
         rate = acc / prop
 
@@ -199,7 +199,7 @@ class TestCriterion4Sampler:
             parts = [ps[a:b] for a, b in zip(bounds, bounds[1:])]
             with ThreadPoolExecutor(max_workers=n_chunks) as pool:
                 out = list(pool.map(
-                    lambda chunk: sample_st_angles(StRngStream(DEFAULT_SEED), chunk), parts
+                    lambda chunk: sample_st_angles(StRngStream(DEFAULT_SEED), chunk)[0], parts
                 ))
             return np.concatenate(out)
 
@@ -373,10 +373,10 @@ class TestCriterion10Determinism:
         seq_stable = np.array_equal(s1.values[1:], s2.values[1:])
 
         ps = primes_up_to(10**5)
-        base = sample_st_angles(StRngStream(DEFAULT_SEED), ps)
+        base = sample_st_angles(StRngStream(DEFAULT_SEED), ps)[0]
         with ThreadPoolExecutor(max_workers=4) as pool:
             parts = list(pool.map(
-                lambda chunk: sample_st_angles(StRngStream(DEFAULT_SEED), chunk),
+                lambda chunk: sample_st_angles(StRngStream(DEFAULT_SEED), chunk)[0],
                 np.array_split(ps, 4),
             ))
         threaded_stable = np.array_equal(base, np.concatenate(parts))

@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 
 import stseq
+from stseq.arith import RULE_KINDS, AngleSeries
+from stseq.synthetic import sample_st_angles
+from stseq.verify import SUPPORT_MODES
 
 MODULES = ["stseq.verify", "stseq.tau", "stseq.elliptic", "stseq.synthetic", "stseq.cli"]
 DERIVED = {"sieve", "budget", "budget_bytes"}
@@ -47,3 +50,18 @@ def test_exact_tau_table_holds_one_limb_array():
     with pytest.raises(TypeError):
         table.taus[3] = 0
     assert table.taus[1:4] == (1, -24, 252) and table[3] == 252
+
+
+@pytest.mark.parametrize("name", ["Factorization", "factorize", "Ecdf", "sample_st_angle"])
+def test_names_without_a_caller_are_gone(name):
+    assert name not in stseq.__all__
+    assert not hasattr(stseq, name)
+
+
+def test_option_values_without_a_caller_are_gone():
+    # exact-integer-hecke gave hecke-chebyshev's values; support "all" gave
+    # thm3 the rows of "nonzero"
+    assert RULE_KINDS == ("hecke-chebyshev", "truncate-zero")
+    assert SUPPORT_MODES == ("nonzero", "floor-A")
+    assert "return_stats" not in inspect.signature(sample_st_angles).parameters
+    assert not hasattr(AngleSeries, "restrict")

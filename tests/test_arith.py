@@ -14,7 +14,6 @@ from stseq.arith import (
     chebyshev_sin_ratio,
     dyadic_blocks,
     exponent_core_tables,
-    factorize,
     growth_violations,
     is_prime,
     largest_prime_factor_table,
@@ -59,29 +58,6 @@ class TestSpfSieve:
         sv = build_spf_sieve(limit)
         assert sv.limit == 2
         assert sv.spf.tolist() == [0, 0, 2]
-
-
-class TestFactorize:
-    def test_examples(self, sieve_10k):
-        assert factorize(12, sieve_10k).pairs == [(2, 2), (3, 1)]
-        assert factorize(1, sieve_10k).pairs == []
-        assert factorize(9973, sieve_10k).pairs == [(9973, 1)]
-        assert brute_factor(9973) == [(9973, 1)]  # 9973 prime by trial division
-
-    def test_range_error(self, sieve_10k):
-        with pytest.raises(ValueError):
-            factorize(10_001, sieve_10k)
-        with pytest.raises(ValueError):
-            factorize(0, sieve_10k)
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.integers(min_value=1, max_value=10_000))
-    def test_reconstructs(self, sieve_10k, n):
-        fac = factorize(n, sieve_10k)
-        assert fac.reconstruct() == n
-        assert fac.pairs == brute_factor(n)
-        ps = [p for p, _ in fac.pairs]
-        assert ps == sorted(ps)
 
 
 class TestDerivedTables:
@@ -313,9 +289,3 @@ class TestAngleSeries:
         # theta = pi is valid input; the measure-zero boundary is kept
         ang = AngleSeries.from_theta(np.array([2]), np.array([math.pi]))
         assert ang.a[0] == pytest.approx(-2.0)
-
-    def test_restrict(self):
-        ang = _angles_for(100)
-        sub = ang.restrict(50)
-        assert sub.limit == 50
-        assert int(sub.primes.max()) <= 50

@@ -137,7 +137,7 @@ def test_normalized_roundtrip(tmp_path):
 
 def test_angles_roundtrip(tmp_path):
     ps = primes_up_to(500)
-    theta = sample_st_angles(StRngStream(1), ps)
+    theta = sample_st_angles(StRngStream(1), ps)[0]
     ang = AngleSeries.from_theta(ps, theta, source="synthetic", limit=500)
     path = tmp_path / "a.astc"
     save_cache(path, ang)
@@ -230,7 +230,7 @@ def _one_of_each_kind():
     return {
         "exact-tau": tau_naive_oracle(300),
         "normalized": NormalizedSequence(limit=100, values=vals, source="synthetic"),
-        "angles": AngleSeries.from_theta(ps, sample_st_angles(StRngStream(1), ps),
+        "angles": AngleSeries.from_theta(ps, sample_st_angles(StRngStream(1), ps)[0],
                                          source="synthetic", limit=500),
         "traces": trace_series(CurveSpec(-1, 1), 500),
     }

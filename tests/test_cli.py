@@ -80,6 +80,21 @@ def test_unknown_flag_exits_two(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["synth", "--limit", "100", "--seed", "1", "--rule", "exact-integer-hecke"],
+     "exact-integer-hecke"),
+    (["verify", "thm3", "--source", "synth", "--limit", "100", "--seed", "1",
+      "--support", "all"], "all"),
+])
+def test_removed_option_values_exit_two(tmp_path, capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("usage error: ") and f"invalid choice: '{value}'" in err[0]
+
+
 def test_synth_and_verify_thm1(tmp_path):
     assert run(tmp_path, "synth", "--limit", "2000", "--seed", "7") == 0
     code = run(tmp_path, "verify", "thm1", "--source", "synth", "--limit", "2000",
@@ -156,10 +171,13 @@ def test_format_json_stdout(tmp_path, capsys):
     assert payload["name"] == "thm2-cancellation"
 
 
-def test_angles_command(tmp_path):
+def test_angles_command(tmp_path, capsys):
     assert run(tmp_path, "angles", "--source", "synth", "--limit", "2000", "--seed", "5") == 0
-    ang = load_cache(tmp_path / "cache" / "angles_synth_2000.astc")
-    assert ang.limit == 2000
+    assert capsys.readouterr().out.splitlines() == ["303 angle records from source synth"]
+    # angles writes no file of its own: the cache holds only the synth pair
+    names = sorted(p.name for p in (tmp_path / "cache").iterdir())
+    assert names == ["synth_2000_5_hecke-chebyshev_0.25.astc", "synth_angles_2000_5.astc"]
+    assert load_cache(tmp_path / "cache" / "synth_angles_2000_5.astc").limit == 2000
 
 
 def test_config_file_defaults(tmp_path):

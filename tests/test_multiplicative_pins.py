@@ -29,7 +29,6 @@ LIMIT = 2**15
 PINS = {
     "hecke-chebyshev": "ef8e5f3da33feb6d49d5f1400a387441",
     "truncate-zero": "04d6c1137f2e372c69977d4e6c9a1fab",
-    "exact-integer-hecke": "66dcf43c82906df708dcda6a16e37f7a",
     "ec(-1,1)": "4690d9271ee04d481821e2b7a9992e3e",
     "divisor_counts": "8abbd38172a45a33ce1731b925b4ccc6",
     "sigma11_mod691": "32c5848875439f34955ce49ed480d900",

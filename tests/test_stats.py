@@ -5,7 +5,6 @@ import pytest
 
 from stseq.arith import AngleSeries, primes_up_to
 from stseq.stats import (
-    Ecdf,
     STConstants,
     cos_moment_integrals,
     h_gamma,
@@ -149,8 +148,8 @@ class TestKsStatistic:
         assert d1 == pytest.approx(d2, abs=1e-12)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Ecdf(np.array([]))
+        with pytest.raises(ValueError, match="empty sample"):
+            ks_statistic(np.array([]), st_cdf)
 
 
 class TestNormalCdf:
@@ -183,7 +182,7 @@ class TestPrimeAngleSummary:
 
     def test_gamma_two_mean_near_one_on_st_input(self):
         ps = primes_up_to(200_000)
-        theta = sample_st_angles(StRngStream(17), ps)
+        theta = sample_st_angles(StRngStream(17), ps)[0]
         ang = AngleSeries.from_theta(ps, theta)
         rep = prime_angle_summary(ang, [2.0])
         assert rep.rows[0]["mean"] == pytest.approx(1.0, abs=0.05)
@@ -203,7 +202,7 @@ class TestPrimeLogMoments:
 
     def test_floor_restricts(self):
         ps = primes_up_to(10_000)
-        theta = sample_st_angles(StRngStream(3), ps)
+        theta = sample_st_angles(StRngStream(3), ps)[0]
         ang = AngleSeries.from_theta(ps, theta, limit=10_000)
         full = prime_log_moments(ang, 10_000, 0.0)
         floored = prime_log_moments(ang, 10_000, 0.5)
@@ -254,4 +253,3 @@ class TestKsBlockPruning:
         rng = np.random.default_rng(9)
         sample = np.concatenate([rng.normal(-3.0, 0.1, 5000), rng.normal(0.0, 1.0, 50_000)])
         assert ks_statistic(sample, normal_cdf) == ks_brute(sample, normal_cdf)
-        assert ks_statistic(Ecdf(sample), normal_cdf) == ks_brute(sample, normal_cdf)

@@ -9,7 +9,6 @@ from stseq.synthetic import (
     StRngStream,
     SyntheticSpec,
     build_synthetic_sequence,
-    sample_st_angle,
     sample_st_angles,
 )
 
@@ -18,35 +17,36 @@ PINNED_SEED42_P2 = 1.4493371267978536  # frozen after first run of the documente
 
 class TestKeyedSampler:
     def test_regression_pin(self):
-        assert sample_st_angle(StRngStream(42), 2) == PINNED_SEED42_P2
+        theta, _, _ = sample_st_angles(StRngStream(42), np.array([2]))
+        assert theta.tolist() == [PINNED_SEED42_P2]
 
     def test_scalar_matches_vectorized(self):
         stream = StRngStream(42)
         ps = primes_up_to(200)
-        vec = sample_st_angles(stream, ps)
+        vec = sample_st_angles(stream, ps)[0]
         for i in (0, 1, 5, 20):
-            assert sample_st_angle(stream, int(ps[i])) == vec[i]
+            assert sample_st_angles(stream, ps[i : i + 1])[0][0] == vec[i]
 
     def test_order_independence(self, rng):
         stream = StRngStream(99)
         ps = primes_up_to(500)
         shuffled = ps.copy()
         rng.shuffle(shuffled)
-        a = sample_st_angles(stream, ps)
-        b = sample_st_angles(stream, shuffled)
+        a = sample_st_angles(stream, ps)[0]
+        b = sample_st_angles(stream, shuffled)[0]
         order = np.argsort(shuffled)
         assert np.array_equal(b[order], a)
 
     def test_runs_identical(self):
         ps = primes_up_to(2000)
-        a = sample_st_angles(StRngStream(7), ps)
-        b = sample_st_angles(StRngStream(7), ps)
+        a = sample_st_angles(StRngStream(7), ps)[0]
+        b = sample_st_angles(StRngStream(7), ps)[0]
         assert np.array_equal(a, b)
 
     def test_seeds_differ(self):
         ps = primes_up_to(2000)
-        a = sample_st_angles(StRngStream(1), ps)
-        b = sample_st_angles(StRngStream(2), ps)
+        a = sample_st_angles(StRngStream(1), ps)[0]
+        b = sample_st_angles(StRngStream(2), ps)[0]
         assert not np.array_equal(a, b)
 
     def test_seed_validation(self):
@@ -59,18 +59,18 @@ class TestKeyedSampler:
 class TestSamplerStatistics:
     def test_acceptance_rate_and_mean(self):
         keys = np.arange(1, 100_001)
-        theta, acc, prop = sample_st_angles(StRngStream(5), keys, return_stats=True)
+        theta, acc, prop = sample_st_angles(StRngStream(5), keys)
         assert acc / prop == pytest.approx(0.5, abs=0.01)
         assert float(np.mean(theta)) == pytest.approx(math.pi / 2, abs=0.01)
 
     def test_mean_over_million_draws(self):
         keys = np.arange(1, 1_000_001)
-        theta = sample_st_angles(StRngStream(11), keys)
+        theta = sample_st_angles(StRngStream(11), keys)[0]
         assert float(np.mean(theta)) == pytest.approx(math.pi / 2, abs=0.005)
 
     def test_ks_band_fixed_seed(self):
         ps = primes_up_to(200_000)
-        theta = sample_st_angles(StRngStream(7), ps)
+        theta = sample_st_angles(StRngStream(7), ps)[0]
         n = len(theta)
         assert ks_statistic(theta, st_cdf) * math.sqrt(n) <= 2.0
 

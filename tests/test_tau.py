@@ -165,6 +165,31 @@ class TestIntegrity:
         assert digest == "04f1e51620e489385ea7c450bfa083ec"
 
 
+def _double_loop_multiplicativity(table: ExactTauTable) -> tuple[int, int]:
+    """(pairs, failures) over every coprime 2 <= m < n with mn <= limit."""
+    taus, limit = table.taus, table.limit
+    pairs = failures = 0
+    for m in range(2, limit // 2 + 1):
+        for n in range(m + 1, limit // m + 1):
+            if math.gcd(m, n) == 1:
+                pairs += 1
+                failures += taus[m] * taus[n] != taus[m * n]
+    return pairs, failures
+
+
+class TestIntegrityFullPairs:
+    @pytest.mark.parametrize("faulty", [False, True])
+    @pytest.mark.parametrize("limit", [1, 2, 5, 6, 7, 30, 2000])
+    def test_counts_equal_a_double_loop(self, limit, faulty):
+        table = expand_delta(limit)
+        if faulty:
+            table = _with(table, {n: table[n] + n for n in range(3, limit + 1, 4)})
+        row = integrity_check(table).rows[0]
+        pairs, failures = _double_loop_multiplicativity(table)
+        assert (row["pairs_checked"], row["multiplicativity_failures"]) == (pairs, failures)
+        assert (failures > 0) == (faulty and limit >= 6)
+
+
 class TestIntegritySampledPath:
     def test_sampled_branch(self, monkeypatch):
         import stseq.tau as tau_mod

@@ -251,9 +251,10 @@ class TestSupportFilter:
         with pytest.raises(ValueError):
             SupportFilter("floor-A", A=1.0)
 
-    def test_all_mode(self, synth_seq):
-        m = SupportFilter("all").mask(synth_seq, 100)
-        assert np.count_nonzero(m) == 100
+    def test_all_mode(self):
+        # "all" gave thm3 the same rows as "nonzero", so it is refused
+        with pytest.raises(ValueError, match="unknown support mode 'all'"):
+            SupportFilter("all")
 
 
 class TestThm3:
