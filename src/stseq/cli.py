@@ -476,6 +476,16 @@ def _leaf_parser(parser: argparse.ArgumentParser, args) -> argparse.ArgumentPars
     return parser
 
 
+def _check_choices(parser: argparse.ArgumentParser, config: dict[str, str]) -> None:
+    """Refuse a config value outside its flag's choices: argparse checks
+    choices on command-line values only, never on defaults."""
+    for action in parser._actions:
+        val = config.get(action.dest)
+        if action.choices is not None and val is not None and val not in action.choices:
+            allowed = ", ".join(map(str, action.choices))
+            raise UsageError(f"config {action.dest}={val!r}: invalid choice (choose from {allowed})")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -483,7 +493,9 @@ def main(argv=None) -> int:
         if args.config:
             # config text becomes the command's defaults, which argparse converts
             # by each flag's own type on the second parse; explicit flags win
-            _leaf_parser(parser, args).set_defaults(**load_config(args.config))
+            leaf, config = _leaf_parser(parser, args), load_config(args.config)
+            _check_choices(leaf, config)
+            leaf.set_defaults(**config)
             args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:

@@ -101,14 +101,15 @@ def mod_small(limbs: np.ndarray, m: int) -> np.ndarray:
     """v mod m in [0, m) per row, for 2 <= m < 2^31 (Python's % on ints)."""
     limbs = np.asarray(limbs, dtype=np.uint64)
     w = limbs.shape[1]
-    acc = np.zeros(len(limbs), dtype=np.uint64)
     mm = _U64(m)
-    for k in range(w):
+    acc = limbs[:, 0] % mm
+    for k in range(1, w):
         acc = (acc + limbs[:, k] % mm * _U64(pow(2, 64 * k, m))) % mm
     # a negative row is its unsigned reading minus 2^(64W)
-    wrap = _U64(pow(2, 64 * w, m))
-    acc = np.where(negative(limbs), (acc + mm - wrap) % mm, acc)
-    return acc.astype(np.int64)
+    neg = negative(limbs)
+    np.add(acc, _U64(-pow(2, 64 * w, m) % m), out=acc, where=neg)
+    np.remainder(acc, mm, out=acc, where=neg)
+    return acc.view(np.int64)
 
 
 def byte_lengths(limbs: np.ndarray) -> np.ndarray:

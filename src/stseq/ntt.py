@@ -7,9 +7,11 @@ convolutions whose coefficients stay below 2^44, well inside the 53-bit
 mantissa, so rounding recovers them exactly.  Every squaring checks its
 rounding error and raises rather than return a wrong residue.  The rounded
 coefficients are reduced mod p and recombined with the weights 2^(11k)
-mod p.  Residues are exact mod each prime through every stage, so only the
-final Garner lift needs the capacity guarantee (a large enough product of
-primes).
+mod p.  A residue is exact whatever the size of the integer coefficient it
+stands for; capacity matters only at a Garner lift, which recovers the
+integers exactly when the product of its primes exceeds twice their largest
+absolute value.  Each lift is sized by a proven bound on its own output
+(`stseq.tau` bounds every stage of its eta-power chain apart).
 """
 
 from __future__ import annotations
@@ -83,12 +85,25 @@ def round_exact(x: np.ndarray) -> np.ndarray:
     return r.astype(np.uint64)
 
 
-def _limb_products(f0, f1, f2):
-    """Spectra of the limb products of weight 2^(11k), k = 0..4, one at a time."""
+def _limb_products(limb_spectrum):
+    """Spectra of the limb products of weight 2^(11k), k = 0..4, one at a time.
+
+    A limb's spectrum is taken when first needed and dropped after its last
+    use, and the caller drops each product before asking for the next, which
+    keeps fewer full-length arrays live at the squaring's peak.
+    """
+    f0, f1 = limb_spectrum(0), limb_spectrum(1)
     yield f0 * f0
     yield 2 * f0 * f1
-    yield f1 * f1 + 2 * f0 * f2
+    f2 = limb_spectrum(2)
+    s = f0 * f2
+    del f0
+    s *= 2
+    s += f1 * f1
+    yield s
+    del s
     yield 2 * f1 * f2
+    del f1
     yield f2 * f2
 
 
@@ -98,11 +113,12 @@ def cyclic_square_truncated(res: np.ndarray, plan: SquarePlan, keep: int) -> np.
     n = plan.length
     r = np.asarray(res, dtype=np.uint64)
     mask = np.uint64((1 << LIMB_BITS) - 1)
-    f0, f1, f2 = (np.fft.rfft((r >> np.uint64(LIMB_BITS * k)) & mask, n=n) for k in range(LIMBS))
     p = np.uint64(plan.p)
     out = np.zeros(keep, dtype=np.uint64)
-    for spectrum, w in zip(_limb_products(f0, f1, f2), plan.weights):
-        coeff = round_exact(np.fft.irfft(spectrum, n=n)[:keep]) % p
+    products = _limb_products(
+        lambda k: np.fft.rfft((r >> np.uint64(LIMB_BITS * k)) & mask, n=n))
+    for w in plan.weights:
+        coeff = round_exact(np.fft.irfft(next(products), n=n)[:keep]) % p
         out += coeff * np.uint64(w) % p
     return out % p
 

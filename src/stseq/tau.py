@@ -3,12 +3,14 @@
 The generating identity is sum tau(n) q^n = q * prod_{k>=1} (1 - q^k)^24.
 Two independent routes compute it:
 
-  expand_delta      production path: the 24th power is assembled as three
-                    squarings of the cube-of-Euler-product seed series
-                    (coefficients (-1)^k (2k+1) at indices k(k+1)/2),
-                    each squaring exact modulo several primes (float FFT
-                    over split limbs), then one CRT lift sized by
-                    Deligne's bound.
+  expand_delta      production path: a chain of exact stages from the
+                    cube-of-Euler-product seed series (coefficients
+                    (-1)^k (2k+1) at indices k(k+1)/2).  eta^6 is the
+                    seed squared over the integers; eta^12 and eta^24 are
+                    squarings modulo word-size primes (float FFT over split
+                    limbs), each lifted by CRT from as many primes as a
+                    proven bound on that stage's output needs: Cauchy-Schwarz
+                    on the exact eta^6 for eta^12, Deligne's for eta^24.
   tau_naive_oracle  reference path: dense sequential multiplication of the
                     raw factors (1 - q^k) in arbitrary-precision integers,
                     then 23 further multiplications by the same truncated
@@ -36,7 +38,7 @@ from .arith import (
     fill_multiplicative,
     primes_up_to,
 )
-from .errors import ConfigurationError, DataCorruptionError
+from .errors import CapacityError, ConfigurationError, DataCorruptionError
 from .ntt import cyclic_square_truncated, find_ntt_primes, garner_lift, get_plan
 from .report import VerificationReport
 
@@ -101,51 +103,98 @@ def _transform_length(limit: int) -> int:
     return 1 << (2 * limit - 2).bit_length()
 
 
-def _crt_moduli(limit: int) -> list[int]:
-    """The fewest primes from find_ntt_primes whose product exceeds
-    2 * deligne_bound(limit), so the lift recovers every signed tau(n)."""
-    length = _transform_length(limit)
-    need = 2 * deligne_bound(limit) + 1
+def _crt_moduli(length: int, bound: int) -> list[int]:
+    """The fewest primes from find_ntt_primes(length, ...) whose product
+    exceeds 2 * bound, so a centered lift recovers every integer of
+    absolute value at most bound."""
+    need = 2 * bound + 1
     count = 1
     while math.prod(primes := find_ntt_primes(length, count)) < need:
         count += 1
     return primes
 
 
-def _seed_residues(limit: int, p: int) -> np.ndarray:
-    """Cube-of-Euler-product series mod p, truncated to degree limit-1."""
+def _eta6(limit: int) -> np.ndarray:
+    """Coefficients 0..limit-1 of prod (1 - q^k)^6 as exact int64.
+
+    The square of the seed sum (-1)^k (2k+1) q^(k(k+1)/2), k = 0..K, one
+    seed term at a time: term i meets every term j with idx_i + idx_j < limit,
+    at distinct indices, so each step is one gather-add.  |coefficient| <=
+    (sum of |seed terms|)^2 = (K+1)^4 fits int64 for K < 55,000
+    (limit ~ 1.5e9).
+    """
     K = _seed_series_length(limit)
     k = np.arange(K + 1, dtype=np.int64)
     idx = k * (k + 1) // 2
     val = np.where(k % 2 == 0, 2 * k + 1, -(2 * k + 1))
-    res = np.zeros(limit, dtype=np.uint64)
-    res[idx] = np.mod(val, p).astype(np.uint64)
-    return res
+    out = np.zeros(limit, dtype=np.int64)
+    for i in range(K + 1):
+        m = int(np.searchsorted(idx, limit - idx[i]))
+        out[idx[i] + idx[:m]] += val[i] * val[:m]
+    return out
+
+
+def _sum_of_squares(series: np.ndarray) -> int:
+    """Exact sum of c^2 over an int64 series whose entries satisfy |c| < 2^32.
+
+    Each square fits uint64; its high and low 32-bit halves are summed apart
+    (each sum stays below 2^64 for fewer than 2^32 entries) and recombined.
+    """
+    mag = np.abs(series).astype(np.uint64)
+    if mag.size and int(mag.max()) >= 1 << 32:
+        raise CapacityError("series entry reaches 2^32: its square overflows uint64")
+    sq = mag * mag
+    return (int(np.sum(sq >> np.uint64(32))) << 32) + int(np.sum(sq & np.uint64(0xFFFF_FFFF)))
+
+
+def _square_exact(series: np.ndarray, bound: int) -> np.ndarray:
+    """Limbs of the first len(series) coefficients of series^2, where
+    series is an (N, W) limb array (`stseq.limbs`) and every coefficient of
+    the square is at most `bound` in absolute value.
+
+    The square is taken modulo each of the fewest primes the bound needs
+    (_crt_moduli), one prime at a time, and lifted once by Garner.
+    """
+    keep = len(series)
+    length = _transform_length(keep)
+    primes = _crt_moduli(length, bound)
+    # every residue is < p < 2^31; one block, taken before the squarings' temporaries
+    residues = np.empty((len(primes), keep), dtype=np.uint32)
+    for i, p in enumerate(primes):
+        # mod_small gives int64 in [0, p): its uint64 view is the same values, uncopied
+        residues[i] = cyclic_square_truncated(lb.mod_small(series, p).view(np.uint64),
+                                              get_plan(p, length), keep)
+    lifted = garner_lift(list(residues), primes)
+    # the lift is as wide as the product of the primes; |value| <= bound
+    # needs only bound.bit_length() + 1 signed bits, the rest is sign extension
+    return np.ascontiguousarray(lifted[:, : bound.bit_length() // 64 + 1])
 
 
 def expand_delta(limit: int) -> ExactTauTable:
-    """Exact tau(n) for n <= limit via three squarings per prime.
+    """Exact tau(n) for n <= limit as a chain of exact stages.
 
-    Residues of the true integer coefficients are carried modulo each prime
-    through every stage (truncation commutes with power-series products),
-    so capacity is only consumed at the final lift, which Deligne's bound
-    sizes.  The first min(limit, 500) coefficients are checked against the
+    tau(n) is coefficient n - 1 of eta^24, with eta = prod (1 - q^k), and
+    truncation to the first `limit` coefficients commutes with products:
+      eta^6   the seed series squared over the integers (_eta6);
+      eta^12  its square, lifted from as many primes as the bound
+              sum_{i < limit} c6(i)^2 needs: by Cauchy-Schwarz
+              |c12(n)| = |sum c6(i) c6(n-i)| <= sum_{i <= n} c6(i)^2;
+      eta^24  the square of the lifted eta^12, on as many primes as
+              Deligne's bound on tau needs (deligne_bound).
+    Each stage's capacity is proven from its own bound, so every lift is
+    exact.  The first min(limit, 500) coefficients are checked against the
     dense oracle.
     """
     if limit < 1:
         raise ConfigurationError("limit must be >= 1")
     if limit == 1:
         return ExactTauTable.from_ints([0, 1])
-    primes = _crt_moduli(limit)
-    length = _transform_length(limit)
-    residues = []
-    for p in primes:
-        plan = get_plan(p, length)
-        r = _seed_residues(limit, p)
-        for _ in range(3):
-            r = cyclic_square_truncated(r, plan, limit)
-        residues.append(r)
-    lifted = garner_lift(residues, primes)
+    eta6 = _eta6(limit)
+    # an int64 column read as uint64 is its one-limb form
+    eta12 = _square_exact(eta6.view(np.uint64)[:, None], _sum_of_squares(eta6))
+    del eta6
+    lifted = _square_exact(eta12, deligne_bound(limit))
+    del eta12
     n_check = min(limit, 500)
     if lb.to_ints(lifted[:n_check]) != list(tau_naive_oracle(n_check).taus[1:]):
         raise DataCorruptionError("fast expansion disagrees with the dense oracle")

@@ -237,6 +237,34 @@ def test_bad_config_value_exits_two(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("line, argv", [
+    ("format=xml", ["tau", "--limit", "50", "--check"]),
+    ("rule=bogus", ["synth", "--limit", "100", "--seed", "1"]),
+])
+def test_config_value_outside_choices_exits_two(tmp_path, capsys, monkeypatch, line, argv):
+    # refused by the config check itself, before any source is built
+    monkeypatch.setattr(stseq.cli, "PrimePowerRule", None)
+    conf = tmp_path / "conf.txt"
+    conf.write_text(line + "\n")
+    assert run(tmp_path, *argv, "--config", str(conf)) == 2
+    out, err = capsys.readouterr()
+    key, value = line.split("=")
+    assert out == ""
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith(f"usage error: config {key}='{value}': invalid choice")
+    assert not (tmp_path / "cache").exists() or not any((tmp_path / "cache").iterdir())
+
+
+def test_explicit_format_beats_config(tmp_path, capsys):
+    conf = tmp_path / "conf.txt"
+    conf.write_text("format=json\n")
+    assert run(tmp_path, "tau", "--limit", "50", "--check", "--format", "csv",
+               "--config", str(conf)) == 0
+    out = capsys.readouterr().out
+    assert out.endswith((tmp_path / "tau-integrity.csv").read_text())
+    assert "{" not in out
+
+
 def test_bad_config_key(tmp_path):
     conf = tmp_path / "conf.txt"
     conf.write_text("bogus=1\n")

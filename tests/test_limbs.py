@@ -49,7 +49,16 @@ def test_extreme_and_wider_rows():
     for arr in (limbs, wide):
         assert lb.to_ints(arr) == values
         assert lb.to_float(arr).tolist() == [float(v) for v in values]
-        assert lb.mod_small(arr, 691).tolist() == [v % 691 for v in values]
+        for m in (2, 691, 2_130_706_433, 2**31 - 1):
+            assert lb.mod_small(arr, m).tolist() == [v % m for v in values]
+
+
+def test_mod_small_of_an_int64_column():
+    """An int64 array read as uint64 is its one-limb form."""
+    values = np.array([0, 1, -1, 2**63 - 1, -(2**63), -2_130_706_433, 4_261_412_866])
+    col = values.view(np.uint64)[:, None]
+    for m in (2, 691, 2_130_706_433):
+        assert lb.mod_small(col, m).tolist() == [v % m for v in values.tolist()]
 
 
 def test_le_bytes_gather():

@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 
 from stseq.arith import primes_up_to
-from stseq.errors import ConfigurationError, DataCorruptionError
+from stseq.errors import CapacityError, ConfigurationError, DataCorruptionError
 from stseq.ntt import find_ntt_primes
 from stseq.tau import (
+    NAIVE_ORACLE_MAX,
     ExactTauTable,
     _crt_moduli,
+    _eta6,
     _seed_series_length,
+    _sum_of_squares,
+    _transform_length,
     deligne_bound,
     expand_delta,
     integrity_check,
@@ -78,11 +82,117 @@ class TestExpandDelta:
 
     @pytest.mark.parametrize("limit", [2**19, 10**6])
     def test_four_moduli_at_scale(self, limit):
-        length = {2**19: 2**20, 10**6: 2**21}[limit]
-        primes = _crt_moduli(limit)
+        # eta^24 needs four moduli at both; eta^12, sized by its own bound, 2 then 3
+        length, first = {2**19: (2**20, 2), 10**6: (2**21, 3)}[limit]
+        assert _transform_length(limit) == length
+        primes = _crt_moduli(length, deligne_bound(limit))
         assert primes == find_ntt_primes(length, 4)
         assert math.prod(primes) > 2 * deligne_bound(limit)
         assert math.prod(primes[:3]) <= 2 * deligne_bound(limit)
+        bound = _sum_of_squares(_eta6(limit))
+        assert _crt_moduli(length, bound) == primes[:first]
+        assert math.prod(primes[: first - 1]) <= 2 * bound
+
+    def test_squarings_are_one_per_modulus_per_stage(self, monkeypatch):
+        import stseq.tau as tau_mod
+
+        calls = []
+        real = tau_mod.cyclic_square_truncated
+
+        def counted(res, plan, keep):
+            calls.append(plan.p)
+            return real(res, plan, keep)
+
+        monkeypatch.setattr(tau_mod, "cyclic_square_truncated", counted)
+        limit = 2**15
+        length = _transform_length(limit)
+        first = _crt_moduli(length, _sum_of_squares(_eta6(limit)))
+        final = _crt_moduli(length, deligne_bound(limit))
+        expand_delta(limit)
+        assert (len(first), len(final)) == (2, 3)
+        assert calls == first + final
+
+    def test_agrees_with_oracle_where_a_stage_count_steps(self):
+        steps = _modulus_count_steps(NAIVE_ORACLE_MAX)
+        # final stage 1 -> 2 moduli at 29, eta^12 1 -> 2 at 556, final 2 -> 3 at 1024
+        assert steps == [29, 556, 1024]
+        for limit in steps:
+            for n in (limit - 1, limit):
+                assert expand_delta(n).taus == tau_naive_oracle(n).taus, n
+
+
+def _stage_counts(limit: int) -> tuple[int, int]:
+    """Moduli of the eta^12 stage and of the final eta^24 stage at `limit`."""
+    length = _transform_length(limit)
+    return (len(_crt_moduli(length, _sum_of_squares(_eta6(limit)))),
+            len(_crt_moduli(length, deligne_bound(limit))))
+
+
+def _modulus_count_steps(top: int) -> list[int]:
+    """Every limit 3..top whose stage counts differ from those at limit - 1.
+
+    Both counts are non-decreasing in the limit: the bounds grow, and the
+    primes = 1 mod a doubled transform length are a subset of the previous
+    ones, so the product of the first c never grows.  Bisection then finds
+    each step.
+    """
+    steps, lo = [], 2
+    while _stage_counts(top) != (base := _stage_counts(lo)):
+        hi = top  # counts at lo are base, at hi they are not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _stage_counts(mid) == base:
+                lo = mid
+            else:
+                hi = mid
+        steps.append(hi)
+        lo = hi
+    return steps
+
+
+def _dense_eta_power(count: int, power: int) -> list[int]:
+    """Coefficients 0..count-1 of prod (1 - q^k)^power, multiplied out
+    factor by factor in Python ints (no series identity)."""
+    eta = [1] + [0] * (count - 1)
+    for k in range(1, count):
+        for n in range(count - 1, k - 1, -1):
+            eta[n] -= eta[n - k]
+    support = [(k, c) for k, c in enumerate(eta) if c]
+    out = [1] + [0] * (count - 1)
+    for _ in range(power):
+        out = [sum(c * out[n - k] for k, c in support if k <= n) for n in range(count)]
+    return out
+
+
+_SEED_EDGES = sorted({e for k in range(1, 41) for e in (k * (k + 1) // 2, k * (k + 1) // 2 + 1)})
+
+
+class TestStages:
+    def test_eta6_equals_dense_product(self):
+        dense = _dense_eta_power(max(_SEED_EDGES), 6)
+        for limit in sorted(set(range(1, 301)) | set(_SEED_EDGES)):
+            got = _eta6(limit)
+            assert got.dtype == np.int64
+            assert got.tolist() == dense[:limit], limit
+
+    def test_sum_of_squares_is_exact(self):
+        c6 = _dense_eta_power(2000, 6)
+        for limit in (1, 2, 29, 556, 1999, 2000):
+            assert _sum_of_squares(_eta6(limit)) == sum(c * c for c in c6[:limit])
+        assert _sum_of_squares(np.array([-(2**32 - 1)] * 3)) == 3 * (2**32 - 1) ** 2
+
+    def test_sum_of_squares_refuses_overflow(self):
+        with pytest.raises(CapacityError):
+            _sum_of_squares(np.array([0, 2**32]))
+
+    def test_cauchy_schwarz_bounds_eta12(self):
+        c6 = _dense_eta_power(2000, 6)
+        c12 = [sum(c6[i] * c6[n - i] for i in range(n + 1)) for n in range(2000)]
+        squares = top = 0
+        for n in range(2000):  # the eta^12 stage at limit n + 1 uses squares of c6[0..n]
+            squares += c6[n] ** 2
+            top = max(top, abs(c12[n]))
+            assert top <= squares, n + 1
 
 
 class TestNormalize:
@@ -234,15 +344,15 @@ class TestHeckeReconstruction:
 def test_verify_small_guard_catches_bad_engine(monkeypatch):
     import stseq.tau as tau_mod
 
-    real = tau_mod._seed_residues
+    real = tau_mod._eta6
 
-    def corrupted(limit, p):
-        r = real(limit, p)
-        r[3] = (r[3] + 1) % p
-        return r
+    def corrupted(limit):
+        c6 = real(limit)
+        c6[3] += 1
+        return c6
 
-    monkeypatch.setattr(tau_mod, "_seed_residues", corrupted)
-    with pytest.raises(DataCorruptionError):
+    monkeypatch.setattr(tau_mod, "_eta6", corrupted)
+    with pytest.raises(DataCorruptionError, match="dense oracle"):
         expand_delta(128)
 
 
