@@ -80,10 +80,10 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.replace(" ", "").split(",") if tok]
 
 
-def _parse_curve(text: str) -> tuple[int, int]:
-    parts = _parse_int_list(text)
+def _parse_pair(text: str, flag: str, form: str, parse) -> tuple:
+    parts = parse(text)
     if len(parts) != 2:
-        raise UsageError(f"--curve expects 'A,B', got {text!r}")
+        raise UsageError(f"{flag} expects '{form}', got {text!r}")
     return parts[0], parts[1]
 
 
@@ -139,7 +139,7 @@ def get_tau_table(args) -> ExactTauTable:
 def get_trace_series(args) -> TraceSeries:
     """Traces for --curve and --limit; a cached series is used only if it fits the request."""
     limit = _require(args, "limit")
-    a4, b6 = _parse_curve(_require(args, "curve"))
+    a4, b6 = _parse_pair(_require(args, "curve"), "--curve", "A,B", _parse_int_list)
     path = cache_dir_of(args) / f"traces_{a4}_{b6}_{limit}.astc"
     return _cached(
         [path],
@@ -317,7 +317,7 @@ def cmd_verify(args) -> int:
             seq, checkpoints=_parse_int_list(args.checkpoints), ratio_tol=args.ratio_tol
         )
     elif kind == "thm3":
-        x = args.x or seq.limit
+        x = seq.limit if args.x is None else args.x
         report = verify_thm3(
             seq,
             x=x,
@@ -327,10 +327,7 @@ def cmd_verify(args) -> int:
             skew_tol=args.skew_tol,
         )
     elif kind == "lemma-sums":
-        band = None
-        if args.band:
-            lo, hi = _parse_float_list(args.band)
-            band = (lo, hi)
+        band = _parse_pair(args.band, "--band", "lo,hi", _parse_float_list) if args.band else None
         report = verify_lemma_sums(
             seq,
             gammas=_parse_float_list(args.gammas),
@@ -338,13 +335,14 @@ def cmd_verify(args) -> int:
             ratio_band=band,
         )
     elif kind == "hall-tenenbaum":
-        x = args.x or seq.limit
+        x = seq.limit if args.x is None else args.x
+        size = max(x + 1, 0)  # verify_hall_tenenbaum refuses x < 2 by name
         if args.f == "ones":
-            f = np.ones(x + 1)
+            f = np.ones(size)
             label = "f=1"
         else:
-            f = np.abs(seq.values[: x + 1]) ** 2
-            f[0] = 0.0
+            f = np.abs(seq.values[:size]) ** 2
+            f[:1] = 0.0
             label = "f=|a_n|^2"
         report = verify_hall_tenenbaum(f, x, label=label)
     elif kind == "assumptions":

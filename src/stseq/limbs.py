@@ -98,18 +98,13 @@ def to_float(limbs: np.ndarray) -> np.ndarray:
 
 
 def mod_small(limbs: np.ndarray, m: int) -> np.ndarray:
-    """v mod m in [0, m) per row, for 2 <= m < 2^31 (Python's % on ints)."""
+    """v mod m in [0, m) per row, for 2 <= m < 2^31 (Python's % on ints):
+    Horner from the top limb read as int64, whose % takes the sign of m."""
     limbs = np.asarray(limbs, dtype=np.uint64)
-    w = limbs.shape[1]
-    mm = _U64(m)
-    acc = limbs[:, 0] % mm
-    for k in range(1, w):
-        acc = (acc + limbs[:, k] % mm * _U64(pow(2, 64 * k, m))) % mm
-    # a negative row is its unsigned reading minus 2^(64W)
-    neg = negative(limbs)
-    np.add(acc, _U64(-pow(2, 64 * w, m) % m), out=acc, where=neg)
-    np.remainder(acc, mm, out=acc, where=neg)
-    return acc.view(np.int64)
+    acc = limbs[:, -1].view(np.int64) % m
+    for k in range(limbs.shape[1] - 2, -1, -1):
+        acc = (acc * pow(2, 64, m) + (limbs[:, k] % _U64(m)).view(np.int64)) % m
+    return acc
 
 
 def byte_lengths(limbs: np.ndarray) -> np.ndarray:

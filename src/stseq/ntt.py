@@ -11,7 +11,10 @@ mod p.  A residue is exact whatever the size of the integer coefficient it
 stands for; capacity matters only at a Garner lift, which recovers the
 integers exactly when the product of its primes exceeds twice their largest
 absolute value.  Each lift is sized by a proven bound on its own output
-(`stseq.tau` bounds every stage of its eta-power chain apart).
+(`stseq.tau` bounds every stage of its eta-power chain apart).  The lift
+takes balanced mixed-radix digits (Knuth, TAOCP vol. 2, 4.3.2), whose
+Horner sum is the centred value, written in two's complement by int64
+carries with no comparison against half the modulus.
 """
 
 from __future__ import annotations
@@ -124,56 +127,37 @@ def cyclic_square_truncated(res: np.ndarray, plan: SquarePlan, keep: int) -> np.
 
 
 def garner_lift(residues: list[np.ndarray], primes: list[int]) -> np.ndarray:
-    """Centered CRT lift of per-prime residue vectors, as an (N, W) array of
+    """Centred CRT lift of per-prime residue vectors, as an (N, W) array of
     64-bit limbs in the form of `stseq.limbs`.
 
-    Mixed-radix digits are computed in uint64 (all moduli < 2^31 so every
-    intermediate product fits).  The Horner evaluation and the centring run
-    on 32-bit limbs held in uint64, where a limb times a modulus plus a carry
-    stays below 2^64.  Values above prod/2 map to negatives.
+    The primes are odd, so the mixed-radix digits can be balanced,
+    |d_i| <= (p_i - 1)/2, and held as int32.  Their largest sums telescope, sum (p_i - 1)/2 p_0..p_{i-1} =
+    (M - 1)/2 for M the product of the primes, so v = sum d_i p_0..p_{i-1}
+    is the centred value itself.  Horner on 32-bit limbs held in int64,
+    with arithmetic-shift carries, writes v in two's complement: a limb
+    times a modulus plus a carry (|carry| < 2^31) stays below 2^63, and the
+    mod-p Horner on the digits below 2^62.
     """
-    k = len(primes)
-    if k == 0:
+    if not primes:
         raise ValueError("no primes")
-    digits = [residues[0].astype(np.uint64)]
-    for i in range(1, k):
-        pi = np.uint64(primes[i])
-        # evaluate d_0 + d_1 p_0 + ... + d_{i-1} p_0..p_{i-2}  (mod p_i)
-        acc = digits[i - 1] % pi
-        for j in range(i - 2, -1, -1):
-            acc = (acc * np.uint64(primes[j] % primes[i]) + digits[j]) % pi
-        prod_inv = pow(math.prod(primes[:i]) % primes[i], primes[i] - 2, primes[i])
-        d = ((residues[i] + (pi - acc % pi)) * np.uint64(prod_inv)) % pi
-        digits.append(d)
-    modulus = math.prod(primes)
-    # |centred value| <= modulus / 2 < 2^(bits - 1): `bits` signed bits hold it
-    width = (modulus.bit_length() + 63) // 64
-    n32 = 2 * width
-    mask = np.uint64(0xFFFF_FFFF)
-    big = np.zeros((n32, len(digits[0])), dtype=np.uint64)
-    big[0] = digits[-1]
-    for j in range(k - 2, -1, -1):
-        carry = digits[j]
-        for t in range(n32):
-            v = big[t] * np.uint64(primes[j]) + carry
-            big[t] = v & mask
-            carry = v >> np.uint64(32)
-    # value > modulus // 2, compared limb by limb from the top
-    half = _limbs32(modulus // 2, n32)
-    above = np.zeros(big.shape[1], dtype=bool)
-    tied = np.ones(big.shape[1], dtype=bool)
-    for t in range(n32 - 1, -1, -1):
-        above |= tied & (big[t] > half[t])
-        tied &= big[t] == half[t]
-    # subtract the modulus where above, wrapping to two's complement
-    sub = _limbs32(modulus, n32)
-    borrow = np.zeros(big.shape[1], dtype=np.uint64)
-    for t in range(n32):
-        v = big[t] - np.where(above, sub[t], np.uint64(0)) - borrow
-        borrow = (v >> np.uint64(63)) & np.uint64(1)  # went below 0 (inputs < 2^33)
-        big[t] = v & mask
-    return (big[0::2] | (big[1::2] << np.uint64(32))).T.copy()
-
-
-def _limbs32(value: int, count: int) -> list[np.uint64]:
-    return [np.uint64((value >> (32 * t)) & 0xFFFF_FFFF) for t in range(count)]
+    n = len(residues[0])
+    digits = np.empty((len(primes), n), dtype=np.int32)
+    for i, p in enumerate(primes):
+        # d_0 + d_1 p_0 + ... + d_{i-1} p_0..p_{i-2}  (mod p)
+        acc = np.zeros(n, dtype=np.int64)
+        for j in range(i - 1, -1, -1):
+            acc = (acc * (primes[j] % p) + digits[j]) % p
+        inv = pow(math.prod(primes[:i]), -1, p)
+        half = (p - 1) // 2  # (x + half) % p - half is x's residue in [-half, half]
+        digits[i] = ((residues[i].astype(np.int64) - acc) % p * inv + half) % p - half
+    # |v| <= (M - 1)/2 < 2^(64 width - 1): `width` signed limbs hold it
+    width = (math.prod(primes).bit_length() + 63) // 64
+    big = np.zeros((2 * width, n), dtype=np.int64)
+    for p, carry in zip(primes[::-1], digits[::-1]):
+        for t in range(2 * width):
+            v = big[t] * p
+            v += carry
+            np.bitwise_and(v, 0xFFFF_FFFF, out=big[t])
+            carry = np.right_shift(v, 32, out=v)  # out of the top limb: sign extension
+    u = big.view(np.uint64)
+    return (u[0::2] | (u[1::2] << np.uint64(32))).T.copy()

@@ -199,8 +199,6 @@ def ks_statistic(sample, cdf) -> float:
 
 
 def normal_cdf(x):
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return 0.5 * (1.0 + math.erf(float(x) / math.sqrt(2.0)))
     arr = np.asarray(x, dtype=np.float64) / math.sqrt(2.0)
     erf = np.fromiter(map(math.erf, arr.ravel()), np.float64, count=arr.size)
     return 0.5 * (1.0 + erf.reshape(arr.shape))

@@ -358,6 +358,8 @@ def verify_thm3(
     t0 = time.perf_counter()
     if standardization not in STANDARDIZATIONS:
         raise ValueError(f"unknown standardization {standardization!r}")
+    if x < 1:
+        raise ValueError(f"thm3 needs x >= 1, got x = {x}")
     if x > seq.limit:
         raise ValueError(f"cutoff {x} beyond sequence limit {seq.limit}")
     support = support or SupportFilter()
@@ -535,6 +537,8 @@ def verify_hall_tenenbaum(
     the input itself.
     """
     t0 = time.perf_counter()
+    if x < 2:
+        raise ValueError(f"hall-tenenbaum needs x >= 2 (log x > 0), got x = {x}")
     f = np.asarray(f, dtype=np.float64)
     if len(f) < x + 1:
         raise ValueError("f must cover indices 0..x")
@@ -623,6 +627,8 @@ def check_assumptions(
     t0 = time.perf_counter()
     if not A > 1:
         raise ValueError("A must be > 1")
+    if grid < 1:
+        raise ValueError("grid must be >= 1")
     limit = seq.limit
     if checkpoints is None:
         checkpoints = [limit]

@@ -95,6 +95,27 @@ def test_removed_option_values_exit_two(tmp_path, capsys, argv, value):
     assert err[0].startswith("usage error: ") and f"invalid choice: '{value}'" in err[0]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["thm3", "--x", "0"], "error: thm3 needs x >= 1, got x = 0"),
+    (["thm3", "--x", "-3"], "error: thm3 needs x >= 1, got x = -3"),
+    (["hall-tenenbaum", "--x", "0"], "error: hall-tenenbaum needs x >= 2 (log x > 0), got x = 0"),
+    (["hall-tenenbaum", "--x", "-1", "--f", "ones"],
+     "error: hall-tenenbaum needs x >= 2 (log x > 0), got x = -1"),
+    (["hall-tenenbaum", "--limit", "1"], "error: hall-tenenbaum needs x >= 2 (log x > 0), got x = 1"),
+    (["assumptions", "--grid", "0"], "error: grid must be >= 1"),
+    (["assumptions", "--grid", "-1"], "error: grid must be >= 1"),
+    (["lemma-sums", "--checkpoints", "100,500", "--band", "1"],
+     "usage error: --band expects 'lo,hi', got '1'"),
+], ids=["thm3-x0", "thm3-x-3", "ht-x0", "ht-x-1", "ht-limit1", "grid0", "grid-1", "band1"])
+def test_out_of_range_verifier_value_exits_two(tmp_path, capsys, argv, message):
+    # a flag value no verifier can run on is refused by name, not run at
+    # another value or left to a numpy error; a later --limit wins
+    assert run(tmp_path, "verify", argv[0], "--source", "synth", "--seed", "7",
+               "--limit", "500", *argv[1:]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not list(tmp_path.glob("*.json"))
+
+
 def test_synth_and_verify_thm1(tmp_path):
     assert run(tmp_path, "synth", "--limit", "2000", "--seed", "7") == 0
     code = run(tmp_path, "verify", "thm1", "--source", "synth", "--limit", "2000",

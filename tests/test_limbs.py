@@ -61,6 +61,18 @@ def test_mod_small_of_an_int64_column():
         assert lb.mod_small(col, m).tolist() == [v % m for v in values.tolist()]
 
 
+def test_mod_small_at_the_signed_ends():
+    """The most negative and most positive value of each width, and +-2^64,
+    where the signed top limb carries the whole sign."""
+    for w in (1, 2, 3):
+        values = [-(2 ** (64 * w - 1)), 2 ** (64 * w - 1) - 1]
+        values += [2**64, -(2**64)] if w > 1 else []
+        limbs = lb.from_ints(values)
+        assert limbs.shape[1] == w
+        for m in (2, 3, 691, 2_130_706_433, 2**31 - 1):
+            assert lb.mod_small(limbs, m).tolist() == [v % m for v in values]
+
+
 def test_le_bytes_gather():
     values = [0, -1, 300, -(2**100), 2**130 + 7]
     blobs = [v.to_bytes((v if v >= 0 else ~v).bit_length() // 8 + 1, "little", signed=True)

@@ -93,12 +93,20 @@ def test_garner_lift_roundtrip(rng):
     assert to_ints(lifted) == vals
 
 
-def test_garner_lift_centering():
-    primes = [257, 263]
-    vals = [-1, 0, 1, -(257 * 263 // 2) + 1]
-    residues = [np.array([v % p for v in vals], dtype=np.uint64) for p in primes]
-    lifted = garner_lift(residues, primes)
-    assert to_ints(lifted) == vals
+def test_garner_lift_centering(rng):
+    """Balanced digits give the centred value at the ends of the range too:
+    the lift equals Python's centred residue, u % M folded to (-M/2, M/2)."""
+    cases = [find_ntt_primes(1 << 8, k) for k in range(1, 7)]
+    cases += [[3, 5, 7, 257, 263, 65537][:k] for k in range(1, 7)]
+    for primes in cases:
+        M = math.prod(primes)
+        h = (M - 1) // 2
+        vals = [0, 1, -1, h, -h, (M + 1) // 2 - M, h - 1, 1 - h]
+        vals += [int(u) for u in rng.integers(0, 2**62, 64)]
+        vals += [int.from_bytes(rng.bytes(24), "little") for _ in range(64)]
+        want = [u % M - M if u % M > h else u % M for u in vals]
+        residues = [np.array([u % p for u in vals], dtype=np.uint64) for p in primes]
+        assert to_ints(garner_lift(residues, primes)) == want, primes
 
 
 def test_plan_rejects_bad_modulus():

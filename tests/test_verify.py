@@ -324,6 +324,11 @@ class TestThm3:
         with pytest.raises(ValueError):
             verify_thm3(synth_seq, 1000, SupportFilter("nonzero"), "bogus")
 
+    @pytest.mark.parametrize("x", [0, -1, -5])
+    def test_cutoff_below_one_rejected(self, synth_seq, x):
+        with pytest.raises(ValueError, match="x >= 1"):
+            verify_thm3(synth_seq, x, SupportFilter("nonzero"), "asymptotic")
+
 
 class TestLemmaSums:
     def test_harmonic_number(self):
@@ -382,6 +387,12 @@ class TestHallTenenbaum:
         with pytest.raises(ValueError):
             verify_hall_tenenbaum(f, 100)
 
+    @pytest.mark.parametrize("x", [1, 0, -1])
+    def test_cutoff_below_two_rejected(self, x):
+        # x = 1 would divide by log 1 = 0
+        with pytest.raises(ValueError, match="x >= 2"):
+            verify_hall_tenenbaum(np.ones(3), x)
+
 
 class TestAssumptions:
     def test_panels_on_synthetic(self, synth_seq):
@@ -426,6 +437,12 @@ class TestAssumptions:
         ang = prime_values_of(synth_seq, 1000)
         with pytest.raises(ValueError):
             check_assumptions(synth_seq, ang, A=1.0, grid=64, checkpoints=[1000])
+
+    @pytest.mark.parametrize("grid", [0, -1])
+    def test_grid_validation(self, synth_seq, grid):
+        ang = prime_values_of(synth_seq, 1000)
+        with pytest.raises(ValueError, match="grid must be >= 1"):
+            check_assumptions(synth_seq, ang, A=2.0, grid=grid, checkpoints=[1000])
 
     def test_a2_tolerance_flag(self, synth_seq):
         ang = prime_values_of(synth_seq, 100_000)
