@@ -6,7 +6,8 @@ verifiers; every verify subcommand writes the report as JSON plus a CSV of
 its rows and exits 0 only if all declared flags pass (1 on failed
 verification or data corruption, 2 on usage errors and invalid values).
 
-A flat key=value config file supplies defaults; explicit flags win.  The
+A flat key=value config file supplies flag defaults, values a command
+requires included; explicit flags win.  The
 cache directory comes from --cache-dir, the STSEQ_CACHE_DIR environment
 variable, or ./stseq-cache, in that order.  Every source is built once per
 cache and read back after, so `verify --source synth` loads what `synth` wrote.
@@ -18,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -87,10 +89,21 @@ def _parse_pair(text: str, flag: str, form: str, parse) -> tuple:
     return parts[0], parts[1]
 
 
+@contextmanager
+def _path_flag(flag: str):
+    """An OSError inside becomes a UsageError naming the flag and the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"{flag} {exc.filename}: {exc.strerror}") from None
+
+
 def load_config(path: str) -> dict[str, str]:
     """Allowed key -> value text; the flag of the same dest converts it."""
+    with _path_flag("--config"):
+        text = Path(path).read_text()
     out = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -106,7 +119,8 @@ def load_config(path: str) -> dict[str, str]:
 def cache_dir_of(args) -> Path:
     d = args.cache_dir or os.environ.get("STSEQ_CACHE_DIR") or "stseq-cache"
     p = Path(d)
-    p.mkdir(parents=True, exist_ok=True)
+    with _path_flag("--cache-dir"):
+        p.mkdir(parents=True, exist_ok=True)
     return p
 
 
@@ -189,9 +203,10 @@ def resolve_sequence(args):
 
 
 def write_report(report: VerificationReport, out_dir: Path, stem: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"{stem}.json").write_text(report.to_json() + "\n")
-    (out_dir / f"{stem}.csv").write_text(report.to_csv())
+    with _path_flag("--out-dir"):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / f"{stem}.json").write_text(report.to_json() + "\n")
+        (out_dir / f"{stem}.csv").write_text(report.to_csv())
 
 
 def print_report(report: VerificationReport) -> None:
@@ -304,18 +319,15 @@ def cmd_stats(args) -> int:
 
 def cmd_verify(args) -> int:
     kind = args.verifier
+    # required values are read first: a missing one exits 2 before any source is built or loaded
+    eps = _require(args, "epsilon") if kind == "thm1" else None
+    if kind in ("thm1", "thm2", "lemma-sums"):
+        cps = _parse_int_list(_require(args, "checkpoints"))
     seq, angles = resolve_sequence(args)
     if kind == "thm1":
-        report = verify_thm1(
-            seq,
-            eps=args.epsilon,
-            checkpoints=_parse_int_list(args.checkpoints),
-            monotone_slack=args.slack,
-        )
+        report = verify_thm1(seq, eps=eps, checkpoints=cps, monotone_slack=args.slack)
     elif kind == "thm2":
-        report = verify_thm2(
-            seq, checkpoints=_parse_int_list(args.checkpoints), ratio_tol=args.ratio_tol
-        )
+        report = verify_thm2(seq, checkpoints=cps, ratio_tol=args.ratio_tol)
     elif kind == "thm3":
         x = seq.limit if args.x is None else args.x
         report = verify_thm3(
@@ -329,10 +341,7 @@ def cmd_verify(args) -> int:
     elif kind == "lemma-sums":
         band = _parse_pair(args.band, "--band", "lo,hi", _parse_float_list) if args.band else None
         report = verify_lemma_sums(
-            seq,
-            gammas=_parse_float_list(args.gammas),
-            checkpoints=_parse_int_list(args.checkpoints),
-            ratio_band=band,
+            seq, gammas=_parse_float_list(args.gammas), checkpoints=cps, ratio_band=band
         )
     elif kind == "hall-tenenbaum":
         x = seq.limit if args.x is None else args.x
@@ -360,13 +369,20 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_source_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--source", choices=["tau", "ec", "synth"], help="sequence source")
-    p.add_argument("--limit", type=int, help="sequence length N")
-    p.add_argument("--seed", type=int, help="synthetic sampler seed")
-    p.add_argument("--curve", help="elliptic curve as 'A,B'")
-    p.add_argument("--rule", default="hecke-chebyshev", choices=RULE_KINDS)
-    p.add_argument("--rho", type=float, default=0.25, help="growth exponent rho")
+# one declaration per source flag; each subcommand takes the ones it reads
+_SOURCE_FLAGS = {
+    "source": dict(choices=["tau", "ec", "synth"], help="sequence source"),
+    "limit": dict(type=int, help="sequence length N"),
+    "seed": dict(type=int, help="synthetic sampler seed"),
+    "curve": dict(help="elliptic curve 'A,B' for y^2 = x^3 + Ax + B"),
+    "rule": dict(default="hecke-chebyshev", choices=RULE_KINDS, help="synthetic prime-power rule"),
+    "rho": dict(type=float, default=0.25, help="growth exponent rho"),
+}
+
+
+def _add_source_args(p: argparse.ArgumentParser, names) -> None:
+    for name in names:
+        p.add_argument(f"--{name}", **_SOURCE_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,85 +399,58 @@ def build_parser() -> argparse.ArgumentParser:
                         help="stdout rendering for reports (files are always written)")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add_parser(subs, name, func, sources=(), **kw):
+        """Subcommand `name` with the common flags, the source flags `sources` and `func`."""
+        p = subs.add_parser(name, parents=[common], **kw)
+        _add_source_args(p, sources)
+        p.set_defaults(func=func)
+        return p
 
-    p = add_parser("tau", help="build (and cache) an exact tau table")
-    p.add_argument("--limit", type=int, required=True)
+    p = add_parser(sub, "tau", cmd_tau, ["limit"], help="build (and cache) an exact tau table")
     p.add_argument("--check", action="store_true", help="run the integrity detectors")
-    p.set_defaults(func=cmd_tau)
-
-    p = add_parser("ec", help="build (and cache) a trace series")
-    p.add_argument("--curve", required=True, help="'A,B' for y^2 = x^3 + Ax + B")
-    p.add_argument("--limit", type=int, required=True)
-    p.set_defaults(func=cmd_ec)
-
-    p = add_parser("synth", help="sample a synthetic sequence")
-    p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--rule", default="hecke-chebyshev", choices=RULE_KINDS)
-    p.add_argument("--rho", type=float, default=0.25)
-    p.set_defaults(func=cmd_synth)
-
-    p = add_parser("angles", help="count the prime angles of a source")
-    _add_source_args(p)
-    p.set_defaults(func=cmd_angles)
-
-    p = add_parser("constants", help="print the distribution constants")
+    add_parser(sub, "ec", cmd_ec, ["curve", "limit"], help="build (and cache) a trace series")
+    add_parser(sub, "synth", cmd_synth, ["limit", "seed", "rule", "rho"],
+               help="sample a synthetic sequence")
+    add_parser(sub, "angles", cmd_angles, _SOURCE_FLAGS, help="count the prime angles of a source")
+    p = add_parser(sub, "constants", cmd_constants, help="print the distribution constants")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_constants)
-
-    p = add_parser("stats", help="per-gamma prime angle summary")
-    _add_source_args(p)
+    p = add_parser(sub, "stats", cmd_stats, _SOURCE_FLAGS, help="per-gamma prime angle summary")
     p.add_argument("--gammas", default="0.5,1,2")
-    p.set_defaults(func=cmd_stats)
 
     pv = sub.add_parser("verify", help="run a verifier and write JSON + CSV reports")
     vsub = pv.add_subparsers(dest="verifier", required=True)
 
-    p = vsub.add_parser("thm1", parents=[common])
-    _add_source_args(p)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--checkpoints", required=True)
+    p = add_parser(vsub, "thm1", cmd_verify, _SOURCE_FLAGS)
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--checkpoints")
     p.add_argument("--slack", type=float, default=None)
-    p.set_defaults(func=cmd_verify)
 
-    p = vsub.add_parser("thm2", parents=[common])
-    _add_source_args(p)
-    p.add_argument("--checkpoints", required=True)
+    p = add_parser(vsub, "thm2", cmd_verify, _SOURCE_FLAGS)
+    p.add_argument("--checkpoints")
     p.add_argument("--ratio-tol", type=float, default=None)
-    p.set_defaults(func=cmd_verify)
 
-    p = vsub.add_parser("thm3", parents=[common])
-    _add_source_args(p)
+    p = add_parser(vsub, "thm3", cmd_verify, _SOURCE_FLAGS)
     p.add_argument("--x", type=int, default=None)
     p.add_argument("--support", default="nonzero", choices=SUPPORT_MODES)
     p.add_argument("--A", type=float, default=2.0)
     p.add_argument("--standardization", default="self", choices=STANDARDIZATIONS)
     p.add_argument("--ks-tol", type=float, default=None)
     p.add_argument("--skew-tol", type=float, default=None)
-    p.set_defaults(func=cmd_verify)
 
-    p = vsub.add_parser("lemma-sums", parents=[common])
-    _add_source_args(p)
+    p = add_parser(vsub, "lemma-sums", cmd_verify, _SOURCE_FLAGS)
     p.add_argument("--gammas", default="0.5,1,2")
-    p.add_argument("--checkpoints", required=True)
+    p.add_argument("--checkpoints")
     p.add_argument("--band", default=None, help="lo,hi band for (sum|a|^2/n)/log x")
-    p.set_defaults(func=cmd_verify)
 
-    p = vsub.add_parser("hall-tenenbaum", parents=[common])
-    _add_source_args(p)
+    p = add_parser(vsub, "hall-tenenbaum", cmd_verify, _SOURCE_FLAGS)
     p.add_argument("--x", type=int, default=None)
     p.add_argument("--f", default="abs2", choices=["ones", "abs2"])
-    p.set_defaults(func=cmd_verify)
 
-    p = vsub.add_parser("assumptions", parents=[common])
-    _add_source_args(p)
+    p = add_parser(vsub, "assumptions", cmd_verify, _SOURCE_FLAGS)
     p.add_argument("--A", type=float, default=2.0)
     p.add_argument("--grid", type=int, default=512)
     p.add_argument("--checkpoints", default=None)
     p.add_argument("--a2-tol", type=float, default=None)
-    p.set_defaults(func=cmd_verify)
 
     return top
 

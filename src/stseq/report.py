@@ -1,10 +1,10 @@
 """Structured verification reports with deterministic serialization.
 
 A report is a name, a parameter dict, per-checkpoint numeric rows, and
-pass/fail flags, each flag carrying the observed value and the declared
-tolerance it was judged against.  Canonical JSON (sorted keys, no runtime
-field) is byte-stable across runs and thread counts; the wall-clock runtime
-is kept out of the canonical form because it can never be.
+pass/fail flags, each built by `flag` and carrying the observed value and
+the declared tolerance it was judged against.  Canonical JSON (sorted keys,
+no runtime field) is byte-stable across runs and thread counts; the
+wall-clock runtime is kept out of the canonical form because it can never be.
 """
 
 from __future__ import annotations
@@ -38,6 +38,11 @@ def to_native(obj):
     if isinstance(obj, (list, tuple)):
         return [to_native(v) for v in obj]
     return obj
+
+
+def flag(name: str, passed, observed, tolerance: str) -> dict:
+    """One report flag; the values go into the report as given."""
+    return {"name": name, "passed": passed, "observed": observed, "tolerance": tolerance}
 
 
 @dataclass

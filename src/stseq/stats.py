@@ -66,6 +66,10 @@ def st_pdf(theta):
     return out
 
 
+# absolute tolerance of the constant quadratures below (h_gamma takes its own)
+_QUAD_TOL = 1e-11
+
+
 def h_gamma(gamma: float, tol: float = 1e-9) -> float:
     """(2/pi) int_0^pi (2|cos t|)^gamma sin^2 t dt by adaptive quadrature.
 
@@ -83,7 +87,7 @@ def h_gamma(gamma: float, tol: float = 1e-9) -> float:
     return (2.0 / math.pi) * val
 
 
-def _log_power_integral(j: int, tol: float = 1e-11) -> float:
+def _log_power_integral(j: int) -> float:
     """(2/pi) int_0^2 (log u)^j sqrt(1 - (u/2)^2) du.
 
     Substituting u = 2 sin(t) and then t = e^s removes the endpoint
@@ -95,34 +99,36 @@ def _log_power_integral(j: int, tol: float = 1e-11) -> float:
         t = math.exp(s)
         return (math.log(2.0 * math.sin(t))) ** j * math.cos(t) ** 2 * t
 
-    val = adaptive_simpson(g, -46.0, math.log(math.pi / 2.0), tol=tol)
+    val = adaptive_simpson(g, -46.0, math.log(math.pi / 2.0), tol=_QUAD_TOL)
     return (4.0 / math.pi) * val
 
 
-def st_log_moments(tol: float = 1e-11) -> tuple[float, float]:
+def st_log_moments() -> tuple[float, float]:
     """First and second moments of log(2|cos theta|) under the angle law.
 
     Quadrature route; the closed-form targets are -1/2 and 1/2 + pi^2/12.
     """
-    return _log_power_integral(1, tol), _log_power_integral(2, tol)
+    return _log_power_integral(1), _log_power_integral(2)
 
 
-def cos_moment_integrals(tol: float = 1e-11) -> tuple[float, float]:
+def cos_moment_integrals() -> tuple[float, float]:
     """Raw integrals int_0^pi cos t sin^2 t dt and int_0^pi |cos t| sin^2 t dt."""
     signed = adaptive_simpson(
-        lambda t: math.cos(t) * math.sin(t) ** 2, 0.0, math.pi, tol=tol, split_at=[math.pi / 2],
+        lambda t: math.cos(t) * math.sin(t) ** 2, 0.0, math.pi, tol=_QUAD_TOL,
+        split_at=[math.pi / 2],
     )
     absolute = adaptive_simpson(
-        lambda t: abs(math.cos(t)) * math.sin(t) ** 2, 0.0, math.pi, tol=tol, split_at=[math.pi / 2],
+        lambda t: abs(math.cos(t)) * math.sin(t) ** 2, 0.0, math.pi, tol=_QUAD_TOL,
+        split_at=[math.pi / 2],
     )
     return signed, absolute
 
 
-def half_band_density(tol: float = 1e-11) -> float:
+def half_band_density() -> float:
     """P(|cos theta| >= 1/2) by quadrature: (2/pi) over [0,pi/3] u [2pi/3,pi]."""
     f = lambda t: math.sin(t) ** 2
-    val = adaptive_simpson(f, 0.0, math.pi / 3.0, tol=tol) + adaptive_simpson(
-        f, 2.0 * math.pi / 3.0, math.pi, tol=tol
+    val = adaptive_simpson(f, 0.0, math.pi / 3.0, tol=_QUAD_TOL) + adaptive_simpson(
+        f, 2.0 * math.pi / 3.0, math.pi, tol=_QUAD_TOL
     )
     return (2.0 / math.pi) * val
 

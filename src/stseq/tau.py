@@ -40,7 +40,7 @@ from .arith import (
 )
 from .errors import CapacityError, ConfigurationError, DataCorruptionError
 from .ntt import cyclic_square_truncated, find_ntt_primes, garner_lift, get_plan
-from .report import VerificationReport
+from .report import VerificationReport, flag
 
 NAIVE_ORACLE_MAX = 10_000
 # float screens decide only outside this relative band around a bound; the
@@ -380,12 +380,9 @@ def integrity_check(table: ExactTauTable) -> VerificationReport:
         }
     ]
     flags = [
-        {"name": "multiplicativity_zero_failures", "passed": mult_fail == 0,
-         "observed": float(mult_fail), "tolerance": "== 0"},
-        {"name": "divisor_bound_zero_failures", "passed": bound_fail == 0,
-         "observed": float(bound_fail), "tolerance": "== 0"},
-        {"name": "mod691_zero_failures", "passed": cong_fail == 0,
-         "observed": float(cong_fail), "tolerance": "== 0"},
+        flag("multiplicativity_zero_failures", mult_fail == 0, float(mult_fail), "== 0"),
+        flag("divisor_bound_zero_failures", bound_fail == 0, float(bound_fail), "== 0"),
+        flag("mod691_zero_failures", cong_fail == 0, float(cong_fail), "== 0"),
     ]
     return VerificationReport(
         name="tau-integrity",

@@ -1,11 +1,11 @@
 """Executable verifiers for the distributional claims about sequence members.
 
 Each verifier is a pure fold over a NormalizedSequence (plus sieve-derived
-tables) and emits a VerificationReport whose flags are reproducible from
-the rows and the declared tolerances.  The asymptotic statements cannot fix
-desk-scale targets by themselves, so flags are opt-in where a tolerance is
-not intrinsic; callers (CLI, acceptance suite) pass the bands they commit
-to.
+tables) and emits a VerificationReport whose flags, each made by
+`report.flag`, are reproducible from the rows and the declared tolerances.
+The asymptotic statements cannot fix desk-scale targets by themselves, so
+flags are opt-in where a tolerance is not intrinsic; callers (CLI,
+acceptance suite) pass the bands they commit to.
 
 Supports two notions of support for the size statistics:
 
@@ -30,7 +30,7 @@ from .arith import (
     primes_up_to,
 )
 from .errors import DataCorruptionError
-from .report import VerificationReport
+from .report import VerificationReport, flag
 from .stats import (
     ks_statistic,
     log1,
@@ -175,20 +175,14 @@ def verify_thm1(
             }
         )
     flags = []
-    for row in rows:
-        ok = 0.0 <= row["exceed_fraction"] <= 1.0 and 0.0 <= row["below_fraction"] <= 1.0
-        if not ok:
-            raise DataCorruptionError("fractions must lie in [0, 1]")
     if monotone_slack is not None:
         for prev, cur in zip(rows, rows[1:]):
-            flags.append(
-                {
-                    "name": f"nonincreasing_{prev['x']}_to_{cur['x']}",
-                    "passed": cur["exceed_fraction"] <= prev["exceed_fraction"] + monotone_slack,
-                    "observed": cur["exceed_fraction"] - prev["exceed_fraction"],
-                    "tolerance": f"<= +{monotone_slack}",
-                }
-            )
+            flags.append(flag(
+                f"nonincreasing_{prev['x']}_to_{cur['x']}",
+                cur["exceed_fraction"] <= prev["exceed_fraction"] + monotone_slack,
+                cur["exceed_fraction"] - prev["exceed_fraction"],
+                f"<= +{monotone_slack}",
+            ))
     return VerificationReport(
         name="thm1-typical-size",
         parameters={"eps": eps, "source": seq.source, "checkpoints": cps},
@@ -245,24 +239,16 @@ def verify_thm2(
                 "smooth_fraction": frac_smooth,
             }
         )
-    flags = [
-        {
-            "name": "triangle_inequality",
-            "passed": True,
-            "observed": max(r["ratio"] for r in rows),
-            "tolerance": "|S| <= T (hard assertion)",
-        }
-    ]
+    flags = [flag("triangle_inequality", True, max(r["ratio"] for r in rows),
+                  "|S| <= T (hard assertion)")]
     if ratio_tol is not None:
         last = rows[-1]
-        flags.append(
-            {
-                "name": f"cancellation_ratio_at_{last['x']}",
-                "passed": last["ratio"] <= ratio_tol and not last["support_empty"],
-                "observed": last["ratio"],
-                "tolerance": f"<= {ratio_tol}",
-            }
-        )
+        flags.append(flag(
+            f"cancellation_ratio_at_{last['x']}",
+            last["ratio"] <= ratio_tol and not last["support_empty"],
+            last["ratio"],
+            f"<= {ratio_tol}",
+        ))
     return VerificationReport(
         name="thm2-cancellation",
         parameters={"source": seq.source, "checkpoints": cps},
@@ -411,24 +397,12 @@ def verify_thm3(
         "identity_rel_err": rel_err,
     }
     row.update(_gap_quantiles(gaps))
-    flags = [
-        {
-            "name": "additive_identity",
-            "passed": rel_err <= IDENTITY_RTOL,
-            "observed": rel_err,
-            "tolerance": f"rel err <= {IDENTITY_RTOL}",
-        }
-    ]
+    flags = [flag("additive_identity", rel_err <= IDENTITY_RTOL, rel_err,
+                  f"rel err <= {IDENTITY_RTOL}")]
     if ks_tol is not None:
-        flags.append(
-            {"name": "ks_vs_normal", "passed": ks <= ks_tol, "observed": ks,
-             "tolerance": f"<= {ks_tol}"}
-        )
+        flags.append(flag("ks_vs_normal", ks <= ks_tol, ks, f"<= {ks_tol}"))
     if skew_tol is not None:
-        flags.append(
-            {"name": "abs_skewness", "passed": abs(skew) <= skew_tol, "observed": skew,
-             "tolerance": f"|skew| <= {skew_tol}"}
-        )
+        flags.append(flag("abs_skewness", abs(skew) <= skew_tol, skew, f"|skew| <= {skew_tol}"))
     return VerificationReport(
         name="thm3-clt",
         parameters={
@@ -475,6 +449,10 @@ def verify_lemma_sums(
     t0 = time.perf_counter()
     if any(not 0.0 < g <= 2.0 for g in gammas):
         raise ValueError("gammas must lie in (0, 2]")
+    labels = [f"sum_gamma_{g:g}" for g in gammas]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ValueError(f"gammas repeat the column {label}")
     cps = validate_checkpoints(checkpoints, seq.limit)
     sums = _running_sums_at(cps, 1, lambda start, stop: _lemma_terms(seq, gammas, start, stop))
     rows = []
@@ -487,8 +465,7 @@ def verify_lemma_sums(
             "sum_sq_over_n": s[2],
             "sum_sq_over_n_per_logx": s[2] / math.log(x),
         }
-        for g, v in zip(gammas, s[3:]):
-            row[f"sum_gamma_{g:g}"] = v
+        row.update(zip(labels, s[3:]))
         rows.append(row)
     fits = []
     for r1, r2 in zip(rows, rows[1:]):
@@ -498,8 +475,8 @@ def verify_lemma_sums(
         if dlog > 0:
             fit["exp_sum_sq_over_n"] = math.log(r2["sum_sq_over_n"] / r1["sum_sq_over_n"]) / dlog \
                 if r1["sum_sq_over_n"] > 0 and r2["sum_sq_over_n"] > 0 else 0.0
-            for g in gammas:
-                s1, s2 = r1[f"sum_gamma_{g:g}"], r2[f"sum_gamma_{g:g}"]
+            for g, label in zip(gammas, labels):
+                s1, s2 = r1[label], r2[label]
                 fit[f"exp_gamma_{g:g}"] = (
                     math.log((s2 / x2) / (s1 / x1)) / dlog if s1 > 0 and s2 > 0 else 0.0
                 )
@@ -508,14 +485,8 @@ def verify_lemma_sums(
     if ratio_band is not None:
         lo, hi = ratio_band
         obs = rows[-1]["sum_sq_over_n_per_logx"]
-        flags.append(
-            {
-                "name": f"sum_sq_over_n_per_logx_at_{rows[-1]['x']}",
-                "passed": lo <= obs <= hi,
-                "observed": obs,
-                "tolerance": f"in [{lo}, {hi}]",
-            }
-        )
+        flags.append(flag(f"sum_sq_over_n_per_logx_at_{rows[-1]['x']}", lo <= obs <= hi, obs,
+                          f"in [{lo}, {hi}]"))
     return VerificationReport(
         name="lemma-moment-sums",
         parameters={"source": seq.source, "gammas": gammas, "checkpoints": cps, "fits": fits},
@@ -568,14 +539,7 @@ def verify_hall_tenenbaum(
     ok = lhs <= rhs * (1.0 + 1e-12)
     rows = [{"x": x, "A": A, "B": B, "lhs": lhs, "rhs": rhs,
              "ratio": lhs / rhs if rhs > 0 else 0.0}]
-    flags = [
-        {
-            "name": "mean_value_bound",
-            "passed": ok,
-            "observed": rows[0]["ratio"],
-            "tolerance": "lhs <= (A+B+1)(x/log x) sum f(n)/n",
-        }
-    ]
+    flags = [flag("mean_value_bound", ok, rows[0]["ratio"], "lhs <= (A+B+1)(x/log x) sum f(n)/n")]
     return VerificationReport(
         name="hall-tenenbaum-bound",
         parameters={"label": label, "x": x},
@@ -689,14 +653,8 @@ def check_assumptions(
     flags = []
     if a2_gap_tol is not None:
         last = rows[-1]
-        flags.append(
-            {
-                "name": f"a2_sup_gap_at_{last['x']}",
-                "passed": last["a2_sup_gap"] <= a2_gap_tol,
-                "observed": last["a2_sup_gap"],
-                "tolerance": f"<= {a2_gap_tol}",
-            }
-        )
+        flags.append(flag(f"a2_sup_gap_at_{last['x']}", last["a2_sup_gap"] <= a2_gap_tol,
+                          last["a2_sup_gap"], f"<= {a2_gap_tol}"))
     return VerificationReport(
         name="assumption-diagnostics",
         parameters={

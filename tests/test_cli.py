@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -106,7 +107,10 @@ def test_removed_option_values_exit_two(tmp_path, capsys, argv, value):
     (["assumptions", "--grid", "-1"], "error: grid must be >= 1"),
     (["lemma-sums", "--checkpoints", "100,500", "--band", "1"],
      "usage error: --band expects 'lo,hi', got '1'"),
-], ids=["thm3-x0", "thm3-x-3", "ht-x0", "ht-x-1", "ht-limit1", "grid0", "grid-1", "band1"])
+    (["lemma-sums", "--checkpoints", "100,500", "--gammas", "1,1.0"],
+     "error: gammas repeat the column sum_gamma_1"),
+], ids=["thm3-x0", "thm3-x-3", "ht-x0", "ht-x-1", "ht-limit1", "grid0", "grid-1", "band1",
+        "gammas-repeat"])
 def test_out_of_range_verifier_value_exits_two(tmp_path, capsys, argv, message):
     # a flag value no verifier can run on is refused by name, not run at
     # another value or left to a numpy error; a later --limit wins
@@ -201,6 +205,22 @@ def test_angles_command(tmp_path, capsys):
     assert load_cache(tmp_path / "cache" / "synth_angles_2000_5.astc").limit == 2000
 
 
+SYNTH150 = ["--source", "synth", "--limit", "150", "--seed", "9"]
+SYNTH150_FILES = ["synth_150_9_hecke-chebyshev_0.25.astc", "synth_angles_150_9.astc"]
+
+
+def _run_with_config(tmp_path, text, argv, files, params):
+    """Run argv under a config file of `text`; check the cache files it left
+    and the report parameters it wrote."""
+    conf = tmp_path / "conf.txt"
+    conf.write_text(text)
+    assert run(tmp_path, *argv, "--config", str(conf)) == 0
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == files
+    for path in tmp_path.glob("*.json"):
+        parameters = VerificationReport.from_json(path.read_text()).parameters
+        assert {k: parameters[k] for k in params} == params
+
+
 def test_config_file_defaults(tmp_path):
     conf = tmp_path / "conf.txt"
     conf.write_text("limit=150\nseed=9\n")
@@ -216,6 +236,88 @@ def test_config_flag_overrides(tmp_path):
                "--seed", "9", "--epsilon", "0.25", "--checkpoints", "50,300",
                "--config", str(conf))
     assert code == 0
+
+
+@pytest.mark.parametrize("text, argv, files, params", [
+    ("limit=50\n", ["tau"], ["tau_50.astc"], {}),
+    ("curve=-1,1\nlimit=200\n", ["ec"], ["traces_-1_1_200.astc"], {}),
+    ("seed=9\n", ["synth", "--limit", "150"], SYNTH150_FILES, {}),
+    ("epsilon=0.25\ncheckpoints=50,150\n", ["verify", "thm1", *SYNTH150], SYNTH150_FILES,
+     {"eps": 0.25, "checkpoints": [50, 150]}),
+    ("checkpoints=50,150\n", ["verify", "thm2", *SYNTH150], SYNTH150_FILES,
+     {"checkpoints": [50, 150]}),
+    ("checkpoints=50,150\n", ["verify", "lemma-sums", *SYNTH150], SYNTH150_FILES,
+     {"checkpoints": [50, 150]}),
+], ids=["tau-limit", "ec-curve-limit", "synth-seed", "thm1-eps-cps", "thm2-cps", "lemma-cps"])
+def test_config_supplies_required_values(tmp_path, text, argv, files, params):
+    _run_with_config(tmp_path, text, argv, files, params)
+
+
+@pytest.mark.parametrize("text, argv, files, params", [
+    ("limit=50\ncurve=1,1\n", ["ec", "--limit", "100"], ["traces_1_1_100.astc"], {}),
+    ("epsilon=0.1\ncheckpoints=50,150\n", ["verify", "thm1", *SYNTH150, "--epsilon", "0.25"],
+     SYNTH150_FILES, {"eps": 0.25, "checkpoints": [50, 150]}),
+], ids=["ec-limit", "thm1-eps"])
+def test_explicit_flag_beats_config_value(tmp_path, text, argv, files, params):
+    # each config also supplies a value that the command requires and argv omits
+    _run_with_config(tmp_path, text, argv, files, params)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["tau"], "--limit"),
+    (["ec", "--limit", "100"], "--curve"),
+    (["synth", "--limit", "100"], "--seed"),
+    (["verify", "thm1", *SYNTH150, "--checkpoints", "50,150"], "--epsilon"),
+    (["verify", "thm2", *SYNTH150], "--checkpoints"),
+    (["verify", "lemma-sums", *SYNTH150], "--checkpoints"),
+], ids=["tau", "ec", "synth", "thm1", "thm2", "lemma-sums"])
+def test_missing_value_exits_two_before_any_source(tmp_path, capsys, monkeypatch, argv, flag):
+    # neither built nor loaded: a synth cache already in place is not read
+    assert run(tmp_path, "synth", "--limit", "150", "--seed", "9") == 0
+    capsys.readouterr()
+
+    def touched(*_args, **_kw):
+        raise AssertionError("a source was built or loaded")
+    for name in ("expand_delta", "trace_series", "build_synthetic_sequence", "load_cache"):
+        monkeypatch.setattr(stseq.cli, name, touched)
+    conf = tmp_path / "conf.txt"
+    conf.write_text("format=text\n")
+    assert run(tmp_path, *argv, "--config", str(conf)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"usage error: {flag} is required for this command"]
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == SYNTH150_FILES
+
+
+def _parsers(parser):
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                yield from _parsers(child)
+
+
+def test_config_can_supply_every_flag_value():
+    # argparse's required=True ignores config defaults, so only the
+    # subcommand selectors may use it; values are checked where they are read
+    actions = [a for p in _parsers(stseq.cli.build_parser()) for a in p._actions]
+    assert [a.dest for a in actions
+            if a.required and not isinstance(a, argparse._SubParsersAction)] == []
+    assert stseq.cli._CONFIG_KEYS <= {a.dest for a in actions}
+
+
+@pytest.mark.parametrize("flag, name, reason", [
+    ("--config", "missing.txt", "No such file or directory"),
+    ("--cache-dir", "a-file", "File exists"),
+    ("--out-dir", "a-file", "File exists"),
+])
+def test_unusable_path_exits_two(tmp_path, capsys, flag, name, reason):
+    (tmp_path / "a-file").write_text("")
+    paths = {"--cache-dir": str(tmp_path / "cache"), "--out-dir": str(tmp_path / "out")}
+    paths[flag] = str(tmp_path / name)
+    assert main(["tau", "--limit", "50", "--check", *(x for kv in paths.items() for x in kv)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"usage error: {flag} {tmp_path / name}: {reason}"]
 
 
 def test_config_reaches_thm3_A(tmp_path):

@@ -349,6 +349,10 @@ class TestLemmaSums:
             verify_lemma_sums(synth_seq, [0.0], [100])
         with pytest.raises(ValueError):
             verify_lemma_sums(synth_seq, [2.5], [100])
+        # 0.5 and 0.5, or 1 and 1.0, would share one sum_gamma_ column
+        for gammas, label in (([0.5, 0.5], "sum_gamma_0.5"), ([1, 1.0], "sum_gamma_1")):
+            with pytest.raises(ValueError, match=f"gammas repeat the column {label}$"):
+                verify_lemma_sums(synth_seq, gammas, [100])
 
     def test_band_flag(self, synth_seq):
         rep = verify_lemma_sums(synth_seq, [1.0], [100_000], ratio_band=(0.1, 10.0))
