@@ -29,7 +29,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
+    """Deterministic Miller-Rabin, valid for all n < 3.3e24.
+
+    Below 3,215,031,751, the least strong pseudoprime to bases 2, 3, 5
+    and 7, those four bases decide.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -39,7 +43,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES if n >= 3_215_031_751 else _MR_BASES[:4]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -199,35 +203,28 @@ def largest_prime_factor_table(sieve: SpfSieve) -> np.ndarray:
 
 RULE_KINDS = ("hecke-chebyshev", "truncate-zero")
 
-# Below SIN_EPS the sine ratio switches to its analytic limit +-(k+1); in the
-# band up to SIN_STABLE the ratio loses ~eps/|sin theta| absolute accuracy to
-# cancellation, so the stable three-term recurrence takes over there.
-SIN_EPS = 1e-12
+# In the band |sin theta| < SIN_STABLE the ratio loses ~eps/|sin theta|
+# absolute accuracy to cancellation, so the stable three-term recurrence
+# takes over there.
 SIN_STABLE = 1e-2
 
 
 def chebyshev_sin_ratio(theta, k):
     """sin((k+1) theta) / sin(theta), elementwise.
 
-    Equals U_k(cos theta).  At theta ~ 0 the limit is k+1; at theta ~ pi it
-    is (-1)^k (k+1); near both endpoints the value comes from the recurrence
-    so the result stays accurate to ~1e-13 absolute on the whole domain.
+    Equals U_k(cos theta).  Near theta = 0 and pi the value comes from the
+    recurrence, so the result stays accurate to ~1e-13 absolute on the whole
+    domain; where |sin theta| < 1e-12, 2 cos theta rounds to exactly +-2 and
+    the recurrence gives the limits k + 1 and (-1)^k (k + 1) exactly.
     """
-    scalar = np.ndim(theta) == 0 and np.ndim(k) == 0
-    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    k = np.broadcast_to(np.asarray(k, dtype=np.int64), theta.shape)
+    theta, k = np.broadcast_arrays(
+        np.asarray(theta, dtype=np.float64), np.asarray(k, dtype=np.int64)
+    )
     s = np.sin(theta)
-    tiny = np.abs(s) < SIN_EPS
-    shaky = (np.abs(s) < SIN_STABLE) & ~tiny
-    safe = np.where(tiny | shaky, 1.0, s)
-    out = np.sin((k + 1) * theta) / safe
+    shaky = np.abs(s) < SIN_STABLE
+    out = np.asarray(np.sin((k + 1) * theta) / np.where(shaky, 1.0, s))
     if np.any(shaky):
         out[shaky] = chebyshev_recurrence(2.0 * np.cos(theta[shaky]), k[shaky])
-    if np.any(tiny):
-        sign = np.where((theta > math.pi / 2) & (k % 2 == 1), -1.0, 1.0)
-        out = np.where(tiny, sign * (k + 1), out)
-    if scalar:
-        return float(out[0])
     return out
 
 
@@ -242,8 +239,6 @@ def chebyshev_recurrence(a, k):
     for j in range(1, k_max + 1):
         u_prev, u_cur = u_cur, a * u_cur - u_prev
         out = np.where(k == j, u_cur, out)
-    if out.ndim == 0:
-        return float(out)
     return out
 
 
@@ -274,11 +269,7 @@ class PrimePowerRule:
         """Rule value at (theta, k), elementwise over arrays."""
         if self.kind == "hecke-chebyshev":
             return chebyshev_sin_ratio(theta, k)
-        k_arr = np.asarray(k)
-        out = np.where(k_arr == 1, 2.0 * np.cos(np.asarray(theta, dtype=np.float64)), 0.0)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return np.where(np.asarray(k) == 1, 2.0 * np.cos(np.asarray(theta, dtype=np.float64)), 0.0)
 
 
 @dataclass

@@ -345,6 +345,8 @@ def cmd_verify(args) -> int:
         )
     elif kind == "hall-tenenbaum":
         x = seq.limit if args.x is None else args.x
+        if x > seq.limit:  # refused before f is allocated at length x + 1
+            raise ValueError(f"cutoff {x} beyond sequence limit {seq.limit}")
         size = max(x + 1, 0)  # verify_hall_tenenbaum refuses x < 2 by name
         if args.f == "ones":
             f = np.ones(size)

@@ -7,11 +7,14 @@ returned only when exactly one t in the Hasse interval |t| <= 2 sqrt(p)
 satisfies (p + 1 - t) P = O, so every value is exact.  Primes up to the
 crossover and bad primes (p | discriminant, which always includes 2 for
 this model) use the O(p) character sweep t_p = -sum_x chi_p(x^3 + Ax + B)
-with a precomputed quadratic-residue table, which also classifies bad
-primes by counting smooth points: t_p = +1 split multiplicative, -1
-nonsplit, 0 additive.  The normalized member of the sequence class is
-t_n / n^(1/2), extended to prime powers by the normalized recursion at good
-p and by powers of t_p/sqrt(p) at bad p.
+with a precomputed quadratic-character table.  At a bad odd p the cubic
+has one repeated root, whose singular point the sum counts once, so the
+same sum is the reduction type: t_p = +1 split multiplicative, -1
+nonsplit, 0 additive (Silverman, AEC III.2 and VII.5).  At p = 2 the
+model has one singular point (x = A) and one smooth affine point, so
+t_2 = 0.  The normalized member of the sequence class is t_n / n^(1/2),
+extended to prime powers by the normalized recursion at good p and by
+powers of t_p/sqrt(p) at bad p.
 """
 
 from __future__ import annotations
@@ -56,26 +59,6 @@ class CurveSpec:
     def __post_init__(self):
         if self.discriminant == 0:
             raise ValueError(f"singular curve: A={self.a4}, B={self.a6}")
-
-
-def _trace_tiny(curve: CurveSpec, p: int) -> int:
-    """p in {2, 3}: exhaust the affine plane and classify singular points."""
-    A, B = curve.a4 % p, curve.a6 % p
-    pts = []
-    sing = set()
-    for x in range(p):
-        f = (x * x * x + A * x + B) % p
-        for y in range(p):
-            if (y * y - f) % p == 0:
-                pts.append((x, y))
-                dx = (3 * x * x + A) % p
-                dy = (2 * y) % p
-                if dx == 0 and dy == 0:
-                    sing.add((x, y))
-    if not sing:
-        return p + 1 - (len(pts) + 1)
-    smooth = len(pts) - len(sing)
-    return p - (smooth + 1)
 
 
 def trace_at_prime(curve: CurveSpec, p: int) -> int:
@@ -185,32 +168,22 @@ def _bsgs_trace(curve: CurveSpec, p: int) -> int:
 
 
 def _sweep_trace(curve: CurveSpec, p: int) -> int:
-    """O(p) Legendre sweep, good or bad p (the oracle for the BSGS kernel)."""
-    if p <= 3:
-        return _trace_tiny(curve, p)
+    """-sum_x chi_p(x^3 + Ax + B) by an O(p) Legendre sweep at odd p, good
+    or bad (the oracle for the BSGS kernel), and t_2 = 0."""
+    if p == 2:
+        return 0
     A, B = curve.a4 % p, curve.a6 % p
     pw = np.uint64(p)
-    qr = np.zeros(p, dtype=bool)
+    chi = np.full(p, -1, dtype=np.int8)
+    for lo in range(0, p, _SWEEP_CHUNK):
+        x = np.arange(lo, min(lo + _SWEEP_CHUNK, p), dtype=np.uint64)
+        chi[(x * x) % pw] = 1
+    chi[0] = 0
     chi_sum = 0
-    n_sing = 0
-    bad = curve.discriminant % p == 0
     for lo in range(0, p, _SWEEP_CHUNK):
         x = np.arange(lo, min(lo + _SWEEP_CHUNK, p), dtype=np.uint64)
-        qr[(x * x) % pw] = True
-    for lo in range(0, p, _SWEEP_CHUNK):
-        x = np.arange(lo, min(lo + _SWEEP_CHUNK, p), dtype=np.uint64)
-        x2 = (x * x) % pw
-        f = (x2 * x + np.uint64(A) * x + np.uint64(B)) % pw
-        zero = f == 0
-        chi_sum += int(np.count_nonzero(qr[f] & ~zero)) - int(
-            np.count_nonzero(~qr[f] & ~zero)
-        )
-        if bad:
-            dfx = (np.uint64(3) * x2 + np.uint64(A)) % pw
-            n_sing += int(np.count_nonzero(zero & (dfx == 0)))
-    if not bad:
-        return -chi_sum
-    return n_sing - 1 - chi_sum
+        chi_sum += int(chi[((x * x) % pw * x + np.uint64(A) * x + np.uint64(B)) % pw].sum())
+    return -chi_sum
 
 
 @dataclass

@@ -13,7 +13,7 @@ from typing import Callable, Iterable
 _MAX_DEPTH = 50
 
 
-def _simpson(f, a, fa, b, fb, m, fm):
+def _simpson(a, fa, b, fb, fm):
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
@@ -22,8 +22,8 @@ def _adapt(f, a, fa, b, fb, m, fm, whole, tol, depth):
     rm = 0.5 * (m + b)
     flm = f(lm)
     frm = f(rm)
-    left = _simpson(f, a, fa, m, fm, lm, flm)
-    right = _simpson(f, m, fm, b, fb, rm, frm)
+    left = _simpson(a, fa, m, fm, flm)
+    right = _simpson(m, fm, b, fb, frm)
     err = left + right - whole
     if depth <= 0 or abs(err) <= 15.0 * tol:
         return left + right + err / 15.0
@@ -46,6 +46,6 @@ def adaptive_simpson(
     for lo, hi in zip(points[:-1], points[1:]):
         m = 0.5 * (lo + hi)
         flo, fhi, fm = f(lo), f(hi), f(m)
-        whole = _simpson(f, lo, flo, hi, fhi, m, fm)
+        whole = _simpson(lo, flo, hi, fhi, fm)
         total += _adapt(f, lo, flo, hi, fhi, m, fm, whole, panel_tol, _MAX_DEPTH)
     return total

@@ -51,19 +51,11 @@ def st_cdf(alpha):
     arr = np.asarray(alpha, dtype=np.float64)
     if np.any(arr < -1e-15) or np.any(arr > math.pi + 1e-15):
         raise ValueError("alpha outside [0, pi]")
-    out = arr / math.pi - np.sin(2.0 * arr) / (2.0 * math.pi)
-    out = np.clip(out, 0.0, 1.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.clip(arr / math.pi - np.sin(2.0 * arr) / (2.0 * math.pi), 0.0, 1.0)
 
 
 def st_pdf(theta):
-    theta = np.asarray(theta, dtype=np.float64)
-    out = (2.0 / math.pi) * np.sin(theta) ** 2
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return (2.0 / math.pi) * np.sin(np.asarray(theta, dtype=np.float64)) ** 2
 
 
 # absolute tolerance of the constant quadratures below (h_gamma takes its own)

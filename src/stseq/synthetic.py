@@ -106,9 +106,7 @@ def build_synthetic_sequence(spec: SyntheticSpec) -> tuple[AngleSeries, Normaliz
     theta, n_acc, n_prop = sample_st_angles(stream, ps)
     angles = AngleSeries.from_theta(ps, theta, source="synthetic", limit=spec.limit)
     seq = assemble_multiplicative(angles, spec.rule, spec.limit)
-    violations = (
-        growth_violations(spec.rule, angles, _GROWTH_MAX_EXPONENT) if len(ps) else []
-    )
+    violations = growth_violations(spec.rule, angles, _GROWTH_MAX_EXPONENT)
     seq.meta.update(
         {
             "seed": spec.seed,

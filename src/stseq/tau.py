@@ -25,6 +25,7 @@ near-equality case to exact integers.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -343,8 +344,6 @@ def integrity_check(table: ExactTauTable) -> VerificationReport:
     for the pairs of (a) and the near-equality entries of (b).  All three
     counts are zero for a correct table; failures are reported, never raised.
     """
-    import time
-
     t0 = time.perf_counter()
     limit = table.limit
     sieve = build_spf_sieve(limit)

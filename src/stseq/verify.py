@@ -515,23 +515,18 @@ def verify_hall_tenenbaum(
         raise ValueError("f must cover indices 0..x")
     if np.any(f[1 : x + 1] < 0):
         raise ValueError("f must be nonnegative")
-    ps = primes_up_to(x)
-    if ps.size:
-        contrib = f[ps] * np.log(ps.astype(np.float64))
-        A = float(np.max(np.cumsum(contrib) / ps.astype(np.float64)))
-    else:
-        A = 0.0
+    ps = primes_up_to(x)  # x >= 2, so 2 is in ps
+    contrib = f[ps] * np.log(ps.astype(np.float64))
+    A = float(np.max(np.cumsum(contrib) / ps.astype(np.float64)))
     B = 0.0
     for p in ps:
         p = int(p)
         if p * p > x:
             break
         pk = p * p
-        k = 2
         while pk <= x:
             B += f[pk] * math.log(pk) / pk
             pk *= p
-            k += 1
     n = np.arange(1, x + 1, dtype=np.float64)
     lhs = float(np.sum(f[1 : x + 1]))
     mean_term = float(np.sum(f[1 : x + 1] / n))
@@ -552,17 +547,6 @@ def verify_hall_tenenbaum(
 # ---------------------------------------------------------------------------
 # Assumption diagnostics
 # ---------------------------------------------------------------------------
-
-
-def _integer_root(n: int, k: int) -> int:
-    """Largest r with r^k <= n (n >= 0): the float root corrected to exact,
-    since 343 ** (1/3) is 6.999... and would drop 7^3."""
-    r = round(n ** (1.0 / k))
-    while r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
 
 
 def check_assumptions(
@@ -602,11 +586,9 @@ def check_assumptions(
     c_emp = 0.0
     zero_pk = 0
     examined = 0
-    k = 1
-    while 2**k <= limit:
-        ps_k = angles.primes[angles.primes <= _integer_root(limit, k)]
-        if ps_k.size == 0:
-            break
+    # each p kept at k has p^(k-1) <= limit, so p^k <= limit^2 fits int64
+    ps_k, k = angles.primes, 1
+    while (ps_k := ps_k[ps_k**k <= limit]).size:
         ap = seq.values[ps_k]
         cond = ap != 0.0
         pk_idx = ps_k[cond] ** k

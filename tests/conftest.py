@@ -35,15 +35,17 @@ def brute_factor(n: int) -> list[tuple[int, int]]:
 def enum_trace(a4: int, a6: int, p: int) -> int:
     """Point-enumeration oracle, valid for good and bad primes."""
     A, B = a4 % p, a6 % p
+    roots = {}  # v -> every y with y^2 = v mod p
+    for y in range(p):
+        roots.setdefault(y * y % p, []).append(y)
     pts = []
     sing = set()
     for x in range(p):
         f = (x * x * x + A * x + B) % p
-        for y in range(p):
-            if (y * y - f) % p == 0:
-                pts.append((x, y))
-                if (3 * x * x + A) % p == 0 and (2 * y) % p == 0:
-                    sing.add((x, y))
+        for y in roots.get(f, []):
+            pts.append((x, y))
+            if (3 * x * x + A) % p == 0 and (2 * y) % p == 0:
+                sing.add((x, y))
     if not sing:
         return p + 1 - (len(pts) + 1)
     return p - (len(pts) - len(sing) + 1)

@@ -136,14 +136,17 @@ class TestDyadicBlocks:
 
 class TestIsPrime:
     def test_small(self):
-        known = set(primes_up_to(500).tolist())
-        for n in range(500):
-            assert is_prime(n) == (n in known)
+        mask = np.zeros(10**6 + 1, dtype=bool)
+        mask[primes_up_to(10**6)] = True
+        assert [is_prime(n) for n in range(10**6 + 1)] == mask.tolist()
 
     def test_large_words(self):
         assert is_prime(2**31 - 1)
         assert not is_prime(2**32 + 1)
         assert is_prime(2099249153)  # NTT modulus used by the tau engine
+        # the least strong pseudoprime to bases 2, 3, 5 and 7 goes to all 12
+        assert not is_prime(3_215_031_751)  # 151 * 751 * 28351
+        assert is_prime(3_215_031_749) and is_prime(2**32 + 15)
 
 
 class TestChebyshevRules:
@@ -152,9 +155,29 @@ class TestChebyshevRules:
         assert chebyshev_sin_ratio(math.pi / 2, 2) == pytest.approx(-1.0, abs=1e-12)
 
     def test_limits_at_endpoints(self):
-        for k in range(6):
-            assert chebyshev_sin_ratio(0.0, k) == pytest.approx(k + 1)
-            assert chebyshev_sin_ratio(math.pi, k) == pytest.approx((-1) ** k * (k + 1))
+        # |sin theta| < 1e-12: 2 cos theta rounds to exactly +-2, so the
+        # recurrence gives the limits exactly
+        near_pi = [math.pi, np.nextafter(math.pi, 0.0), math.pi - 1e-13]
+        for theta in [0.0, 5e-324, 1e-13] + near_pi:
+            sign = -1 if theta in near_pi else 1
+            for k in range(13):
+                value = chebyshev_sin_ratio(theta, k)
+                assert value == chebyshev_recurrence(2.0 * math.cos(theta), k)
+                assert value == sign**k * (k + 1)
+
+    def test_zero_dim_in_zero_dim_out(self):
+        # a 0-d call returns a 0-d array holding the double of the array call
+        rule = PrimePowerRule(kind="truncate-zero")
+        for fn, args in [
+            (chebyshev_sin_ratio, (0.3, 3)),
+            (chebyshev_sin_ratio, (1e-13, 3)),
+            (chebyshev_recurrence, (0.7, 4)),
+            (rule.value, (0.3, 1)),
+            (rule.value, (0.3, 2)),
+        ]:
+            out = fn(*args)
+            assert np.ndim(out) == 0
+            assert out == fn(*(np.array([a]) for a in args))[0]
 
     @settings(max_examples=120, deadline=None)
     @given(

@@ -103,14 +103,19 @@ def test_removed_option_values_exit_two(tmp_path, capsys, argv, value):
     (["hall-tenenbaum", "--x", "-1", "--f", "ones"],
      "error: hall-tenenbaum needs x >= 2 (log x > 0), got x = -1"),
     (["hall-tenenbaum", "--limit", "1"], "error: hall-tenenbaum needs x >= 2 (log x > 0), got x = 1"),
+    (["hall-tenenbaum", "--f", "ones", "--x", "200000"],
+     "error: cutoff 200000 beyond sequence limit 500"),
+    (["hall-tenenbaum", "--f", "ones", "--x", "100000000000"],
+     "error: cutoff 100000000000 beyond sequence limit 500"),
+    (["hall-tenenbaum", "--x", "501"], "error: cutoff 501 beyond sequence limit 500"),
     (["assumptions", "--grid", "0"], "error: grid must be >= 1"),
     (["assumptions", "--grid", "-1"], "error: grid must be >= 1"),
     (["lemma-sums", "--checkpoints", "100,500", "--band", "1"],
      "usage error: --band expects 'lo,hi', got '1'"),
     (["lemma-sums", "--checkpoints", "100,500", "--gammas", "1,1.0"],
      "error: gammas repeat the column sum_gamma_1"),
-], ids=["thm3-x0", "thm3-x-3", "ht-x0", "ht-x-1", "ht-limit1", "grid0", "grid-1", "band1",
-        "gammas-repeat"])
+], ids=["thm3-x0", "thm3-x-3", "ht-x0", "ht-x-1", "ht-limit1", "ht-ones-x-past-limit",
+        "ht-ones-x-huge", "ht-x-past-limit", "grid0", "grid-1", "band1", "gammas-repeat"])
 def test_out_of_range_verifier_value_exits_two(tmp_path, capsys, argv, message):
     # a flag value no verifier can run on is refused by name, not run at
     # another value or left to a numpy error; a later --limit wins

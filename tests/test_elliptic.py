@@ -58,6 +58,17 @@ class TestTraceAtPrime:
         assert trace_at_prime(CurveSpec(3, 1), 5) == 1
         # nonsplit node at 5: cubic = (x-1)^2 (x-3) mod 5
         assert trace_at_prime(CurveSpec(-3, 7), 5) == -1
+        # -sum chi counts the one singular point of a bad odd p once, and
+        # t_2 = 0 on this model: no singular-point search is needed
+        for a4 in range(-20, 21):
+            for a6 in range(-20, 21):
+                if 4 * a4**3 + 27 * a6**2 == 0:
+                    continue
+                curve = CurveSpec(a4, a6)
+                for p in primes_up_to(400):
+                    p = int(p)
+                    if p <= 3 or curve.discriminant % p == 0:
+                        assert trace_at_prime(curve, p) == enum_trace(a4, a6, p), (a4, a6, p)
 
     def test_hasse_bound_contract(self):
         curve = CurveSpec(-1, 1)

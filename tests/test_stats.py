@@ -56,6 +56,13 @@ class TestStCdf:
         fd = (st_cdf(mid + h) - st_cdf(mid - h)) / (2 * h)
         assert np.max(np.abs(fd - st_pdf(mid))) < 1e-6
 
+    def test_zero_dim_in_zero_dim_out(self):
+        for fn in (st_cdf, st_pdf):
+            for x in (0.0, 0.4, math.pi / 2, math.pi):
+                out = fn(x)
+                assert np.ndim(out) == 0
+                assert out == fn(np.array([x]))[0]
+
 
 class TestHGamma:
     def test_closed_form_anchors(self):

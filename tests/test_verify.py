@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from stseq.arith import NormalizedSequence, build_spf_sieve, primes_up_to
+from stseq.arith import (
+    RULE_KINDS,
+    NormalizedSequence,
+    PrimePowerRule,
+    build_spf_sieve,
+    primes_up_to,
+)
 from stseq.errors import DataCorruptionError
 from stseq.report import VerificationReport
 from stseq.synthetic import SyntheticSpec, build_synthetic_sequence
@@ -428,14 +434,20 @@ class TestAssumptions:
         # the remaining unit values
         assert rep.parameters["empirical_C"] == 0.0
 
-    @pytest.mark.parametrize("limit", [125, 343, 344])
+    @pytest.mark.parametrize("limit", [125, 343, 344, 2401, 2**11, 3**7])
     def test_exact_prime_powers_examined(self, limit):
-        # 5^3 = 125 and 7^3 = 343 are cube roots that a float root rounds down
-        angles, seq = build_synthetic_sequence(SyntheticSpec(limit=limit, seed=7))
-        rep = check_assumptions(seq, angles, A=2.0, grid=64)
-        ps = [int(p) for p in angles.primes if seq.values[p] != 0.0]
-        brute = sum(1 for p in ps for k in range(1, limit.bit_length()) if p**k <= limit)
-        assert rep.parameters["prime_powers_examined"] == brute
+        # 5^3, 7^3, 7^4, 2^11 and 3^7 are roots that a float root can round
+        # below; truncate-zero makes every a_{p^k} with k >= 2 an exact zero
+        for kind in RULE_KINDS:
+            spec = SyntheticSpec(limit=limit, seed=7, rule=PrimePowerRule(kind=kind))
+            angles, seq = build_synthetic_sequence(spec)
+            rep = check_assumptions(seq, angles, A=2.0, grid=64)
+            ps = [int(p) for p in angles.primes if seq.values[p] != 0.0]
+            pks = [p**k for p in ps for k in range(1, limit.bit_length()) if p**k <= limit]
+            assert rep.parameters["prime_powers_examined"] == len(pks)
+            zeros = sum(1 for pk in pks if seq.values[pk] == 0.0)
+            assert rep.parameters["zero_prime_power_values"] == zeros
+            assert (zeros > 0) == (kind == "truncate-zero")
 
     def test_a_validation(self, synth_seq):
         ang = prime_values_of(synth_seq, 1000)
