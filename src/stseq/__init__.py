@@ -22,6 +22,7 @@ from .elliptic import (
     kappa_partial,
     supersingular_census,
     trace_at_prime,
+    trace_batch,
     trace_series,
 )
 from .report import VerificationReport

@@ -394,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="flat key=value defaults file")
     common.add_argument("--cache-dir", help="cache directory (env STSEQ_CACHE_DIR)")
     common.add_argument("--threads", type=int, default=1,
-                        help="accepted and ignored: traces run on one thread, since their "
-                             "Python-integer kernel holds the interpreter lock")
+                        help="accepted and ignored: traces run on the calling thread "
+                             "in one batched numpy kernel")
     common.add_argument("--out-dir", default=".", help="where reports are written")
     common.add_argument("--format", default="text", choices=["text", "json", "csv"],
                         help="stdout rendering for reports (files are always written)")

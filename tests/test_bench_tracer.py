@@ -85,8 +85,10 @@ def test_synth_session_caches_once(tmp_path, monkeypatch):
 
 
 def test_ec_session_traces_each_prime_once(tmp_path, monkeypatch):
-    """bench/test_bench.py pins elliptic.sweeps to one trace_at_prime span per
-    prime, which holds only while trace_series calls it through the module."""
+    """bench/test_bench.py counts elliptic.sweeps as trace_at_prime spans.
+    trace_series sweeps through trace_at_prime, via the module, exactly the
+    primes <= 229 and the bad primes; the good primes above 229 go to one
+    trace_batch call, which the tracer does not wrap."""
     tracer = _load_bench(monkeypatch, "tracer")
     session = _load_bench(monkeypatch, "session")
     calls = session.session_calls("ec-session", 7, limit=2000)
@@ -95,4 +97,7 @@ def test_ec_session_traces_each_prime_once(tmp_path, monkeypatch):
             out = str(tmp_path / f"out{i}")
             assert main([*argv, "--cache-dir", str(tmp_path / "cache"), "--out-dir", out]) == 0
     metrics = tracer.layer_metrics(tr.spans)
-    assert metrics["elliptic.sweeps"][0] == len(primes_up_to(2000))
+    ps = primes_up_to(2000)
+    swept = ps[(ps <= 229) | (-16 * 23 % ps == 0)]  # y^2 = x^3 - x + 1: disc = -16 * 23
+    assert metrics["elliptic.sweeps"][0] == len(swept) == 50
+    assert metrics["elliptic.sweep_points"][0] == int(swept.sum())

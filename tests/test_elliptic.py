@@ -9,7 +9,6 @@ import stseq.elliptic as elliptic
 from stseq.arith import primes_up_to
 from stseq.elliptic import (
     _BSGS_ABOVE,
-    _bsgs_trace,
     _sweep_trace,
     CurveSpec,
     TraceSeries,
@@ -18,9 +17,10 @@ from stseq.elliptic import (
     kappa_partial,
     supersingular_census,
     trace_at_prime,
+    trace_batch,
     trace_series,
 )
-from stseq.errors import DataCorruptionError, IncompleteInputError
+from stseq.errors import CapacityError, DataCorruptionError, IncompleteInputError
 
 from conftest import enum_trace
 
@@ -89,52 +89,132 @@ class TestTraceAtPrime:
 ORACLE_CURVES = [(-1, 1), (1, 1), (-2, 1), (2, 3), (-3, 5), (0, 1), (-1, 0), (-43, 166)]
 
 
+def _good_above_crossover(curve, limit):
+    ps = primes_up_to(limit)
+    return ps[(ps > _BSGS_ABOVE) & np.array([curve.discriminant % int(p) != 0 for p in ps])]
+
+
 class TestBabyStepGiantStep:
     @pytest.mark.parametrize("a4,a6", ORACLE_CURVES)
     def test_equals_sweep_above_crossover(self, a4, a6):
         curve = CurveSpec(a4, a6)
-        ps = [int(p) for p in primes_up_to(10_000) if p > _BSGS_ABOVE]
-        got = {p: _bsgs_trace(curve, p) for p in ps if curve.discriminant % p}
-        assert got == {p: _sweep_trace(curve, p) for p in got}
+        ps = _good_above_crossover(curve, 10_000)
+        assert trace_batch(curve, ps).tolist() == [_sweep_trace(curve, int(p)) for p in ps]
 
     def test_dispatch_at_crossover(self, monkeypatch):
         calls = []
 
-        def spy(curve, p):
-            calls.append(p)
-            return _bsgs_trace(curve, p)
+        def spy(curve, primes):
+            calls.append([int(p) for p in primes])
+            return trace_batch(curve, primes)
 
-        monkeypatch.setattr(elliptic, "_bsgs_trace", spy)
+        monkeypatch.setattr(elliptic, "trace_batch", spy)
         curve = CurveSpec(-2, 1)
         below, above = _BSGS_ABOVE, 233  # 229 is prime; 233 is the next prime
         assert trace_at_prime(curve, below) == enum_trace(-2, 1, below)
         assert trace_at_prime(curve, above) == enum_trace(-2, 1, above)
-        assert calls == [above]
+        assert calls == [[above]]
+        calls.clear()
+        series = trace_series(curve, 240)
+        assert calls == [[233, 239]]
+        assert series.t.tolist() == [enum_trace(-2, 1, int(p)) for p in series.primes]
+        for outside in ([below], [233, 247], [10_000_019]):  # 247 = 13 * 19
+            with pytest.raises(ValueError):
+                trace_batch(curve, outside)
 
     def test_bad_prime_above_crossover_sweeps(self, monkeypatch):
-        monkeypatch.setattr(elliptic, "_bsgs_trace", None)  # any call would raise
+        monkeypatch.setattr(elliptic, "trace_batch", None)  # any call would raise
         # y^2 = x^3 - 3x + 2 has a node at x = 1; B + 2 * 241 keeps it only mod 241
         curve = CurveSpec(-3, 2 + 482)
         assert curve.discriminant % 241 == 0
         assert trace_at_prime(curve, 241) == enum_trace(-3, 2 + 482, 241)
+        with pytest.raises(ValueError):
+            trace_batch(curve, [233, 241])
 
     def test_walk_skips_a_root_at_the_start(self):
-        hits = [
-            (a4, a6, int(p))
-            for a4, a6 in ORACLE_CURVES
-            for p in primes_up_to(10_000)
-            if p > _BSGS_ABOVE
-            and CurveSpec(a4, a6).discriminant % p
-            and ((p // 2) ** 3 + a4 * (p // 2) + a6) % p == 0
-        ]
+        hits = {}
+        for a4, a6 in ORACLE_CURVES:
+            for p in _good_above_crossover(CurveSpec(a4, a6), 10_000):
+                if ((p // 2) ** 3 + a4 * (p // 2) + a6) % p == 0:
+                    hits.setdefault((a4, a6), []).append(int(p))
         assert hits
-        for a4, a6, p in hits:
-            assert _bsgs_trace(CurveSpec(a4, a6), p) == _sweep_trace(CurveSpec(a4, a6), p)
+        for (a4, a6), ps in hits.items():
+            curve = CurveSpec(a4, a6)
+            assert trace_batch(curve, ps).tolist() == [_sweep_trace(curve, p) for p in ps]
 
     def test_exhausted_walk_raises(self, monkeypatch):
-        monkeypatch.setattr(elliptic, "_unique_trace", lambda P, a, p: None)
+        def nothing_unique(cols, t, n):
+            return np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64)
+
+        monkeypatch.setattr(elliptic, "_unique_traces", nothing_unique)
         with pytest.raises(DataCorruptionError):
             trace_at_prime(CurveSpec(-1, 1), 233)
+
+    def test_empty_batch(self, monkeypatch):
+        assert trace_batch(CurveSpec(-1, 1), []).shape == (0,)
+        calls = []
+        monkeypatch.setattr(elliptic, "_shanks_mestre", lambda *a: calls.append(a))
+        series = trace_series(CurveSpec(-1, 1), 232)
+        assert calls == []
+        assert series.t.tolist() == [enum_trace(-1, 1, int(p)) for p in series.primes]
+
+    def test_multi_block_batch_equals_one_prime_batches(self, monkeypatch):
+        curve = CurveSpec(-1, 1)
+        ps = _good_above_crossover(curve, 2000)
+        whole = trace_batch(curve, ps)
+        blocks = []
+        kernel = elliptic._shanks_mestre
+
+        def spy(p, *rest):
+            blocks.append(len(p))
+            return kernel(p, *rest)
+
+        monkeypatch.setattr(elliptic, "_shanks_mestre", spy)
+        monkeypatch.setattr(elliptic, "_TABLE_BYTES", 1 << 10)
+        assert trace_batch(curve, ps).tolist() == whole.tolist()
+        assert len(blocks) > 10 and max(blocks) < len(ps)
+        monkeypatch.setattr(elliptic, "_TABLE_BYTES", 1 << 18)
+        assert whole.tolist() == [int(trace_batch(curve, [p])[0]) for p in ps]
+
+    @pytest.mark.parametrize("a4,a6,x0,order", [(-43, 166, 3, 7), (0, 1, 0, 3)])
+    def test_baby_steps_reject_a_point_of_small_order(self, a4, a6, x0, order, monkeypatch):
+        # with the uniqueness step accepting everything, only the baby-step
+        # checks stand between a rational torsion point and a wrong trace;
+        # f(x0) is a square, so (d x0, d^2) is that point on E itself
+        monkeypatch.setattr(elliptic, "_unique_traces",
+                            lambda cols, t, n: (np.ones(n, dtype=bool), np.zeros(n, dtype=np.int64)))
+        p = np.array([233, 233])
+        T, m, s, K = elliptic._bsgs_shape(p)
+        assert order <= 2 * m[0]
+        ok, _ = elliptic._shanks_mestre(p, np.full(2, a4 % 233), np.full(2, a6 % 233),
+                                        np.array([x0, 233 // 2]), T, m, s, K)
+        assert ok.tolist() == [False, True]
+
+    # CM curves have groups far from cyclic at many ordinary primes, so a
+    # start point often has too small an order.  The counts of points tried
+    # (d = f(x0) != 0) are those of the one-prime-at-a-time kernel that
+    # trace_batch replaced: both accept and reject the same points.
+    @pytest.mark.parametrize("a4,a6,tried,deepest", [(0, 1, 1381, (3499, 11)),
+                                                     (-1, 0, 1621, (1621, 9))])
+    def test_cm_curves_retry(self, a4, a6, tried, deepest, monkeypatch):
+        starts = {}
+        kernel = elliptic._shanks_mestre
+
+        def spy(p, A, B, x0, *rest):
+            d = (x0 * (x0 * x0 + A) + B) % p
+            for q, x, dq in zip(p.tolist(), x0.tolist(), d.tolist()):
+                starts.setdefault(q, []).append((x, dq))
+            return kernel(p, A, B, x0, *rest)
+
+        monkeypatch.setattr(elliptic, "_shanks_mestre", spy)
+        curve = CurveSpec(a4, a6)
+        ps = _good_above_crossover(curve, 10_000)
+        assert trace_batch(curve, ps).tolist() == [_sweep_trace(curve, int(p)) for p in ps]
+        assert all([x for x, _ in xs] == [(p // 2 + i) % p for i in range(len(xs))]
+                   for p, xs in starts.items())
+        assert sum(d != 0 for xs in starts.values() for _, d in xs) == tried
+        p, n = deepest
+        assert len(starts[p]) == n == max(len(xs) for xs in starts.values())
 
 
 def _euler_product(n_max, step):
@@ -163,8 +243,8 @@ class TestEtaQuotientOracle:
 
     def _check(self, curve, q_series):
         a = np.concatenate([[0], q_series[:-1]])  # the eta-quotient is q * q_series
-        want = {int(p): int(a[p]) for p in primes_up_to(self.N)}
-        assert {p: trace_at_prime(curve, p) for p in want} == want
+        series = trace_series(curve, self.N)
+        assert series.t.tolist() == [int(a[p]) for p in series.primes]
 
     def test_eta_6z_fourth_power(self):
         e6 = _euler_product(self.N, 6)
@@ -192,8 +272,24 @@ class TestTraceSeries:
         assert np.all(series.t[one_mod_three] != 0)
 
     def test_budget(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CapacityError):  # a ValueError, so the CLI exits 2
             trace_series(CurveSpec(1, 1), elliptic.SERIES_BUDGET + 1)
+        assert issubclass(CapacityError, ValueError)
+
+    def test_coefficients_beyond_int64(self):
+        curve = CurveSpec(2**70 + 3, -5)
+        series = trace_series(curve, 2000)
+        assert series.t.tolist() == [_sweep_trace(curve, int(p)) for p in series.primes]
+        assert series.good.tolist() == [curve.discriminant % int(p) != 0 for p in series.primes]
+
+    def test_digest_at_one_million(self):
+        # pinned from the one-prime-at-a-time Python-integer kernel that
+        # trace_batch replaced (17 s for this call, against about 2.5 s now)
+        series = trace_series(CurveSpec(-1, 1), 10**6)
+        h = hashlib.blake2b(digest_size=16)
+        h.update(series.t.tobytes())
+        h.update(series.good.tobytes())
+        assert h.hexdigest() == "bc59449517f65b0d623b851e4d0e87c3"
 
     def test_hasse_violation_raises(self):
         with pytest.raises(DataCorruptionError):
