@@ -56,8 +56,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_sieve_limit(limit: int) -> None:
+    """Refuse a sieve over 0..limit that the 32-bit table format or
+    SIEVE_BUDGET_BYTES cannot hold."""
+    if limit > 2**32 - 1:
+        raise CapacityError(f"limit {limit} exceeds the 32-bit table format")
+    need = 4 * (limit + 1)
+    if need > SIEVE_BUDGET_BYTES:
+        raise CapacityError(
+            f"sieve of {limit + 1} entries needs {need} bytes, budget is {SIEVE_BUDGET_BYTES}"
+        )
+
+
 def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array (plain boolean sieve)."""
+    """All primes <= n as an int64 array (plain boolean sieve); an n past
+    the SPF sieve's capacity is refused before anything is allocated."""
+    _check_sieve_limit(n)
     if n < 2:
         return np.empty(0, dtype=np.int64)
     mask = np.ones(n + 1, dtype=bool)
@@ -103,13 +117,7 @@ def build_spf_sieve(limit: int) -> SpfSieve:
     if limit < 0:
         raise CapacityError(f"limit must be >= 0, got {limit}")
     limit = max(limit, 2)
-    if limit > 2**32 - 1:
-        raise CapacityError(f"limit {limit} exceeds the 32-bit table format")
-    need = 4 * (limit + 1)
-    if need > SIEVE_BUDGET_BYTES:
-        raise CapacityError(
-            f"sieve of {limit + 1} entries needs {need} bytes, budget is {SIEVE_BUDGET_BYTES}"
-        )
+    _check_sieve_limit(limit)
     spf = np.zeros(limit + 1, dtype=np.uint32)
     spf[2::2] = 2
     for p in range(3, math.isqrt(limit) + 1, 2):

@@ -14,7 +14,9 @@ least one.  Entries are encoded from and decoded to the table's 64-bit
 limbs (`stseq.limbs`) in numpy.  The decoder reads prefixes of 1..255
 only; a zero or larger prefix is a CacheFormatError, and save_cache raises
 ValueError on a value whose shortest form passes 255 bytes (outside
-[-2^2039, 2^2039)), which could not be read back.
+[-2^2039, 2^2039)), which could not be read back.  Traces store the
+curve's A and B as int64, and save_cache raises ValueError on a curve
+whose coefficients leave [-2^63, 2^63).
 
 Float payloads are IEEE-754 binary64 little-endian; non-finite values
 refuse to serialize.  Loads verify magic, version, kind, and checksum
@@ -179,8 +181,12 @@ def _parse_angles(limit: int, buf: memoryview) -> AngleSeries:
 
 
 def _payload_traces(series: TraceSeries) -> bytes:
+    coeffs = (series.curve.a4, series.curve.a6)
+    if not all(-(2**63) <= c < 2**63 for c in coeffs):
+        raise ValueError(f"curve coefficients {coeffs} outside [-2^63, 2^63): "
+                         "the traces format stores A and B as int64")
     return (
-        struct.pack("<qq", series.curve.a4, series.curve.a6)
+        struct.pack("<qq", *coeffs)
         + struct.pack("<Q", len(series))
         + series.primes.astype("<i8").tobytes()
         + series.t.astype("<i8").tobytes()

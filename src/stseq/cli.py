@@ -95,7 +95,8 @@ def _path_flag(flag: str):
     try:
         yield
     except OSError as exc:
-        raise UsageError(f"{flag} {exc.filename}: {exc.strerror}") from None
+        # a failed rename names its target second
+        raise UsageError(f"{flag} {exc.filename2 or exc.filename}: {exc.strerror}") from None
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -126,16 +127,18 @@ def cache_dir_of(args) -> Path:
 
 def _cached(paths: list[Path], builder, fits) -> tuple:
     """Objects at `paths` if all load and `fits` them, else builder()'s, saved one per path."""
-    try:
-        if all(p.exists() for p in paths):
-            objs = tuple(load_cache(p) for p in paths)
-            if fits(*objs):
-                return objs
-    except CacheFormatError:
-        pass  # corrupt: rebuild and overwrite
+    with _path_flag("--cache-dir"):
+        try:
+            if all(p.exists() for p in paths):
+                objs = tuple(load_cache(p) for p in paths)
+                if fits(*objs):
+                    return objs
+        except CacheFormatError:
+            pass  # corrupt: rebuild and overwrite
     objs = builder()
-    for path, obj in zip(paths, objs):
-        save_cache(path, obj)
+    with _path_flag("--cache-dir"):
+        for path, obj in zip(paths, objs):
+            save_cache(path, obj)
     return objs
 
 
@@ -196,10 +199,8 @@ def resolve_sequence(args):
     if source == "ec":
         series = get_trace_series(args)
         return ec_normalized_sequence(series, limit), angles_from_traces(series)
-    if source == "synth":
-        angles, seq = get_synthetic(args)
-        return seq, angles
-    raise UsageError(f"unknown source {source!r}")
+    angles, seq = get_synthetic(args)  # --source choices leave only synth
+    return seq, angles
 
 
 def write_report(report: VerificationReport, out_dir: Path, stem: str) -> None:
@@ -356,13 +357,11 @@ def cmd_verify(args) -> int:
             f[:1] = 0.0
             label = "f=|a_n|^2"
         report = verify_hall_tenenbaum(f, x, label=label)
-    elif kind == "assumptions":
+    else:  # assumptions: the required verifier subcommand leaves no other
         cps = _parse_int_list(args.checkpoints) if args.checkpoints else None
         report = check_assumptions(
             seq, angles, A=args.A, grid=args.grid, checkpoints=cps, a2_gap_tol=args.a2_tol
         )
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown verifier {kind!r}")
     return _finish(report, args)
 
 

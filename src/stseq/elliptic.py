@@ -39,7 +39,6 @@ from .errors import CapacityError, DataCorruptionError, IncompleteInputError
 from .report import VerificationReport
 
 TRACE_PRIME_GUARD = 10_000_000
-SERIES_BUDGET = TRACE_PRIME_GUARD
 _SWEEP_CHUNK = 1 << 20
 # Mestre: for p > 229, E or its twist has a point whose order has exactly one
 # multiple in the Hasse interval, so BSGS starts at the bound.  It is the
@@ -356,8 +355,8 @@ def trace_series(curve: CurveSpec, limit: int) -> TraceSeries:
     """Traces at every prime <= limit: one `trace_batch` call for the good
     primes above the crossover, the sweep through `trace_at_prime` for the
     rest (the primes <= 229 and the bad primes)."""
-    if limit > SERIES_BUDGET:
-        raise CapacityError(f"limit {limit} exceeds the series budget {SERIES_BUDGET}")
+    if limit > TRACE_PRIME_GUARD:
+        raise CapacityError(f"limit {limit} exceeds the series budget {TRACE_PRIME_GUARD}")
     ps = primes_up_to(limit)
     good = _residues(curve.discriminant, ps) != 0
     batched = good & (ps > _BSGS_ABOVE)

@@ -234,9 +234,6 @@ def prime_log_moments(
     keep = (angles.primes <= x) & (np.abs(angles.a) > support_floor)
     p = angles.primes[keep].astype(np.float64)
     a = np.abs(angles.a[keep])
-    if p.size == 0:
-        return LogMomentEstimate(x=x, mu=0.0, sigma2=0.0, primes_in_support=0,
-                                 support_floor=support_floor)
     la = np.log(a)
     mu = float(np.sum(la / p))
     sigma2 = float(np.sum(la**2 / p * (1.0 - 1.0 / p)))

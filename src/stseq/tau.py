@@ -99,20 +99,9 @@ def deligne_bound(limit: int) -> int:
 
 
 def _transform_length(limit: int) -> int:
-    """Smallest power of two >= 2 * limit - 1 (limit >= 2): no cyclic wrap
+    """Smallest power of two >= 2 * limit - 1 (limit >= 1): no cyclic wrap
     reaches the first limit coefficients of a square."""
     return 1 << (2 * limit - 2).bit_length()
-
-
-def _crt_moduli(length: int, bound: int) -> list[int]:
-    """The fewest primes from find_ntt_primes(length, ...) whose product
-    exceeds 2 * bound, so a centered lift recovers every integer of
-    absolute value at most bound."""
-    need = 2 * bound + 1
-    count = 1
-    while math.prod(primes := find_ntt_primes(length, count)) < need:
-        count += 1
-    return primes
 
 
 def _eta6(limit: int) -> np.ndarray:
@@ -154,11 +143,11 @@ def _square_exact(series: np.ndarray, bound: int) -> np.ndarray:
     the square is at most `bound` in absolute value.
 
     The square is taken modulo each of the fewest primes the bound needs
-    (_crt_moduli), one prime at a time, and lifted once by Garner.
+    (find_ntt_primes), one prime at a time, and lifted once by Garner.
     """
     keep = len(series)
     length = _transform_length(keep)
-    primes = _crt_moduli(length, bound)
+    primes = find_ntt_primes(bound)
     # every residue is < p < 2^31; one block, taken before the squarings' temporaries
     residues = np.empty((len(primes), keep), dtype=np.uint32)
     for i, p in enumerate(primes):
@@ -188,8 +177,6 @@ def expand_delta(limit: int) -> ExactTauTable:
     """
     if limit < 1:
         raise ConfigurationError("limit must be >= 1")
-    if limit == 1:
-        return ExactTauTable.from_ints([0, 1])
     eta6 = _eta6(limit)
     # an int64 column read as uint64 is its one-limb form
     eta12 = _square_exact(eta6.view(np.uint64)[:, None], _sum_of_squares(eta6))

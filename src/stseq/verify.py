@@ -210,14 +210,16 @@ def verify_thm2(
     """Window sums S = sum a_n and T = sum |a_n| over (x/2, x].
 
     Reports |S|/T per checkpoint plus the fraction of window integers whose
-    largest prime factor is below the smoothness cutoff y(x).  |S| <= T is a
-    hard check that raises DataCorruptionError; the cancellation ratio
-    becomes a flag only when a tolerance is supplied (applied at the last
-    checkpoint).
+    largest prime factor is below the smoothness cutoff y(x).  That fraction
+    is 1 with no sieve: each log_k is floored at 1, so log_3 x >= 1 and
+    y(x) >= x^(4 / log_2 x) > x whenever log log x < 4 (x < 5e23, far past
+    any sequence held in memory), and every n <= x has P(n) <= n < y(x).
+    |S| <= T is a hard check that raises DataCorruptionError; the
+    cancellation ratio becomes a flag only when a tolerance is supplied
+    (applied at the last checkpoint).
     """
     t0 = time.perf_counter()
     cps = validate_checkpoints(checkpoints, seq.limit)
-    lpf = largest_prime_factor_table(build_spf_sieve(cps[-1]))
     rows = []
     for x in cps:
         lo = x // 2 + 1
@@ -226,8 +228,6 @@ def verify_thm2(
         T = float(np.sum(np.abs(window)))
         if not abs(S) <= T + 1e-9 * (1.0 + T):
             raise DataCorruptionError("triangle inequality |S| <= T violated")
-        y = smoothness_cutoff(x)
-        frac_smooth = float(np.mean(lpf[lo : x + 1] <= y)) if x >= lo else 0.0
         rows.append(
             {
                 "x": x,
@@ -235,8 +235,8 @@ def verify_thm2(
                 "T": T,
                 "ratio": (abs(S) / T) if T > 0 else 0.0,
                 "support_empty": int(T == 0.0),
-                "y_smooth": y,
-                "smooth_fraction": frac_smooth,
+                "y_smooth": smoothness_cutoff(x),
+                "smooth_fraction": 1.0,
             }
         )
     flags = [flag("triangle_inequality", True, max(r["ratio"] for r in rows),
@@ -470,16 +470,12 @@ def verify_lemma_sums(
     fits = []
     for r1, r2 in zip(rows, rows[1:]):
         x1, x2 = r1["x"], r2["x"]
+        # 3 <= x1 < x2 makes dlog > 0, and a_1 = 1 puts 1 into every sum
         dlog = math.log(math.log(x2) / math.log(x1))
-        fit = {"x_lo": x1, "x_hi": x2}
-        if dlog > 0:
-            fit["exp_sum_sq_over_n"] = math.log(r2["sum_sq_over_n"] / r1["sum_sq_over_n"]) / dlog \
-                if r1["sum_sq_over_n"] > 0 and r2["sum_sq_over_n"] > 0 else 0.0
-            for g, label in zip(gammas, labels):
-                s1, s2 = r1[label], r2[label]
-                fit[f"exp_gamma_{g:g}"] = (
-                    math.log((s2 / x2) / (s1 / x1)) / dlog if s1 > 0 and s2 > 0 else 0.0
-                )
+        fit = {"x_lo": x1, "x_hi": x2,
+               "exp_sum_sq_over_n": math.log(r2["sum_sq_over_n"] / r1["sum_sq_over_n"]) / dlog}
+        for g, label in zip(gammas, labels):
+            fit[f"exp_gamma_{g:g}"] = math.log((r2[label] / x2) / (r1[label] / x1)) / dlog
         fits.append(fit)
     flags = []
     if ratio_band is not None:
@@ -617,10 +613,9 @@ def check_assumptions(
         ecdf = np.searchsorted(sub, alphas, side="right") / n
         supgap = float(np.max(np.abs(ecdf - st_cdf(alphas))))
         a2_bound = log2_iter(x) ** (-A)
-        y = x
-        tail_mask = (angles.primes >= y) & tail_term
+        tail_mask = (angles.primes >= x) & tail_term
         tail_sum = float(np.sum(1.0 / angles.primes[tail_mask].astype(np.float64)))
-        tail_bound = log2_iter(y) ** (-(A - 1.0))
+        tail_bound = log2_iter(x) ** (-(A - 1.0))
         rows.append(
             {
                 "x": x,

@@ -53,6 +53,16 @@ class TestSpfSieve:
         with pytest.raises(CapacityError):
             build_spf_sieve(10**6)
 
+    def test_primes_up_to_keeps_to_the_sieve_limit(self, monkeypatch):
+        import stseq.arith as arith_mod
+
+        monkeypatch.setattr(arith_mod, "SIEVE_BUDGET_BYTES", 4 * 1001)  # sieves to 1000
+        assert primes_up_to(1000)[-1] == 997
+        build_spf_sieve(1000)
+        for refuse in (build_spf_sieve, primes_up_to):
+            with pytest.raises(CapacityError, match="budget is 4004"):
+                refuse(1001)
+
     @pytest.mark.parametrize("limit", [0, 1])
     def test_limits_below_two_give_the_sieve_to_two(self, limit):
         sv = build_spf_sieve(limit)

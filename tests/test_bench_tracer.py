@@ -44,7 +44,7 @@ def test_every_target_exists(tracer):
 
 
 def test_square_hook_reads_plan_length(tracer):
-    plan = get_plan(find_ntt_primes(8, 1)[0], 8)
+    plan = get_plan(find_ntt_primes(0)[0], 8)
     assert tracer._square_attrs((None, plan), {}, None) == {"transform_len": 8}
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -159,6 +160,20 @@ def test_traces_roundtrip(tmp_path):
     assert np.array_equal(back.primes, series.primes)
     assert np.array_equal(back.t, series.t)
     assert np.array_equal(back.good, series.good)
+
+
+def test_traces_curve_past_int64_refused_on_save(tmp_path):
+    series = trace_series(CurveSpec(-1, 1), 500)
+    path = tmp_path / "tr.astc"
+    for a4, a6 in ((-(2**63), 2**63 - 1), (2**63 - 1, -(2**63))):  # the int64 ends fit
+        save_cache(path, dataclasses.replace(series, curve=CurveSpec(a4, a6)))
+        back = load_cache(path).curve
+        assert (back.a4, back.a6) == (a4, a6)
+    path.unlink()
+    for a4, a6 in ((2**63, 1), (1, -(2**63) - 1)):
+        with pytest.raises(ValueError, match=r"\[-2\^63, 2\^63\)"):
+            save_cache(path, dataclasses.replace(series, curve=CurveSpec(a4, a6)))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_truncated_file_checksum_error(tmp_path):

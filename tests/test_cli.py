@@ -325,6 +325,29 @@ def test_unusable_path_exits_two(tmp_path, capsys, flag, name, reason):
     assert err.splitlines() == [f"usage error: {flag} {tmp_path / name}: {reason}"]
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["tau", "--limit", "50"], "tau_50.astc"),  # fails to load
+    # the angles file is missing, so the pair is rebuilt and fails to save
+    (["synth", "--limit", "300", "--seed", "7"], "synth_300_7_hecke-chebyshev_0.25.astc"),
+])
+def test_unusable_cache_file_exits_two(tmp_path, capsys, argv, name):
+    cache = tmp_path / "cache"
+    (cache / name).mkdir(parents=True)
+    assert main([*argv, "--cache-dir", str(cache)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"usage error: --cache-dir {cache / name}: Is a directory"]
+    assert not any(p.name.endswith(".tmp") for p in cache.iterdir())
+
+
+def test_curve_beyond_int64_exits_two(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    assert main(["ec", "--curve=9223372036854775808,1", "--limit", "300",
+                 "--cache-dir", str(cache)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "[-2^63, 2^63)" in err[0]
+    assert list(cache.iterdir()) == []
+
+
 def test_config_reaches_thm3_A(tmp_path):
     conf = tmp_path / "conf.txt"
     conf.write_text("A=5.0\n")

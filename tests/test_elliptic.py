@@ -273,7 +273,7 @@ class TestTraceSeries:
 
     def test_budget(self):
         with pytest.raises(CapacityError):  # a ValueError, so the CLI exits 2
-            trace_series(CurveSpec(1, 1), elliptic.SERIES_BUDGET + 1)
+            trace_series(CurveSpec(1, 1), elliptic.TRACE_PRIME_GUARD + 1)
         assert issubclass(CapacityError, ValueError)
 
     def test_coefficients_beyond_int64(self):

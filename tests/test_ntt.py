@@ -16,23 +16,21 @@ from stseq.ntt import (
 
 
 def test_find_ntt_primes_properties():
-    for L in (1 << 10, 1 << 16):
-        ps = find_ntt_primes(L, 4)
-        assert len(ps) == 4
-        for p in ps:
-            assert is_prime(p)
-            assert (p - 1) % L == 0
-            assert p < 2**31
-
-
-def test_find_ntt_primes_rejects_non_power():
-    with pytest.raises(ValueError):
-        find_ntt_primes(1000, 1)
+    assert find_ntt_primes(0) == [2**31 - 1]  # a lift needs at least one prime
+    for bound in (1, 2**40, 2**61, 2**62, 10**36, 2 * (4 * 10**6) ** 6):
+        ps = find_ntt_primes(bound)
+        assert ps == sorted(ps, reverse=True)
+        assert all(is_prime(p) and p < 2**31 for p in ps)
+        assert math.prod(ps) > 2 * bound
+        assert math.prod(ps[:-1]) <= 2 * bound  # the fewest: one prime less falls short
+    # one descending scan: every prime between the smallest chosen and 2^31 is taken
+    ps = find_ntt_primes(10**36)
+    assert ps == [p for p in range(2**31 - 1, ps[-1] - 1, -1) if is_prime(p)]
 
 
 def _residue_cases(rng, p, keep):
     """Random residues, all p - 1, and the largest residue whose two low
-    limbs are all ones (p - 1 itself has zero low limbs for these primes)."""
+    limbs are all ones."""
     max_limbs = ((p >> 22) << 22) - 1
     return {
         "random": rng.integers(0, p, keep),
@@ -44,7 +42,7 @@ def _residue_cases(rng, p, keep):
 def test_square_matches_object_convolution(rng):
     L = 1 << 12
     keep = L // 2
-    p = find_ntt_primes(L, 1)[0]
+    p = find_ntt_primes(0)[0]
     plan = get_plan(p, L)
     for case, res in _residue_cases(rng, p, keep).items():
         res = res.astype(np.uint64)
@@ -60,7 +58,7 @@ def test_square_exact_at_full_length_with_max_limbs():
     # coherently, the largest coefficients the 10^6 tau table ever meets
     L = 1 << 21
     keep = L // 2
-    p = find_ntt_primes(L, 1)[0]
+    p = find_ntt_primes(0)[0]
     c = ((p >> 22) << 22) - 1
     got = cyclic_square_truncated(np.full(keep, c, dtype=np.uint64), get_plan(p, L), keep)
     i = np.arange(1, keep + 1, dtype=np.uint64)
@@ -75,7 +73,7 @@ def test_round_exact_guard():
 
 def test_square_raises_on_inexact_float_product(rng, monkeypatch):
     L = 1 << 9
-    p = find_ntt_primes(L, 1)[0]
+    p = find_ntt_primes(0)[0]
     res = rng.integers(0, p, L // 2).astype(np.uint64)
     real_irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: real_irfft(*a, **k) + 0.3)
@@ -84,7 +82,7 @@ def test_square_raises_on_inexact_float_product(rng, monkeypatch):
 
 
 def test_garner_lift_roundtrip(rng):
-    primes = find_ntt_primes(1 << 8, 5)
+    primes = find_ntt_primes(2**150)
     M = math.prod(primes)
     vals = [int(rng.integers(-(10**18), 10**18)) * int(rng.integers(1, 10**18)) for _ in range(64)]
     vals = [v if abs(v) * 2 < M else v % (M // 3) for v in vals]
@@ -96,7 +94,7 @@ def test_garner_lift_roundtrip(rng):
 def test_garner_lift_centering(rng):
     """Balanced digits give the centred value at the ends of the range too:
     the lift equals Python's centred residue, u % M folded to (-M/2, M/2)."""
-    cases = [find_ntt_primes(1 << 8, k) for k in range(1, 7)]
+    cases = [find_ntt_primes(2**200)[:k] for k in range(1, 7)]
     cases += [[3, 5, 7, 257, 263, 65537][:k] for k in range(1, 7)]
     for primes in cases:
         M = math.prod(primes)

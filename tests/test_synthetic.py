@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import stseq.arith
+import stseq.synthetic
 from stseq.arith import PrimePowerRule, primes_up_to
+from stseq.errors import CapacityError
 from stseq.stats import ks_statistic, st_cdf
 from stseq.synthetic import (
     StRngStream,
@@ -104,3 +107,12 @@ class TestBuildSequence:
         assert seq.meta["seed"] == 21
         assert seq.meta["rule"] == "hecke-chebyshev"
         assert 0.4 < seq.meta["acceptance_rate"] < 0.6
+
+    def test_limit_past_the_sieve_budget_is_refused_before_sampling(self, monkeypatch):
+        # the primes are refused, not the sieve after them: nothing is sampled
+        monkeypatch.setattr(stseq.arith, "SIEVE_BUDGET_BYTES", 4 * 1001)
+        sampled = []
+        monkeypatch.setattr(stseq.synthetic, "sample_st_angles", lambda *a: sampled.append(a))
+        with pytest.raises(CapacityError):
+            build_synthetic_sequence(SyntheticSpec(limit=2000, seed=7))
+        assert sampled == []

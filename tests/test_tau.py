@@ -10,7 +10,6 @@ from stseq.ntt import find_ntt_primes
 from stseq.tau import (
     NAIVE_ORACLE_MAX,
     ExactTauTable,
-    _crt_moduli,
     _eta6,
     _seed_series_length,
     _sum_of_squares,
@@ -85,13 +84,18 @@ class TestExpandDelta:
         # eta^24 needs four moduli at both; eta^12, sized by its own bound, 2 then 3
         length, first = {2**19: (2**20, 2), 10**6: (2**21, 3)}[limit]
         assert _transform_length(limit) == length
-        primes = _crt_moduli(length, deligne_bound(limit))
-        assert primes == find_ntt_primes(length, 4)
+        primes = find_ntt_primes(deligne_bound(limit))
+        assert len(primes) == 4
         assert math.prod(primes) > 2 * deligne_bound(limit)
         assert math.prod(primes[:3]) <= 2 * deligne_bound(limit)
         bound = _sum_of_squares(_eta6(limit))
-        assert _crt_moduli(length, bound) == primes[:first]
+        assert find_ntt_primes(bound) == primes[:first]
         assert math.prod(primes[: first - 1]) <= 2 * bound
+
+    def test_moduli_per_stage(self):
+        # moduli of the (eta^12, eta^24) stages
+        want = {2000: (2, 3), 2**15: (2, 3), 2**19: (2, 4), 10**6: (3, 4), 4 * 10**6: (3, 5)}
+        assert {limit: _stage_counts(limit) for limit in want} == want
 
     def test_squarings_are_one_per_modulus_per_stage(self, monkeypatch):
         import stseq.tau as tau_mod
@@ -105,9 +109,8 @@ class TestExpandDelta:
 
         monkeypatch.setattr(tau_mod, "cyclic_square_truncated", counted)
         limit = 2**15
-        length = _transform_length(limit)
-        first = _crt_moduli(length, _sum_of_squares(_eta6(limit)))
-        final = _crt_moduli(length, deligne_bound(limit))
+        first = find_ntt_primes(_sum_of_squares(_eta6(limit)))
+        final = find_ntt_primes(deligne_bound(limit))
         expand_delta(limit)
         assert (len(first), len(final)) == (2, 3)
         assert calls == first + final
@@ -123,18 +126,15 @@ class TestExpandDelta:
 
 def _stage_counts(limit: int) -> tuple[int, int]:
     """Moduli of the eta^12 stage and of the final eta^24 stage at `limit`."""
-    length = _transform_length(limit)
-    return (len(_crt_moduli(length, _sum_of_squares(_eta6(limit)))),
-            len(_crt_moduli(length, deligne_bound(limit))))
+    return (len(find_ntt_primes(_sum_of_squares(_eta6(limit)))),
+            len(find_ntt_primes(deligne_bound(limit))))
 
 
 def _modulus_count_steps(top: int) -> list[int]:
     """Every limit 3..top whose stage counts differ from those at limit - 1.
 
     Both counts are non-decreasing in the limit: the bounds grow, and the
-    primes = 1 mod a doubled transform length are a subset of the previous
-    ones, so the product of the first c never grows.  Bisection then finds
-    each step.
+    primes are the same at every limit.  Bisection then finds each step.
     """
     steps, lo = [], 2
     while _stage_counts(top) != (base := _stage_counts(lo)):

@@ -6,6 +6,7 @@ import pytest
 
 from stseq.arith import (
     RULE_KINDS,
+    SIEVE_BUDGET_BYTES,
     NormalizedSequence,
     PrimePowerRule,
     build_spf_sieve,
@@ -231,6 +232,24 @@ class TestThm2:
     def test_ratio_flag(self, synth_seq):
         rep = verify_thm2(synth_seq, [100_000], ratio_tol=1e-12)
         assert not rep.passed  # synthetic window will not cancel to 1e-12
+
+    def test_builds_no_sieve(self, synth_seq, monkeypatch):
+        import stseq.verify as verify_mod
+
+        def refuse(*args):
+            pytest.fail("verify_thm2 built a sieve")
+
+        for name in ("build_spf_sieve", "largest_prime_factor_table"):
+            monkeypatch.setattr(verify_mod, name, refuse)
+        rep = verify_thm2(synth_seq, [100, 10_000, 100_000])
+        assert [row["smooth_fraction"] for row in rep.rows] == [1.0] * 3
+
+    def test_smoothness_cutoff_exceeds_x_up_to_the_sieve_cap(self):
+        # y(x) > x >= P(n) for every window integer n is why smooth_fraction is 1
+        cap = SIEVE_BUDGET_BYTES // 4 - 1  # the largest limit build_spf_sieve takes
+        grid = np.unique(np.geomspace(3, cap, 4000).astype(np.int64)).tolist()
+        for x in [*range(3, 10_000), *grid, cap]:
+            assert smoothness_cutoff(x) > x, x
 
     def test_smoothness_cutoff_formula(self):
         # iterated logs clamp at 1, so log_3(1e6) = 1 while log_3(1e8) does not clamp
