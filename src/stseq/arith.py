@@ -270,8 +270,8 @@ class PrimePowerRule:
     def __post_init__(self):
         if self.kind not in RULE_KINDS:
             raise ValueError(f"unknown rule kind {self.kind!r}")
-        if not self.rho > 0:
-            raise ValueError(f"rho must be > 0, got {self.rho}")
+        if not 0 < self.rho < math.inf:
+            raise ValueError(f"rho must be finite and > 0, got {self.rho}")
 
     def value(self, theta, k):
         """Rule value at (theta, k), elementwise over arrays."""

@@ -18,13 +18,14 @@ ValueError on a value whose shortest form passes 255 bytes (outside
 curve's A and B as int64, and save_cache raises ValueError on a curve
 whose coefficients leave [-2^63, 2^63).
 
-Float payloads are IEEE-754 binary64 little-endian; non-finite values
-refuse to serialize.  Loads verify magic, version, kind, and checksum
-before any parsing.  The header is outside the checksum, so parsers check
-the header limit against the payload length and the stored primes, and
-raise CacheFormatError on any disagreement.  Saves write a temporary file
-beside the target and rename it into place, so an interrupted save never
-leaves a partial file under the target name.
+Float payloads are IEEE-754 binary64 little-endian; non-finite values,
+in the payload or in a sequence's JSON meta, refuse to serialize.  Loads
+verify magic, version, kind, and checksum before any parsing.  The header
+is outside the checksum, so parsers check the header limit against the
+payload length and the stored primes, and raise CacheFormatError on any
+disagreement.  Saves write a temporary file beside the target and rename
+it into place, so an interrupted save never leaves a partial file under
+the target name.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def _parse_exact_tau(limit: int, buf: memoryview) -> ExactTauTable:
     if end != len(buf):
         raise CacheFormatError(f"exact-tau entries end at byte {end} of a {len(buf)}-byte payload")
     data = np.frombuffer(buf, dtype=np.uint8)
-    at = np.concatenate([[0], ends[:-1]])
+    at = np.concatenate([[0], ends])[:-1]
     lengths = data[at]
     bad = np.nonzero((lengths == 0) | ((data[at + 1] | data[at + 2] | data[at + 3]) != 0))[0]
     if bad.size:
@@ -138,7 +139,7 @@ def _parse_exact_tau(limit: int, buf: memoryview) -> ExactTauTable:
 
 
 def _payload_normalized(seq: NormalizedSequence) -> bytes:
-    meta = json.dumps(seq.meta, sort_keys=True)
+    meta = json.dumps(seq.meta, sort_keys=True, allow_nan=False)
     return _str_block(seq.source) + _str_block(meta) + _floats_bytes(seq.values[1:])
 
 

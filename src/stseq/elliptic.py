@@ -355,6 +355,8 @@ def trace_series(curve: CurveSpec, limit: int) -> TraceSeries:
     """Traces at every prime <= limit: one `trace_batch` call for the good
     primes above the crossover, the sweep through `trace_at_prime` for the
     rest (the primes <= 229 and the bad primes)."""
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
     if limit > TRACE_PRIME_GUARD:
         raise CapacityError(f"limit {limit} exceeds the series budget {TRACE_PRIME_GUARD}")
     ps = primes_up_to(limit)
@@ -372,6 +374,8 @@ def ec_normalized_sequence(series: TraceSeries, limit: int) -> NormalizedSequenc
     Good p: u_{k+1} = a_p u_k - u_{k-1} with a_p = t_p/sqrt(p) (normalized
     Euler factor).  Bad p: a_{p^k} = (t_p/sqrt(p))^k.
     """
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
     if series.limit < limit:
         raise IncompleteInputError(
             f"trace series up to {series.limit} cannot build a length-{limit} sequence"

@@ -245,8 +245,7 @@ def tau_angles(table: ExactTauTable) -> AngleSeries:
     ps = primes_up_to(table.limit)
     rows = table.limbs[ps]
     t = lb.to_float(rows)
-    # Python's pow, not numpy's: the two differ in the last bit for some p
-    scale = np.array([float(p) ** 5.5 for p in ps.tolist()])
+    scale = ps.astype(np.float64) ** 5.5  # normalize_tau's power, so a_p agree
     over = _exceeds(rows, np.abs(t), 2.0 * scale, lambda i: 4 * int(ps[i]) ** 11)
     if over.size:
         raise DataCorruptionError(f"|tau({int(ps[over[0]])})| exceeds 2 p^(11/2)")

@@ -1,7 +1,7 @@
 """Executable verifiers for the distributional claims about sequence members.
 
-Each verifier is a pure fold over a NormalizedSequence (plus sieve-derived
-tables) and emits a VerificationReport whose flags, each made by
+Each verifier is a pure fold over a NormalizedSequence (plus the primes up
+to its cutoff) and emits a VerificationReport whose flags, each made by
 `report.flag`, are reproducible from the rows and the declared tolerances.
 The asymptotic statements cannot fix desk-scale targets by themselves, so
 flags are opt-in where a tolerance is not intrinsic; callers (CLI,
@@ -24,9 +24,7 @@ import numpy as np
 from .arith import (
     AngleSeries,
     NormalizedSequence,
-    build_spf_sieve,
     dyadic_blocks,
-    largest_prime_factor_table,
     primes_up_to,
 )
 from .errors import DataCorruptionError
@@ -277,35 +275,31 @@ def _gap_quantiles(gaps: np.ndarray) -> dict:
 def strongly_multiplicative_log(
     seq: NormalizedSequence, x: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """log|h(n)| for n <= x, one pass on the largest prime factor.
+    """log|h(n)| for n <= x by ascending prime strikes.
 
     Returns (logh, alive) where alive marks n free of zero prime values
     (h(n) != 0).  logh[n] is the sum of log|a_p| over the distinct primes
-    p | n with a_p != 0, added smallest first.  With P = P(n) and r = n / P,
-    the primes of r are those of n below P, plus P itself when P^2 | n, so
-    logh[n] = logh[r] + log|a_P| (just logh[r] when P | r) is that same sum
-    in that same order; a prime with a_p = 0 holds logh[p] = +0.0, and
-    adding it changes no bit.  The pass walks `dyadic_blocks`, which puts r
-    and, for composite n, P before n's block.  The primes with a_p = 0 are
-    collected on the way and struck for alive.
+    p | n with a_p != 0, added smallest first: each such prime adds its log
+    to all its multiples, in ascending order.  The primes p <= sqrt(x)
+    strike one slice each.  Every multiple j * p <= x of a larger prime p
+    has j < sqrt(x), so p is its largest prime factor and comes last either
+    way: those primes strike together, one gather-add per multiplier j.
     """
     logh = np.zeros(x + 1, dtype=np.float64)
-    lpf = largest_prime_factor_table(build_spf_sieve(x))
-    vals = seq.values
-    zero_primes = [np.empty(0, dtype=np.int64)]
-    for start, stop in dyadic_blocks(2, x + 1):
-        n = np.arange(start, stop, dtype=np.int64)
-        big = lpf[start:stop]
-        # a prime's own log goes in first; composites read it
-        ps = n[big == n]
-        a = np.abs(vals[ps])
-        nz = a != 0.0
-        logh[ps[nz]] = np.fromiter(map(math.log, a[nz].tolist()), np.float64)
-        zero_primes.append(ps[~nz])
-        r = n // big
-        carried = logh[r]
-        logh[start:stop] = np.where(lpf[r] == big, carried, carried + logh[big])
-    return logh, prime_free_mask(np.concatenate(zero_primes), x)
+    ps = primes_up_to(x)
+    a = np.abs(seq.values[ps])
+    nz = a != 0.0
+    live = ps[nz]
+    logs = np.fromiter(map(math.log, a[nz].tolist()), np.float64)
+    root = math.isqrt(x)
+    small = int(np.searchsorted(live, root, side="right"))
+    for p, lp in zip(live[:small].tolist(), logs[:small].tolist()):
+        logh[p::p] += lp
+    big, lbig = live[small:], logs[small:]
+    for j in range(1, x // (root + 1) + 1):
+        k = int(np.searchsorted(big, x // j, side="right"))
+        logh[j * big[:k]] += lbig[:k]
+    return logh, prime_free_mask(ps[~nz], x)
 
 
 def _shape_statistics(log_abs: np.ndarray, mu: float, sigma2: float) -> tuple[float, float, float]:

@@ -220,6 +220,9 @@ class TestChebyshevRules:
             PrimePowerRule(kind="bogus")
         with pytest.raises(ValueError):
             PrimePowerRule(rho=0.0)
+        for rho in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="rho must be finite and > 0"):
+                PrimePowerRule(rho=rho)
 
 
 def _angles_for(limit: int, seed: int = 3) -> AngleSeries:

@@ -72,6 +72,17 @@ def test_hook_positions_name_their_parameters(tracer):
             assert params[pos] == name, (fname, params)
 
 
+def test_every_session_call_exits_zero(tmp_path, monkeypatch):
+    # every workload the benchmark runs, replayed small through the real entry point
+    session = _load_bench(monkeypatch, "session")
+    assert sorted(session.LIMITS) == ["ec-session", "synth-session", "tau-session"]
+    for workload in sorted(session.LIMITS):
+        work = tmp_path / workload
+        for i, argv in enumerate(session.session_calls(workload, 7, limit=2000)):
+            full = [*argv, "--cache-dir", str(work / "cache"), "--out-dir", str(work / f"out{i}")]
+            assert main(full) == 0, argv
+
+
 def test_synth_session_caches_once(tmp_path, monkeypatch):
     session = _load_bench(monkeypatch, "session")
     cache = tmp_path / "cache"

@@ -31,6 +31,15 @@ def test_exact_tau_roundtrip(tmp_path):
     assert back.taus == table.taus
 
 
+def test_exact_tau_roundtrip_at_limit_zero(tmp_path):
+    path = tmp_path / "t.astc"
+    save_cache(path, ExactTauTable.from_ints([0]))
+    back = load_cache(path)
+    assert back.limit == 0
+    assert back.limbs.tobytes() == np.zeros((1, 1), dtype=np.uint64).tobytes()
+    assert path.stat().st_size == _HEADER.size
+
+
 def test_exact_tau_big_values(tmp_path):
     taus = list(tau_naive_oracle(50).taus)
     taus[7] = -(10**40)  # force a long negative entry through the codec
@@ -110,7 +119,7 @@ _ints = st.one_of(st.sampled_from(_edge_ints()), st.integers(-(2**151), 2**151),
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(_ints, min_size=1, max_size=40))
+@given(st.lists(_ints, max_size=40))
 def test_exact_tau_roundtrip_property(tmp_path_factory, values):
     taus = [0, *values]
     path = tmp_path_factory.mktemp("prop") / "t.astc"
@@ -232,6 +241,15 @@ def test_non_finite_floats_rejected(tmp_path):
     seq = NormalizedSequence(limit=100, values=vals, source="synthetic")
     with pytest.raises(ValueError):
         save_cache(tmp_path / "bad.astc", seq)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_meta_rejected(tmp_path, value):
+    vals = np.concatenate([[np.nan, 1.0], np.ones(99)])
+    seq = NormalizedSequence(limit=100, values=vals, source="synthetic", meta={"rho": value})
+    with pytest.raises(ValueError):
+        save_cache(tmp_path / "bad.astc", seq)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_uncacheable_type(tmp_path):

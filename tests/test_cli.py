@@ -348,6 +348,30 @@ def test_curve_beyond_int64_exits_two(tmp_path, capsys):
     assert list(cache.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["ec", "--curve=-1,1"],
+    ["verify", "thm1", "--epsilon", "0.25", "--checkpoints", "3", "--source", "ec",
+     "--curve=-1,1"],
+    ["angles", "--source", "ec", "--curve=-1,1"],
+], ids=["ec", "verify", "angles"])
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_ec_limit_below_one_exits_two(tmp_path, capsys, argv, limit):
+    # a limit below 1 is refused before any trace or cache file is made
+    cache = tmp_path / "cache"
+    assert main([*argv, "--limit", limit, "--cache-dir", str(cache),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: limit must be >= 1"]
+    assert list(cache.iterdir()) == []
+
+
+def test_non_finite_rho_exits_two(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    assert main(["synth", "--limit", "300", "--seed", "7", "--rho", "inf",
+                 "--cache-dir", str(cache)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: rho must be finite and > 0, got inf"]
+    assert list(cache.iterdir()) == []
+
+
 def test_config_reaches_thm3_A(tmp_path):
     conf = tmp_path / "conf.txt"
     conf.write_text("A=5.0\n")

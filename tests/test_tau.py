@@ -240,6 +240,13 @@ class TestTauAngles:
         with pytest.raises(DataCorruptionError, match=r"tau\(7\)"):
             tau_angles(_with(tau_naive_oracle(10), {**edge, 7: edge[7] + sign}))
 
+    @pytest.mark.parametrize("limit", [2000, 2**15])
+    def test_a_p_is_the_normalized_value(self, limit):
+        # one evaluator: the angle records carry the sequence's own a_p, bit for bit
+        table = expand_delta(limit)
+        ang = tau_angles(table)
+        assert ang.a.tobytes() == normalize_tau(table).values[ang.primes].tobytes()
+
 
 class TestIntegrity:
     def test_clean_table(self):

@@ -2,10 +2,12 @@
 
 The digests were recorded while tables were still lists of Python ints, so
 the limb-packed codec, float views and integrity detectors must reproduce
-the int path byte for byte.  The faulty table reaches each detector: an
-over-bound entry, one exactly on the divisor bound and one just past it
-(both inside the float screen's band, so decided in ints), congruence and
-multiplicativity breaks, and a 151-bit entry that needs a third limb.
+the int path byte for byte; the angles digest alone was taken later, once
+tau_angles read a_p with normalize_tau's numpy power.  The faulty table
+reaches each detector: an over-bound entry, one exactly on the divisor
+bound and one just past it (both inside the float screen's band, so
+decided in ints), congruence and multiplicativity breaks, and a 151-bit
+entry that needs a third limb.
 """
 
 import hashlib
@@ -23,7 +25,7 @@ PINS = {
     "cache_clean": "9790115a047828f8e81a248ed65fd977",
     "cache_faulty": "8b4fae859f72b5ec92abfaf41ade2f29",
     "normalize": "78c64848cba8bb93b71932ed204300c1",
-    "angles": "bfdb4d871c06cdec4e7a80656531bfd0",
+    "angles": "2f5952c13448c97c1ce4df772d27ccb6",
     "integrity_clean": "8aaf3aca44da364d049562494e3d75ae",
     "integrity_faulty": "988f0aa3bc47276dce5dbca9505a43c6",
     "integrity_sampled_clean": "87c5b1e43ba41056a9b0de3aa17b425b",

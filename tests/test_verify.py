@@ -60,6 +60,20 @@ def slice_strongly_multiplicative_log(seq: NormalizedSequence, x: int):
     return logh, alive
 
 
+def refuse_sieves(monkeypatch, caller: str) -> None:
+    """Make any SPF sieve or largest-prime-factor table fail the test; verify
+    imports neither name, so every route to them goes through stseq.arith."""
+    import stseq.arith as arith_mod
+    import stseq.verify as verify_mod
+
+    def refuse(*args):
+        pytest.fail(f"{caller} built a sieve")
+
+    for name in ("build_spf_sieve", "largest_prime_factor_table"):
+        assert not hasattr(verify_mod, name)
+        monkeypatch.setattr(arith_mod, name, refuse)
+
+
 def noise_sequence(limit: int) -> NormalizedSequence:
     """Uniform values on [-2, 2] with 1000 zeros: many |a_p| fall under any floor."""
     rng = np.random.default_rng(5)
@@ -234,13 +248,7 @@ class TestThm2:
         assert not rep.passed  # synthetic window will not cancel to 1e-12
 
     def test_builds_no_sieve(self, synth_seq, monkeypatch):
-        import stseq.verify as verify_mod
-
-        def refuse(*args):
-            pytest.fail("verify_thm2 built a sieve")
-
-        for name in ("build_spf_sieve", "largest_prime_factor_table"):
-            monkeypatch.setattr(verify_mod, name, refuse)
+        refuse_sieves(monkeypatch, "verify_thm2")
         rep = verify_thm2(synth_seq, [100, 10_000, 100_000])
         assert [row["smooth_fraction"] for row in rep.rows] == [1.0] * 3
 
@@ -283,6 +291,13 @@ class TestSupportFilter:
 
 
 class TestThm3:
+    @pytest.mark.parametrize("standardization", ["asymptotic", "finite-size", "self"])
+    @pytest.mark.parametrize("mode", ["nonzero", "floor-A"])
+    def test_builds_no_sieve(self, synth_seq, monkeypatch, standardization, mode):
+        refuse_sieves(monkeypatch, "verify_thm3")
+        rep = verify_thm3(synth_seq, 100_000, SupportFilter(mode), standardization)
+        assert rep.flags[0]["name"] == "additive_identity" and rep.flags[0]["passed"]
+
     def test_additive_identity_exact(self, synth_seq):
         rep = verify_thm3(synth_seq, 100_000, SupportFilter("nonzero"), "self")
         row = rep.rows[0]
@@ -488,7 +503,7 @@ class TestAssumptions:
 
 
 class TestStronglyMultiplicativeLogOracle:
-    """The largest-prime-factor pass equals the prime-slice oracle bit for bit."""
+    """The two-phase prime strikes equal the prime-slice oracle bit for bit."""
 
     @staticmethod
     def assert_same(seq, x):
@@ -501,11 +516,12 @@ class TestStronglyMultiplicativeLogOracle:
         for x in (1, 2, 3, 64, 65, 100_000):
             self.assert_same(synth_seq, x)
 
-    def test_synthetic_small_blocks(self, synth_seq, monkeypatch):
-        import stseq.arith as arith_mod
-
-        monkeypatch.setattr(arith_mod, "_BLOCK", 7)
-        self.assert_same(synth_seq, 20_000)
+    def test_around_prime_squares(self, synth_seq, cm_seq):
+        # at x = p^2 the prime p moves from the large-prime phase to the slices
+        for p in (2, 3, 5, 7, 11, 13, 31, 97, 139):
+            for seq in (synth_seq, cm_seq):
+                for x in (p * p - 1, p * p, p * p + 1):
+                    self.assert_same(seq, x)
 
     def test_tau(self):
         from stseq.tau import expand_delta, normalize_tau
