@@ -1,22 +1,20 @@
 """Sieves and the assembly of multiplicative sequences.
 
-Everything downstream builds on two primitives: a smallest-prime-factor
-table and one multiplicative kernel.  The sieve derives n = spf(n)^e * core
-once, and `fill_multiplicative` fills any table f(n) = f(spf(n)^e) * f(core)
-from those pairs.  The kernel fills the sequences assembled from prime
-angles plus a prime-power rule (a_p = 2 cos(theta_p) in [-2, 2]; higher
-prime powers come from the rule), the elliptic sequences, d(n) and
-sigma_11(n) mod 691.  The largest prime factor has its own rule,
-P(n) = max(spf(n), P(n / spf(n))), which needs no (e, core).  Every such
-pass walks `dyadic_blocks`.  All heavy loops are vectorized; results are
-independent of evaluation order and thread count.
+Everything downstream builds on one multiplicative kernel,
+`fill_multiplicative`: any table fixed by its prime-power values, by
+prime-power strikes over `primes_up_to`.  It fills the sequences assembled
+from prime angles plus a prime-power rule (a_p = 2 cos(theta_p) in [-2, 2];
+higher prime powers come from the rule), the elliptic sequences, d(n) and
+sigma_11(n) mod 691.  The smallest-prime-factor sieve remains for the Hecke
+rebuild from primes; its (e, core) pairs and the largest prime factor are
+recursions over `dyadic_blocks`.  All heavy loops are vectorized; results
+are independent of evaluation order and thread count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -93,15 +91,6 @@ class SpfSieve:
     limit: int
     spf: np.ndarray
 
-    @cached_property
-    def exponent_core(self) -> tuple[np.ndarray, np.ndarray]:
-        """(e, core) from `_derive_exponent_core`, derived on first use and
-        read-only, since every table filled from this sieve shares them."""
-        e, core = _derive_exponent_core(self.spf)
-        e.flags.writeable = False
-        core.flags.writeable = False
-        return e, core
-
     def __post_init__(self):
         if self.limit < 2:
             raise CapacityError(f"sieve limit must be >= 2, got {self.limit}")
@@ -131,7 +120,7 @@ def build_spf_sieve(limit: int) -> SpfSieve:
     return SpfSieve(limit=limit, spf=spf)
 
 
-# Entries per block of `dyadic_blocks`: bounds the temporaries of each pass.
+# Entries per block of `dyadic_blocks` and of a small prime's strike: bounds temporaries.
 _BLOCK = 1 << 20
 
 
@@ -139,9 +128,9 @@ def dyadic_blocks(lo: int, hi: int):
     """[lo, hi) as consecutive (start, stop) pairs, none crossing a power of
     two and none holding more than _BLOCK entries.
 
-    Every pass over a per-n table that reads its own entries at m <= n/2
-    walks these blocks: n >= 2^k in a block inside [2^k, 2^(k+1)) puts m
-    below 2^k, so m lies before the block and is already final.
+    The (e, core) and largest-prime-factor recursions read their entries at
+    m <= n/2: n >= 2^k in a block inside [2^k, 2^(k+1)) puts m below 2^k,
+    so m lies before the block and is already final.
     """
     while lo < hi:
         stop = min(hi, 1 << lo.bit_length(), lo + _BLOCK)
@@ -170,25 +159,40 @@ def _derive_exponent_core(spf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def exponent_core_tables(sieve: SpfSieve) -> tuple[np.ndarray, np.ndarray]:
-    """The sieve's read-only (e, core) pair: n = spf(n)^e * core."""
-    return sieve.exponent_core
+    """The sieve's (e, core) pair: n = spf(n)^e * core."""
+    return _derive_exponent_core(sieve.spf)
 
 
-def fill_multiplicative(sieve: SpfSieve, limit: int, prime_power, out: np.ndarray,
+def fill_multiplicative(limit: int, prime_power, out: np.ndarray,
                         combine=np.multiply) -> np.ndarray:
-    """Fill out[1..limit] with f(1) = 1 and f(n) = combine(prime_power(p, e), f(core)).
+    """Fill out[1..limit] with f(n) = combine(f(p1^e1), combine(..., combine(f(pk^ek), 1)))
+    for n = p1^e1 ... pk^ek, p1 < ... < pk; prime_power(p, v) gives f(p^v)
+    over int64 arrays, and out[0] is untouched.
 
-    p = spf(n) and e come in as int64 arrays over one block of
-    `dyadic_blocks`, so one gather of f(core) per block resolves the
-    recursion.  out[0] is left as the caller set it.
+    The primes strike largest first.  A prime p > sqrt(limit) divides each
+    multiple j * p once, as its largest factor, so those strike together,
+    one gather per j.  Each smaller p then strikes its multiples m * p, at
+    most _BLOCK per block, with f(p^v), p^v || m * p.
     """
-    if sieve.limit < limit:
-        raise IncompleteInputError(f"sieve limit {sieve.limit} < requested {limit}")
-    e, core = exponent_core_tables(sieve)
-    out[1] = 1
-    for lo, hi in dyadic_blocks(2, limit + 1):
-        pv = prime_power(sieve.spf[lo:hi].astype(np.int64), e[lo:hi].astype(np.int64))
-        out[lo:hi] = combine(pv, out[core[lo:hi]])
+    out[1 : limit + 1] = 1
+    ps = primes_up_to(limit)
+    root = math.isqrt(limit)
+    small = int(np.searchsorted(ps, root, side="right"))
+    big = ps[small:]
+    f = prime_power(big, np.ones_like(big))
+    for j in range(1, limit // (root + 1) + 1):
+        at = j * big[: np.searchsorted(big, limit // j, side="right")]
+        out[at] = combine(f[: len(at)], out[at])
+    for p in ps[:small][::-1].tolist():
+        powers = [p**v for v in range(1, limit.bit_length()) if p**v <= limit]
+        f = prime_power(np.full(len(powers), p), np.arange(1, len(powers) + 1))
+        for lo in range(0, limit // p, _BLOCK):  # the multiples m * p, lo < m <= hi
+            hi = min(limit // p, lo + _BLOCK)
+            fv = np.full(hi - lo, f[0])
+            for v, q in enumerate(powers[:-1], start=1):  # q = p^v divides m
+                fv[-(lo + 1) % q :: q] = f[v]
+            seg = out[p * (lo + 1) : p * hi + 1 : p]
+            seg[...] = combine(fv, seg)
     return out
 
 
@@ -348,25 +352,17 @@ def assemble_multiplicative(
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    sieve = build_spf_sieve(limit)
-
     theta_at = np.full(limit + 1, np.nan)
     in_range = angles.primes <= limit
     theta_at[angles.primes[in_range]] = angles.theta[in_range]
-    missing, first = 0, None
-    for lo, hi in dyadic_blocks(2, limit + 1):
-        n = np.arange(lo, hi, dtype=np.int64)
-        gaps = n[(sieve.spf[lo:hi] == n) & np.isnan(theta_at[lo:hi])]
-        missing += gaps.size
-        first = first if first is not None or not gaps.size else int(gaps[0])
-    if missing:
-        raise IncompleteInputError(
-            f"angles missing for {missing} primes <= {limit} (first: {first})"
-        )
+    ps = primes_up_to(limit)
+    gaps = ps[np.isnan(theta_at[ps])]
+    if gaps.size:
+        raise IncompleteInputError(f"angles missing for {gaps.size} primes <= {limit} "
+                                   f"(first: {gaps[0]})")
 
-    values = np.empty(limit + 1, dtype=np.float64)
-    values[0] = np.nan
-    fill_multiplicative(sieve, limit, lambda p, e: rule.value(theta_at[p], e), values)
+    values = fill_multiplicative(limit, lambda p, e: rule.value(theta_at[p], e),
+                                 np.full(limit + 1, np.nan))
     return NormalizedSequence(limit=limit, values=values, source="synthetic")
 
 

@@ -142,10 +142,17 @@ def _cached(paths: list[Path], builder, fits) -> tuple:
     return objs
 
 
+def _limit(args) -> int:
+    """--limit, refused below 1 before any cache file is read."""
+    if (limit := _require(args, "limit")) < 1:
+        raise ValueError("limit must be >= 1")
+    return limit
+
+
 def get_tau_table(args) -> ExactTauTable:
     """Exact tau table for --limit; a cached table is used only if it fits the request."""
-    limit = _require(args, "limit")
-    path = cache_dir_of(args) / f"tau_{limit}.astc"
+    cache, limit = cache_dir_of(args), _limit(args)
+    path = cache / f"tau_{limit}.astc"
     return _cached(
         [path],
         lambda: (expand_delta(limit),),
@@ -155,9 +162,9 @@ def get_tau_table(args) -> ExactTauTable:
 
 def get_trace_series(args) -> TraceSeries:
     """Traces for --curve and --limit; a cached series is used only if it fits the request."""
-    limit = _require(args, "limit")
+    cache, limit = cache_dir_of(args), _limit(args)
     a4, b6 = _parse_pair(_require(args, "curve"), "--curve", "A,B", _parse_int_list)
-    path = cache_dir_of(args) / f"traces_{a4}_{b6}_{limit}.astc"
+    path = cache / f"traces_{a4}_{b6}_{limit}.astc"
     return _cached(
         [path],
         lambda: (trace_series(CurveSpec(a4, b6), limit),),
@@ -168,7 +175,7 @@ def get_trace_series(args) -> TraceSeries:
 
 def get_synthetic(args) -> tuple[AngleSeries, NormalizedSequence]:
     """(angles, seq) for --source synth; a cached pair is used only if it fits the request."""
-    limit, seed, cache = _require(args, "limit"), _require(args, "seed"), cache_dir_of(args)
+    cache, limit, seed = cache_dir_of(args), _limit(args), _require(args, "seed")
     # repr keeps every digit of rho (":g" would give 0.25 and 0.2500001 one file)
     paths = [cache / f"synth_angles_{limit}_{seed}.astc",
              cache / f"synth_{limit}_{seed}_{args.rule}_{args.rho!r}.astc"]
@@ -192,13 +199,12 @@ def _require(args, name):
 def resolve_sequence(args):
     """(sequence, angles) for --source tau|ec|synth."""
     source = _require(args, "source")
-    limit = _require(args, "limit")
     if source == "tau":
         table = get_tau_table(args)
         return normalize_tau(table), tau_angles(table)
     if source == "ec":
         series = get_trace_series(args)
-        return ec_normalized_sequence(series, limit), angles_from_traces(series)
+        return ec_normalized_sequence(series, series.limit), angles_from_traces(series)
     angles, seq = get_synthetic(args)  # --source choices leave only synth
     return seq, angles
 

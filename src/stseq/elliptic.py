@@ -29,7 +29,6 @@ import numpy as np
 from .arith import (
     AngleSeries,
     NormalizedSequence,
-    build_spf_sieve,
     chebyshev_recurrence,
     fill_multiplicative,
     is_prime,
@@ -67,13 +66,13 @@ class CurveSpec:
 
 def trace_at_prime(curve: CurveSpec, p: int) -> int:
     """Exact Frobenius trace at p (bad primes get the reduction-type value):
-    a one-prime `trace_batch` at good p above the crossover, the sweep otherwise."""
+    a one-prime `_batch_traces` at good p above the crossover, the sweep otherwise."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p > TRACE_PRIME_GUARD:
         raise ValueError(f"p={p} exceeds the trace prime guard {TRACE_PRIME_GUARD}")
     if p > _BSGS_ABOVE and curve.discriminant % p:
-        return int(trace_batch(curve, np.array([p]))[0])
+        return int(_batch_traces(curve, np.array([p], dtype=np.int64))[0])
     return _sweep_trace(curve, p)
 
 
@@ -88,7 +87,20 @@ def _residues(n: int, ps: np.ndarray) -> np.ndarray:
 
 
 def trace_batch(curve: CurveSpec, primes) -> np.ndarray:
-    """Exact traces at good primes 229 < p <= TRACE_PRIME_GUARD.
+    """Exact traces at good primes 229 < p <= TRACE_PRIME_GUARD, each checked first."""
+    ps = np.asarray(primes, dtype=np.int64)
+    if ps.size and (ps.min() <= _BSGS_ABOVE or ps.max() > TRACE_PRIME_GUARD):
+        raise ValueError(f"batched traces need {_BSGS_ABOVE} < p <= {TRACE_PRIME_GUARD}")
+    composite = ps[~np.isin(ps, primes_up_to(int(ps.max(initial=0))))]
+    if composite.size:
+        raise ValueError(f"{composite[0]} is not prime")
+    if not np.all(_residues(curve.discriminant, ps)):
+        raise ValueError(f"bad prime for A={curve.a4}, B={curve.a6} in a batch of good primes")
+    return _batch_traces(curve, ps)
+
+
+def _batch_traces(curve: CurveSpec, ps: np.ndarray) -> np.ndarray:
+    """`trace_batch` on int64 primes its caller has checked.
 
     Shanks-Mestre at every prime at once: for d = f(x0) != 0, (d x0, d^2)
     lies on y^2 = x^3 + A d^2 x + B d^3, which is E when d is a square mod p
@@ -98,14 +110,6 @@ def trace_batch(curve: CurveSpec, primes) -> np.ndarray:
     prime whose point is rejected retries at x0 + 1 in the next round, which
     pools the rejects of every block; one that uses up all p starts raises.
     """
-    ps = np.asarray(primes, dtype=np.int64)
-    if ps.size and (ps.min() <= _BSGS_ABOVE or ps.max() > TRACE_PRIME_GUARD):
-        raise ValueError(f"batched traces need {_BSGS_ABOVE} < p <= {TRACE_PRIME_GUARD}")
-    composite = ps[~np.isin(ps, primes_up_to(int(ps.max(initial=0))))]
-    if composite.size:
-        raise ValueError(f"{composite[0]} is not prime")
-    if not np.all(_residues(curve.discriminant, ps)):
-        raise ValueError(f"bad prime for A={curve.a4}, B={curve.a6} in a batch of good primes")
     A, B = _residues(curve.a4, ps), _residues(curve.a6, ps)
     t = np.zeros(len(ps), dtype=np.int64)
     todo, i = np.arange(len(ps)), 0
@@ -352,7 +356,7 @@ class TraceSeries:
 
 
 def trace_series(curve: CurveSpec, limit: int) -> TraceSeries:
-    """Traces at every prime <= limit: one `trace_batch` call for the good
+    """Traces at every prime <= limit: one `_batch_traces` call for the good
     primes above the crossover, the sweep through `trace_at_prime` for the
     rest (the primes <= 229 and the bad primes)."""
     if limit < 1:
@@ -363,7 +367,7 @@ def trace_series(curve: CurveSpec, limit: int) -> TraceSeries:
     good = _residues(curve.discriminant, ps) != 0
     batched = good & (ps > _BSGS_ABOVE)
     t = np.empty(len(ps), dtype=np.int64)
-    t[batched] = trace_batch(curve, ps[batched])
+    t[batched] = _batch_traces(curve, ps[batched])
     t[~batched] = [trace_at_prime(curve, int(p)) for p in ps[~batched]]
     return TraceSeries(limit=limit, curve=curve, primes=ps, t=t, good=good)
 
@@ -391,10 +395,7 @@ def ec_normalized_sequence(series: TraceSeries, limit: int) -> NormalizedSequenc
         ap = a_at[p]
         return np.where(good_at[p], chebyshev_recurrence(ap, e), ap**e)
 
-    values = np.empty(limit + 1, dtype=np.float64)
-    values[0] = np.nan
-    fill_multiplicative(build_spf_sieve(limit), limit, prime_power, values)
-    bad_ps = series.primes[~series.good]
+    values = fill_multiplicative(limit, prime_power, np.full(limit + 1, np.nan))
     return NormalizedSequence(
         limit=limit,
         values=values,
@@ -402,7 +403,7 @@ def ec_normalized_sequence(series: TraceSeries, limit: int) -> NormalizedSequenc
         meta={
             "a4": series.curve.a4,
             "a6": series.curve.a6,
-            "bad_primes": [int(p) for p in bad_ps if p <= limit],
+            "bad_primes": [int(p) for p in series.primes[~series.good] if p <= limit],
         },
     )
 

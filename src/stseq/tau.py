@@ -34,7 +34,6 @@ from . import limbs as lb
 from .arith import (
     AngleSeries,
     NormalizedSequence,
-    SpfSieve,
     build_spf_sieve,
     fill_multiplicative,
     primes_up_to,
@@ -266,7 +265,7 @@ def _exceeds(rows: np.ndarray, size: np.ndarray, bound: np.ndarray, exact_sq) ->
     return np.nonzero(over)[0]
 
 
-def _sigma11_mod691(limit: int, sieve: SpfSieve) -> np.ndarray:
+def _sigma11_mod691(limit: int) -> np.ndarray:
     """sigma_11(n) mod 691 for n <= limit.
 
     sigma_11(p^e) = 1 + p^11 + ... + p^(11e) depends on p only mod 691, so
@@ -278,13 +277,12 @@ def _sigma11_mod691(limit: int, sieve: SpfSieve) -> np.ndarray:
     for e in range(1, S.shape[1]):
         S[:, e] = (S[:, e - 1] * pow11 + 1) % 691
     out = np.zeros(limit + 1, dtype=np.int64)
-    return fill_multiplicative(sieve, limit, lambda p, e: S[p % 691, e], out,
+    return fill_multiplicative(limit, lambda p, e: S[p % 691, e], out,
                                combine=lambda a, b: a * b % 691)
 
 
-def _divisor_counts(limit: int, sieve: SpfSieve) -> np.ndarray:
-    d = np.zeros(limit + 1, dtype=np.int64)
-    return fill_multiplicative(sieve, limit, lambda p, e: e + 1, d)
+def _divisor_counts(limit: int) -> np.ndarray:
+    return fill_multiplicative(limit, lambda p, e: e + 1, np.zeros(limit + 1, dtype=np.int64))
 
 
 INTEGRITY_SAMPLE_CAP = 100_000
@@ -332,7 +330,6 @@ def integrity_check(table: ExactTauTable) -> VerificationReport:
     """
     t0 = time.perf_counter()
     limit = table.limit
-    sieve = build_spf_sieve(limit)
 
     # (a) multiplicativity
     sampled = limit > INTEGRITY_SAMPLE_CAP
@@ -346,13 +343,13 @@ def integrity_check(table: ExactTauTable) -> VerificationReport:
 
     # (b) divisor bound: tau(n)^2 <= d(n)^2 * n^11 exactly
     body = table.limbs[1:]
-    d = _divisor_counts(limit, sieve)[1:]
+    d = _divisor_counts(limit)[1:]
     n = np.arange(1, limit + 1, dtype=np.float64)
     bound_fail = _exceeds(body, np.abs(lb.to_float(body)), d * n**5.5,
                           lambda i: int(d[i]) ** 2 * (i + 1) ** 11).size
 
     # (c) mod-691 congruence against sigma_11
-    sig = _sigma11_mod691(limit, sieve)[1:]
+    sig = _sigma11_mod691(limit)[1:]
     cong_fail = int(np.count_nonzero(lb.mod_small(body, 691) != sig))
 
     rows = [

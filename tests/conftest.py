@@ -1,12 +1,32 @@
+import sys
+
 import numpy as np
 import pytest
 
+import stseq
 from stseq import build_spf_sieve
+
+# Every route to a smallest-prime-factor sieve or a table derived from one.
+SIEVE_NAMES = ("build_spf_sieve", "_derive_exponent_core", "largest_prime_factor_table")
 
 
 @pytest.fixture(scope="session")
 def sieve_10k():
     return build_spf_sieve(10_000)
+
+
+def refuse_sieves(monkeypatch, caller: str) -> None:
+    """Make any SPF sieve, (e, core) derivation or largest-prime-factor table
+    fail the test, through every stseq module that binds one of the names."""
+
+    def refuse(*args):
+        pytest.fail(f"{caller} built a sieve")
+
+    for modname, module in list(sys.modules.items()):
+        if modname.split(".")[0] == stseq.__name__:
+            for name in SIEVE_NAMES:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
 
 
 def brute_spf(n: int) -> int:

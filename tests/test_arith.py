@@ -14,6 +14,7 @@ from stseq.arith import (
     chebyshev_sin_ratio,
     dyadic_blocks,
     exponent_core_tables,
+    fill_multiplicative,
     growth_violations,
     is_prime,
     largest_prime_factor_table,
@@ -21,7 +22,7 @@ from stseq.arith import (
 )
 from stseq.errors import CapacityError, IncompleteInputError
 
-from conftest import brute_factor, brute_spf
+from conftest import brute_factor, brute_spf, refuse_sieves
 
 
 class TestSpfSieve:
@@ -79,36 +80,65 @@ class TestDerivedTables:
             assert e[n] == k0
             assert core[n] == n // p0**k0
 
-    def test_exponent_core_read_only_and_derived_once(self, monkeypatch):
-        import stseq.arith as arith_mod
-        from stseq.tau import expand_delta, integrity_check
-
-        calls = []
-        derive = arith_mod._derive_exponent_core
-
-        def counted(spf):
-            calls.append(len(spf))
-            return derive(spf)
-
-        monkeypatch.setattr(arith_mod, "_derive_exponent_core", counted)
-        # integrity_check fills d(n) and sigma_11(n) mod 691 from one derivation
-        assert integrity_check(expand_delta(300)).passed
-        assert calls == [301]
-        sieve = build_spf_sieve(300)
-        e, core = exponent_core_tables(sieve)
-        assert calls == [301, 301]
-        assert exponent_core_tables(sieve)[0] is e
-        assert calls == [301, 301]
-        with pytest.raises(ValueError):
-            e[2] = 5
-        with pytest.raises(ValueError):
-            core[2] = 5
-
     def test_largest_prime_factor(self, sieve_10k):
         lpf = largest_prime_factor_table(sieve_10k)
         assert lpf[1] == 1
         for n in range(2, 2000):
             assert lpf[n] == brute_factor(n)[-1][0]
+
+
+def _float_power(p, v):
+    """A float f(p^v) whose products round differently in another order."""
+    return np.cos(np.asarray(p) * 0.37 + np.asarray(v)) * (1.0 + 1.0 / np.asarray(p))
+
+
+def _mod691_power(p, v):
+    return (np.asarray(p) ** 2 + 3 * np.asarray(v)) % 691
+
+
+def _right_fold(limit, prime_power, combine, out):
+    """combine(f(p1^e1), combine(..., combine(f(pk^ek), 1))) over the brute
+    factorization p1 < ... < pk of each n, one prime power at a time."""
+    for n in range(1, limit + 1):
+        acc = out[1:2] * 0 + 1
+        for p, k in reversed(brute_factor(n)):
+            acc = combine(prime_power(np.array([p]), np.array([k])), acc)
+        out[n] = acc[0]
+    return out
+
+
+class TestFillMultiplicative:
+    LIMITS = [0, 1, 2, 3, 4, 8, 9, 24, 25, 26, 120, 121, 122, 168, 169, 170, 2000]
+    KINDS = {
+        "float": (_float_power, np.multiply, np.float64),
+        "mod691": (_mod691_power, lambda a, b: a * b % 691, np.int64),
+    }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("limit", LIMITS)
+    @pytest.mark.parametrize("block", [3, 1 << 20])
+    def test_equals_the_right_fold(self, monkeypatch, kind, limit, block):
+        import stseq.arith as arith_mod
+
+        monkeypatch.setattr(arith_mod, "_BLOCK", block)
+        prime_power, combine, dtype = self.KINDS[kind]
+        want = _right_fold(limit, prime_power, combine, np.full(limit + 2, 7, dtype))
+        got = fill_multiplicative(limit, prime_power, np.full(limit + 2, 7, dtype), combine)
+        assert got.tobytes() == want.tobytes()  # out[0] and out[limit + 1] stay 7
+
+    def test_multiplicative_tables_build_no_sieve(self, monkeypatch):
+        from stseq.elliptic import CurveSpec, ec_normalized_sequence, trace_series
+        from stseq.synthetic import SyntheticSpec, build_synthetic_sequence
+        from stseq.tau import expand_delta, integrity_check, reconstruct_from_primes
+
+        series, table = trace_series(CurveSpec(-1, 1), 3000), expand_delta(300)
+        refuse_sieves(monkeypatch, "a multiplicative fill")
+        build_synthetic_sequence(SyntheticSpec(limit=3000, seed=7))
+        ec_normalized_sequence(series, 3000)
+        assert integrity_check(table).passed
+        # the Hecke rebuild reads spf, so the refusal reaches it
+        with pytest.raises(pytest.fail.Exception, match="built a sieve"):
+            reconstruct_from_primes(table)
 
 
 def _assert_walker_blocks(blocks, lo, hi, block):

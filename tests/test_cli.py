@@ -9,7 +9,7 @@ from stseq.cli import main
 from stseq.elliptic import CurveSpec, trace_series
 from stseq.errors import DataCorruptionError
 from stseq.report import VerificationReport, rows_from_csv
-from stseq.tau import tau_naive_oracle
+from stseq.tau import ExactTauTable, tau_naive_oracle
 
 
 def run(tmp_path, *argv):
@@ -362,6 +362,24 @@ def test_ec_limit_below_one_exits_two(tmp_path, capsys, argv, limit):
                  "--out-dir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.splitlines() == ["error: limit must be >= 1"]
     assert list(cache.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,files", [
+    (["tau", "--check"], []),
+    (["tau", "--check"], ["tau_0.astc"]),
+    (["synth", "--seed", "7"], []),
+], ids=["tau", "tau-file", "synth"])
+def test_limit_zero_is_refused_before_the_cache(tmp_path, capsys, argv, files):
+    # a limit-0 exact table is a loadable file; the limit is refused before it
+    # is read, so integrity_check never sees an empty table
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    for name in files:
+        save_cache(cache / name, ExactTauTable.from_ints([0]))
+    assert main([*argv, "--limit", "0", "--cache-dir", str(cache),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: limit must be >= 1"]
+    assert sorted(p.name for p in cache.glob("*")) == files
 
 
 def test_non_finite_rho_exits_two(tmp_path, capsys):

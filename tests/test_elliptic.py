@@ -103,12 +103,14 @@ class TestBabyStepGiantStep:
 
     def test_dispatch_at_crossover(self, monkeypatch):
         calls = []
+        kernel = elliptic._batch_traces
 
         def spy(curve, primes):
             calls.append([int(p) for p in primes])
-            return trace_batch(curve, primes)
+            return kernel(curve, primes)
 
-        monkeypatch.setattr(elliptic, "trace_batch", spy)
+        monkeypatch.setattr(elliptic, "_batch_traces", spy)
+        monkeypatch.setattr(elliptic, "trace_batch", None)  # its checks are for outside callers
         curve = CurveSpec(-2, 1)
         below, above = _BSGS_ABOVE, 233  # 229 is prime; 233 is the next prime
         assert trace_at_prime(curve, below) == enum_trace(-2, 1, below)
@@ -123,7 +125,7 @@ class TestBabyStepGiantStep:
                 trace_batch(curve, outside)
 
     def test_bad_prime_above_crossover_sweeps(self, monkeypatch):
-        monkeypatch.setattr(elliptic, "trace_batch", None)  # any call would raise
+        monkeypatch.setattr(elliptic, "_batch_traces", None)  # any call would raise
         # y^2 = x^3 - 3x + 2 has a node at x = 1; B + 2 * 241 keeps it only mod 241
         curve = CurveSpec(-3, 2 + 482)
         assert curve.discriminant % 241 == 0

@@ -72,15 +72,15 @@ def test_elliptic_sequence_bytes():
 
 
 def test_integer_table_bytes(sieve):
-    assert _digest(_divisor_counts(LIMIT, sieve)) == PINS["divisor_counts"]
-    assert _digest(_sigma11_mod691(LIMIT, sieve)) == PINS["sigma11_mod691"]
+    assert _digest(_divisor_counts(LIMIT)) == PINS["divisor_counts"]
+    assert _digest(_sigma11_mod691(LIMIT)) == PINS["sigma11_mod691"]
     assert _digest(largest_prime_factor_table(sieve)) == PINS["largest_prime_factor"]
     assert _digest(*exponent_core_tables(sieve)) == PINS["exponent_core"]
 
 
 def _walked_tables(limit: int, cm_traces) -> list[np.ndarray]:
-    """Every table filled over `dyadic_blocks`, from a fresh sieve so that
-    (e, core) is derived under the current block size."""
+    """Every table filled over `dyadic_blocks` or by blocked prime-power
+    strikes, (e, core) from a fresh sieve under the current block size."""
     sieve = build_spf_sieve(limit)
     _, synth = build_synthetic_sequence(SyntheticSpec(limit=limit, seed=7))
     return [
@@ -88,8 +88,8 @@ def _walked_tables(limit: int, cm_traces) -> list[np.ndarray]:
         largest_prime_factor_table(sieve),
         synth.values,
         ec_normalized_sequence(cm_traces, limit).values,
-        _divisor_counts(limit, sieve),
-        _sigma11_mod691(limit, sieve),
+        _divisor_counts(limit),
+        _sigma11_mod691(limit),
     ]
 
 

@@ -30,6 +30,8 @@ from stseq.verify import (
     verify_thm3,
 )
 
+from conftest import refuse_sieves
+
 
 def const_sequence(limit: int, value: float = 1.0) -> NormalizedSequence:
     vals = np.full(limit + 1, value)
@@ -58,20 +60,6 @@ def slice_strongly_multiplicative_log(seq: NormalizedSequence, x: int):
         else:
             logh[p::p] += math.log(abs(ap))
     return logh, alive
-
-
-def refuse_sieves(monkeypatch, caller: str) -> None:
-    """Make any SPF sieve or largest-prime-factor table fail the test; verify
-    imports neither name, so every route to them goes through stseq.arith."""
-    import stseq.arith as arith_mod
-    import stseq.verify as verify_mod
-
-    def refuse(*args):
-        pytest.fail(f"{caller} built a sieve")
-
-    for name in ("build_spf_sieve", "largest_prime_factor_table"):
-        assert not hasattr(verify_mod, name)
-        monkeypatch.setattr(arith_mod, name, refuse)
 
 
 def noise_sequence(limit: int) -> NormalizedSequence:
