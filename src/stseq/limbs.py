@@ -28,6 +28,11 @@ def from_ints(values: Sequence[int]) -> np.ndarray:
     return np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(len(values), w)
 
 
+def width_for(bound: int) -> int:
+    """Fewest limbs that hold every integer of absolute value at most bound."""
+    return bound.bit_length() // 64 + 1
+
+
 def to_ints(limbs: np.ndarray) -> list[int]:
     """The Python ints a limb array holds, one per row."""
     limbs = np.asarray(limbs, dtype=np.uint64)

@@ -1,21 +1,25 @@
-"""Exact integer convolution modulo word-size primes, and the CRT lift.
+"""Exact squaring of integer series by float64 FFTs over 11-bit digits.
 
-A residue vector modulo a prime p < 2^31 is squared exactly by float64
-FFTs over split limbs (Knuth, TAOCP vol. 2, 4.3.3).  Each residue splits
-into three 11-bit limbs; the five limb cross products are real
-convolutions whose coefficients stay below 2^44, well inside the 53-bit
-mantissa, so rounding recovers them exactly.  Every squaring checks its
-rounding error and raises rather than return a wrong residue.  The rounded
-coefficients are reduced mod p and recombined with the weights 2^(11k)
-mod p.  A residue is exact whatever the size of the integer coefficient it
-stands for; capacity matters only at a Garner lift, which recovers the
-integers exactly when the product of its primes exceeds twice their largest
-absolute value.  Each lift takes the fewest of the largest primes below
-2^31 that a proven bound on its own output needs (`stseq.tau` bounds every
-stage of its eta-power chain apart).  The lift takes balanced mixed-radix
-digits (Knuth, TAOCP vol. 2, 4.3.2), whose Horner sum is the centred value,
-written in two's complement by int64 carries with no comparison against
-half the modulus.
+`square_truncated` squares a series of signed integers held as 64-bit limbs
+(`stseq.limbs`) exactly, with float FFTs over split digits (Knuth, TAOCP
+vol. 2, 4.3.3).  The series splits once into the fewest 11-bit digits that
+hold its widest value, unsigned below and signed at the top; the product of
+two digit series is a real convolution whose coefficients stay below
+digits * terms * 2^22, which is kept under 2^52 so that rounding recovers
+them exactly.  Each digit is transformed once, and each weight 2^(11w) of
+the square takes one inverse transform of the sum of its digit products.
+The weights come out in ascending order, so an int64 carry turns each into
+one 11-bit digit of the output limbs.  Every rounding is checked, and the
+carry left past the output's top bit must be its sign extension, so a wrong
+product or a too narrow output raises rather than return a wrong value.
+
+`cyclic_square_truncated` squares residues modulo a prime through the same
+kernel.  The CRT names below it (`find_ntt_primes`, `get_plan`,
+`garner_lift`) have no package caller; they stay because the benchmark's
+tracer wraps them by name (ROADMAP item 2).  The Garner lift takes balanced
+mixed-radix digits (Knuth, TAOCP vol. 2, 4.3.2), whose Horner sum is the
+centred value, written in two's complement by int64 carries with no
+comparison against half the modulus.
 """
 
 from __future__ import annotations
@@ -26,16 +30,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import limbs as lb
 from .arith import is_prime
-from .errors import ConfigurationError, DataCorruptionError
+from .errors import CapacityError, ConfigurationError, DataCorruptionError
 
 LIMB_BITS = 11
+# a plan takes a prime below 2^31, three 11-bit limbs, and carries the
+# weights 2^(11k) mod p of their 2 LIMBS - 1 cross products
 LIMBS = 3
-# three 11-bit limbs cover 33 bits; residue times weight must fit in uint64
 MAX_MODULUS = 1 << 31
 # exact coefficients are integers, so a genuine rounding error stays far
 # below 1/2; anything past this means the float product lost precision
 ROUNDING_TOLERANCE = 0.25
+_DIGIT_MASK = (1 << LIMB_BITS) - 1
+# entries per step of the digit, product and carry passes: bounds their
+# temporaries to a fraction of a spectrum
+_CHUNK = 1 << 16
 
 
 def find_ntt_primes(bound: int) -> list[int]:
@@ -77,7 +87,7 @@ def get_plan(p: int, length: int) -> SquarePlan:
 
 
 def round_exact(x: np.ndarray) -> np.ndarray:
-    """Round float convolution output to the integers it approximates.
+    """Round float convolution output to the int64 integers it approximates.
 
     Raises DataCorruptionError when any value sits more than
     ROUNDING_TOLERANCE from its nearest integer.
@@ -88,45 +98,148 @@ def round_exact(x: np.ndarray) -> np.ndarray:
         raise DataCorruptionError(
             f"FFT rounding error {err:.3g} exceeds {ROUNDING_TOLERANCE}: product not exact"
         )
-    return r.astype(np.uint64)
+    return r.astype(np.int64)
 
 
-def _limb_products(limb_spectrum):
-    """Spectra of the limb products of weight 2^(11k), k = 0..4, one at a time.
+def transform_length(keep: int) -> int:
+    """Smallest power of two >= 2 * keep - 1 (keep >= 1): no cyclic wrap
+    reaches the first keep coefficients of a square."""
+    return 1 << (2 * keep - 2).bit_length()
 
-    A limb's spectrum is taken when first needed and dropped after its last
-    use, and the caller drops each product before asking for the next, which
-    keeps fewer full-length arrays live at the squaring's peak.
+
+def digit_count(series: np.ndarray) -> int:
+    """Fewest 11-bit digits, unsigned below and signed at the top, that hold
+    every row of a limb array: ceil((b + 1) / 11) for b the largest bit
+    length of v (v >= 0) or ~v (v < 0)."""
+    series = np.asarray(series, dtype=np.uint64)
+    bits = 0
+    for s in range(0, len(series), _CHUNK):
+        rows = series[s : s + _CHUNK]
+        fill = (rows[:, -1:].view(np.int64) >> 63).view(np.uint64)  # all ones if negative
+        # per limb, the OR of every row's v or ~v: its top set bit is b
+        cols = np.bitwise_or.reduce(rows ^ fill, axis=0).tolist()
+        bits = max([bits] + [64 * k + c.bit_length() for k, c in enumerate(cols) if c])
+    return bits // LIMB_BITS + 1
+
+
+def _digit(rows: np.ndarray, i: int, top: bool) -> np.ndarray:
+    """Digit i (bits 11i .. 11i + 10) of each row as int64, signed if top.
+
+    A digit may straddle two limbs; bits above the last limb are the sign.
     """
-    f0, f1 = limb_spectrum(0), limb_spectrum(1)
-    yield f0 * f0
-    yield 2 * f0 * f1
-    f2 = limb_spectrum(2)
-    s = f0 * f2
-    del f0
-    s *= 2
-    s += f1 * f1
-    yield s
-    del s
-    yield 2 * f1 * f2
-    del f1
-    yield f2 * f2
+    q, r = divmod(LIMB_BITS * i, 64)
+    u = rows[:, q] >> np.uint64(r)
+    if r > 64 - LIMB_BITS:
+        above = rows[:, q + 1] if q + 1 < rows.shape[1] else \
+            (rows[:, -1].view(np.int64) >> 63).view(np.uint64)
+        u |= above << np.uint64(64 - r)
+    d = (u & np.uint64(_DIGIT_MASK)).view(np.int64)
+    if top:  # the 11 bits read as two's complement
+        d ^= 1 << (LIMB_BITS - 1)
+        d -= 1 << (LIMB_BITS - 1)
+    return d
+
+
+def _weight_product(spectra: list, w: int, dest: np.ndarray) -> None:
+    """dest = sum over i + j = w of spectra[i] * spectra[j].
+
+    Chunk by chunk, each read before its write, so dest may be one of the
+    factors."""
+    lo = max(0, w - len(spectra) + 1)
+    pairs = [(i, w - i) for i in range(lo, (w + 1) // 2)]  # i < j, each twice
+    for s in range(0, len(dest), _CHUNK):
+        f = {i: spectra[i][s : s + _CHUNK] for i in range(lo, w - lo + 1)}
+        acc = f[w // 2] * f[w // 2] if w % 2 == 0 else np.zeros_like(dest[s : s + _CHUNK])
+        for i, j in pairs:
+            acc += 2 * f[i] * f[j]
+        dest[s : s + _CHUNK] = acc
+
+
+def square_truncated(series: np.ndarray, keep: int, width: int) -> np.ndarray:
+    """The first `keep` coefficients of the square of a series, exactly, as
+    a (keep, width) limb array; the series is an (N, W) limb array, of
+    which only the first keep rows can reach the kept coefficients.
+
+    With D digits (digit_count), weight w of the square is one inverse
+    transform of sum_{i+j=w} f_i f_j over the digit spectra f.  A spectrum
+    is taken when first needed and dropped after its last use; each
+    weight's product goes into a spectrum not filled yet or at its last
+    use, so no other spectrum-sized array is taken.  Weights 0 .. 2D - 2
+    are rounded in ascending order into a signed carry, which gives one
+    11-bit digit of the output per weight and then, past the last weight,
+    per carry step.  Raises CapacityError when a weight's coefficients
+    could reach 2^52, and DataCorruptionError on an inexact product or a
+    value wider than width limbs.
+    """
+    if keep < 1 or width < 1:
+        raise ValueError(f"need keep >= 1 and width >= 1, got {keep} and {width}")
+    series = np.asarray(series, dtype=np.uint64)[:keep]
+    D = digit_count(series)
+    # each weight sums at most D products of keep terms, each below 2^22
+    if D * keep << 2 * LIMB_BITS >= 1 << 52:
+        raise CapacityError(f"{D} digits of {keep} terms: float products are not exact")
+    n = transform_length(keep)
+    spectra = [None] * D
+
+    def spectrum(i):
+        if spectra[i] is None:
+            spectra[i] = np.empty(n // 2 + 1, dtype=np.complex128)
+        return spectra[i]
+
+    buf = np.empty(n)  # digit input of each forward transform, output of each inverse
+    # limb-major, so a limb's pages are touched only once a digit reaches it
+    out = np.zeros((width, keep), dtype=np.uint64).T
+    carry = np.zeros(keep, dtype=np.int64)
+    weights = 2 * D - 1
+    digits = -(-64 * width // LIMB_BITS)  # the last one holds the top bit
+    top_bit = 64 * width - 1
+    steps = max(weights, digits)
+    m = len(series)
+    for w in range(steps):
+        if w < D:
+            buf[m:] = 0
+            for s in range(0, m, _CHUNK):
+                buf[s : min(s + _CHUNK, m)] = _digit(series[s : s + _CHUNK], w, w == D - 1)
+            np.fft.rfft(buf, out=spectrum(w))
+        if w < weights:
+            # below D - 1 the top spectrum is not filled yet; from D - 1 on
+            # the lowest live one is at its last use
+            target = D - 1 if w < D - 1 else w - D + 1
+            _weight_product(spectra, w, spectrum(target))
+            vals = np.fft.irfft(spectra[target], n=n, out=buf)
+            if w >= D - 1:
+                spectra[target] = None
+        q, r = divmod(LIMB_BITS * w, 64)
+        for s in range(0, keep, _CHUNK):
+            e = min(s + _CHUNK, keep)
+            c = carry[s:e]
+            if w < weights:
+                c += round_exact(vals[s:e])
+            d = (c & _DIGIT_MASK).view(np.uint64)
+            c >>= LIMB_BITS
+            rows = out[s:e]
+            if w < digits:
+                rows[:, q] |= d << np.uint64(r)
+                if r > 64 - LIMB_BITS and q + 1 < width:
+                    rows[:, q + 1] |= d >> np.uint64(64 - r)
+            if w >= digits - 1:
+                # every bit from the top bit up must repeat it, the carry too
+                sign = (rows[:, -1] >> np.uint64(63)).view(np.int64)
+                low = max(top_bit - LIMB_BITS * w, 0)
+                ext = (d >> np.uint64(low)).view(np.int64)
+                if np.any(ext != sign * ((1 << (LIMB_BITS - low)) - 1)) or (
+                        w == steps - 1 and np.any(c != -sign)):
+                    raise DataCorruptionError(f"square exceeds {width} signed 64-bit limbs")
+    return out
 
 
 def cyclic_square_truncated(res: np.ndarray, plan: SquarePlan, keep: int) -> np.ndarray:
-    """Square a residue polynomial (degree < keep <= length/2), return the
-    first `keep` coefficients mod plan.p as uint64."""
-    n = plan.length
-    r = np.asarray(res, dtype=np.uint64)
-    mask = np.uint64((1 << LIMB_BITS) - 1)
-    p = np.uint64(plan.p)
-    out = np.zeros(keep, dtype=np.uint64)
-    products = _limb_products(
-        lambda k: np.fft.rfft((r >> np.uint64(LIMB_BITS * k)) & mask, n=n))
-    for w in plan.weights:
-        coeff = round_exact(np.fft.irfft(next(products), n=n)[:keep]) % p
-        out += coeff * np.uint64(w) % p
-    return out % p
+    """Square a residue polynomial (degree < keep), return the first `keep`
+    coefficients mod plan.p as uint64: the exact square, reduced.  Only
+    the plan's modulus is read; the kernel sizes its own transforms."""
+    bound = keep * (plan.p - 1) ** 2
+    sq = square_truncated(np.asarray(res, dtype=np.uint64)[:, None], keep, lb.width_for(bound))
+    return lb.mod_small(sq, plan.p).view(np.uint64)
 
 
 def garner_lift(residues: list[np.ndarray], primes: list[int]) -> np.ndarray:

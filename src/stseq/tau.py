@@ -7,10 +7,11 @@ Two independent routes compute it:
                     cube-of-Euler-product seed series (coefficients
                     (-1)^k (2k+1) at indices k(k+1)/2).  eta^6 is the
                     seed squared over the integers; eta^12 and eta^24 are
-                    squarings modulo word-size primes (float FFT over split
-                    limbs), each lifted by CRT from as many primes as a
-                    proven bound on that stage's output needs: Cauchy-Schwarz
-                    on the exact eta^6 for eta^12, Deligne's for eta^24.
+                    each squared once over the integers by float FFTs over
+                    11-bit digits (`stseq.ntt.square_truncated`), into as
+                    many limbs as a proven bound on that stage's output
+                    needs: Cauchy-Schwarz on the exact eta^6 for eta^12,
+                    Deligne's for eta^24.
   tau_naive_oracle  reference path: dense sequential multiplication of the
                     raw factors (1 - q^k) in arbitrary-precision integers,
                     then 23 further multiplications by the same truncated
@@ -39,7 +40,9 @@ from .arith import (
     primes_up_to,
 )
 from .errors import CapacityError, ConfigurationError, DataCorruptionError
-from .ntt import cyclic_square_truncated, find_ntt_primes, garner_lift, get_plan
+# bench/test_bench.py::test_every_binding_is_patched_and_then_restored reads
+# this module's cyclic_square_truncated binding; nothing here calls it
+from .ntt import cyclic_square_truncated, square_truncated
 from .report import VerificationReport, flag
 
 NAIVE_ORACLE_MAX = 10_000
@@ -97,12 +100,6 @@ def deligne_bound(limit: int) -> int:
     return 2 * limit**6
 
 
-def _transform_length(limit: int) -> int:
-    """Smallest power of two >= 2 * limit - 1 (limit >= 1): no cyclic wrap
-    reaches the first limit coefficients of a square."""
-    return 1 << (2 * limit - 2).bit_length()
-
-
 def _eta6(limit: int) -> np.ndarray:
     """Coefficients 0..limit-1 of prod (1 - q^k)^6 as exact int64.
 
@@ -136,51 +133,29 @@ def _sum_of_squares(series: np.ndarray) -> int:
     return (int(np.sum(sq >> np.uint64(32))) << 32) + int(np.sum(sq & np.uint64(0xFFFF_FFFF)))
 
 
-def _square_exact(series: np.ndarray, bound: int) -> np.ndarray:
-    """Limbs of the first len(series) coefficients of series^2, where
-    series is an (N, W) limb array (`stseq.limbs`) and every coefficient of
-    the square is at most `bound` in absolute value.
-
-    The square is taken modulo each of the fewest primes the bound needs
-    (find_ntt_primes), one prime at a time, and lifted once by Garner.
-    """
-    keep = len(series)
-    length = _transform_length(keep)
-    primes = find_ntt_primes(bound)
-    # every residue is < p < 2^31; one block, taken before the squarings' temporaries
-    residues = np.empty((len(primes), keep), dtype=np.uint32)
-    for i, p in enumerate(primes):
-        # mod_small gives int64 in [0, p): its uint64 view is the same values, uncopied
-        residues[i] = cyclic_square_truncated(lb.mod_small(series, p).view(np.uint64),
-                                              get_plan(p, length), keep)
-    lifted = garner_lift(list(residues), primes)
-    # the lift is as wide as the product of the primes; |value| <= bound
-    # needs only bound.bit_length() + 1 signed bits, the rest is sign extension
-    return np.ascontiguousarray(lifted[:, : bound.bit_length() // 64 + 1])
-
-
 def expand_delta(limit: int) -> ExactTauTable:
     """Exact tau(n) for n <= limit as a chain of exact stages.
 
     tau(n) is coefficient n - 1 of eta^24, with eta = prod (1 - q^k), and
     truncation to the first `limit` coefficients commutes with products:
       eta^6   the seed series squared over the integers (_eta6);
-      eta^12  its square, lifted from as many primes as the bound
+      eta^12  its square, in as many limbs as the bound
               sum_{i < limit} c6(i)^2 needs: by Cauchy-Schwarz
               |c12(n)| = |sum c6(i) c6(n-i)| <= sum_{i <= n} c6(i)^2;
-      eta^24  the square of the lifted eta^12, on as many primes as
-              Deligne's bound on tau needs (deligne_bound).
-    Each stage's capacity is proven from its own bound, so every lift is
-    exact.  The first min(limit, 500) coefficients are checked against the
-    dense oracle.
+      eta^24  the square of eta^12, in as many limbs as Deligne's bound on
+              tau needs (deligne_bound).
+    Each stage is one exact digit squaring (`ntt.square_truncated`), which
+    raises if a value does not fit its proven width.  The first
+    min(limit, 500) coefficients are checked against the dense oracle.
     """
     if limit < 1:
         raise ConfigurationError("limit must be >= 1")
     eta6 = _eta6(limit)
     # an int64 column read as uint64 is its one-limb form
-    eta12 = _square_exact(eta6.view(np.uint64)[:, None], _sum_of_squares(eta6))
+    eta12 = square_truncated(eta6.view(np.uint64)[:, None], limit,
+                             lb.width_for(_sum_of_squares(eta6)))
     del eta6
-    lifted = _square_exact(eta12, deligne_bound(limit))
+    lifted = square_truncated(eta12, limit, lb.width_for(deligne_bound(limit)))
     del eta12
     n_check = min(limit, 500)
     if lb.to_ints(lifted[:n_check]) != list(tau_naive_oracle(n_check).taus[1:]):

@@ -3,15 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from stseq import limbs as lb
 from stseq.arith import is_prime
-from stseq.errors import ConfigurationError, DataCorruptionError
+from stseq.errors import CapacityError, ConfigurationError, DataCorruptionError
 from stseq.limbs import to_ints
 from stseq.ntt import (
     cyclic_square_truncated,
+    digit_count,
     find_ntt_primes,
     garner_lift,
     get_plan,
     round_exact,
+    square_truncated,
+    transform_length,
 )
 
 
@@ -113,3 +117,114 @@ def test_plan_rejects_bad_modulus():
     plan = get_plan(7919, 1 << 10)
     assert (plan.p, plan.length) == (7919, 1 << 10)
     assert plan.weights == tuple(pow(2, 11 * k, 7919) for k in range(5))
+
+
+def _widened(values, width):
+    """Limbs of `values` sign-extended to `width` limbs."""
+    limbs = lb.from_ints(values)
+    fill = (limbs[:, -1:].view(np.int64) >> 63).view(np.uint64)
+    return np.hstack([limbs] + [fill] * (width - limbs.shape[1]))
+
+
+def _square_prefix(values, keep):
+    """First keep coefficients of the square of sum values[i] q^i, in Python ints."""
+    return [sum(values[i] * values[k - i] for i in range(k + 1)
+                if i < len(values) and k - i < len(values)) for k in range(keep)]
+
+
+def test_digit_count_at_the_signed_edges():
+    # D digits hold [-2^(11D - 1), 2^(11D - 1)): unsigned below, signed on top
+    for d in (1, 2, 3, 6, 7, 12):
+        edge = 1 << (11 * d - 1)
+        for values, want in (([edge - 1], d), ([-edge], d), ([edge], d + 1), ([-edge - 1], d + 1)):
+            assert digit_count(_widened(values, 4)) == want, (values, want)
+    assert digit_count(np.zeros((5, 2), dtype=np.uint64)) == 1
+    assert digit_count(np.zeros((0, 1), dtype=np.uint64)) == 1
+    assert [transform_length(k) for k in (1, 2, 3, 5, 1000)] == [1, 4, 8, 16, 2048]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_square_truncated_matches_python_ints(rng, width):
+    top = 64 * width - 2  # the square of every value below stays in reach of 3 * width limbs
+    edges = [s * ((1 << k) - 1) for k in range(1, top, 11) for s in (1, -1)]
+    edges += [s * ((1 << k) - 1) for k in range(11, top, 11) for s in (1, -1)]
+    cases = [edges, [-(1 << top)] * 7, [(1 << top) - 1] * 5]
+    for size in (1, 2, 3, 5, 33, 100):
+        bits = int(rng.integers(1, top + 1))
+        cases.append([int.from_bytes(rng.bytes(24), "little") % (1 << bits) - (1 << (bits - 1))
+                      for _ in range(size)])
+    for values in cases:
+        for keep in sorted({1, 2, 3, len(values), len(values) + 4}):
+            want = _square_prefix(values, keep)
+            out_width = lb.width_for(max(abs(v) for v in want))
+            got = square_truncated(_widened(values, width), keep, out_width)
+            assert got.shape == (keep, out_width)
+            assert to_ints(got) == want, (width, keep, values[:3])
+            # any wider output holds the same values, sign-extended
+            assert to_ints(square_truncated(_widened(values, width), keep, out_width + 1)) == want
+
+
+def test_square_truncated_raises_on_too_narrow_output():
+    # 2 * 2^31 * 2^31 = 2^63 needs a second limb; its negative does not
+    series = lb.from_ints([1 << 31, 1 << 31])
+    assert to_ints(square_truncated(series, 2, 2)) == [1 << 62, 1 << 63]
+    with pytest.raises(DataCorruptionError):
+        square_truncated(series, 2, 1)
+    assert to_ints(square_truncated(lb.from_ints([1 << 31, -(1 << 31)]), 2, 1)) == \
+        [1 << 62, -(1 << 63)]
+    with pytest.raises(DataCorruptionError):  # more weights than output digits
+        square_truncated(_widened([-(1 << 150)], 3), 1, 2)
+
+
+@pytest.mark.parametrize("values, weight, excess, caught", [
+    # 3 digits, one limb out: 5 weights, then one carry step to digit 5 (bits 55..65)
+    ([1 << 30, -(1 << 29), 12345], 4, 22, True),  # 2^(44 + 22) = 2^66: bits 63..65
+    #                                               stay 0, the carry is 1
+    ([1 << 30, -(1 << 29), 12345], 4, 19, True),  # 2^63: the top bit flips, the carry not
+    ([1 << 30, -(1 << 29), 12345], 4, 18, False),  # 2^62 still fits
+    # 4 digits, one limb out: 7 weights, the last past the output's 6 digits
+    ([1, 12345, -(1 << 39)], 6, 0, True),  # 2^66 arrives as digit 6 itself
+], ids=["carry-only", "top-bit", "fits", "past-the-last-digit"])
+def test_square_truncated_checks_the_carry_past_the_top_bit(monkeypatch, values, weight, excess,
+                                                            caught):
+    """A product that is off by 2^(11 weight + excess) in one entry, injected
+    into the inverse transform of that weight, is caught exactly when the
+    entry leaves one signed limb."""
+    series = lb.from_ints(values)
+    assert digit_count(series) == (weight + 2) // 2
+    honest = to_ints(square_truncated(series, 3, 1))
+    calls = []
+    real_irfft = np.fft.irfft
+
+    def inject(*args, **kwargs):
+        out = real_irfft(*args, **kwargs)
+        if len(calls) == weight:
+            out[0] += 2.0**excess
+        calls.append(None)
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", inject)
+    if caught:
+        with pytest.raises(DataCorruptionError):
+            square_truncated(series, 3, 1)
+    else:
+        got = to_ints(square_truncated(series, 3, 1))
+        assert got == [honest[0] + (1 << (11 * weight + excess))] + honest[1:]
+
+
+def test_square_truncated_refuses_inexact_capacity_before_allocating(monkeypatch):
+    class Allocated(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Allocated
+
+    series = lb.from_ints([(1 << 40) - 1] * 4)  # 41 bits: 4 digits
+    assert digit_count(series) == 4
+    monkeypatch.setattr(np, "empty", refuse)
+    monkeypatch.setattr(np, "zeros", refuse)
+    # 4 digits * 2^28 terms * 2^22 reaches 2^52
+    with pytest.raises(CapacityError):
+        square_truncated(series, 1 << 28, 2)
+    with pytest.raises(Allocated):  # one term fewer passes the check
+        square_truncated(series, (1 << 28) - 1, 2)

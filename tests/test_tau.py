@@ -4,16 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from stseq import limbs as lb
 from stseq.arith import primes_up_to
 from stseq.errors import CapacityError, ConfigurationError, DataCorruptionError
-from stseq.ntt import find_ntt_primes
+from stseq.ntt import digit_count, square_truncated, transform_length
 from stseq.tau import (
     NAIVE_ORACLE_MAX,
     ExactTauTable,
     _eta6,
     _seed_series_length,
     _sum_of_squares,
-    _transform_length,
     deligne_bound,
     expand_delta,
     integrity_check,
@@ -80,68 +80,74 @@ class TestExpandDelta:
             expand_delta(0)
 
     @pytest.mark.parametrize("limit", [2**19, 10**6])
-    def test_four_moduli_at_scale(self, limit):
-        # eta^24 needs four moduli at both; eta^12, sized by its own bound, 2 then 3
-        length, first = {2**19: (2**20, 2), 10**6: (2**21, 3)}[limit]
-        assert _transform_length(limit) == length
-        primes = find_ntt_primes(deligne_bound(limit))
-        assert len(primes) == 4
-        assert math.prod(primes) > 2 * deligne_bound(limit)
-        assert math.prod(primes[:3]) <= 2 * deligne_bound(limit)
-        bound = _sum_of_squares(_eta6(limit))
-        assert find_ntt_primes(bound) == primes[:first]
-        assert math.prod(primes[: first - 1]) <= 2 * bound
+    def test_digit_plan_at_scale(self, limit):
+        # one transform length per limit; eta^24 needs more digits than eta^12
+        length, digits = {2**19: (2**20, (3, 5)), 10**6: (2**21, (3, 6))}[limit]
+        assert transform_length(limit) == length
+        assert _stage_digits(limit) == digits
+        # every weight's coefficients stay far below 2^52, where exactness ends
+        assert max(digits) * limit << 22 < 1 << 48
 
-    def test_moduli_per_stage(self):
-        # moduli of the (eta^12, eta^24) stages
-        want = {2000: (2, 3), 2**15: (2, 3), 2**19: (2, 4), 10**6: (3, 4), 4 * 10**6: (3, 5)}
-        assert {limit: _stage_counts(limit) for limit in want} == want
+    def test_digits_per_stage(self):
+        want = {2000: (2, 3), 2**15: (2, 4)}
+        assert {limit: _stage_digits(limit) for limit in want} == want
 
-    def test_squarings_are_one_per_modulus_per_stage(self, monkeypatch):
+    def test_one_digit_squaring_per_stage(self, monkeypatch):
         import stseq.tau as tau_mod
 
         calls = []
-        real = tau_mod.cyclic_square_truncated
+        real = tau_mod.square_truncated
 
-        def counted(res, plan, keep):
-            calls.append(plan.p)
-            return real(res, plan, keep)
+        def counted(series, keep, width):
+            calls.append((digit_count(series), keep, width))
+            return real(series, keep, width)
 
-        monkeypatch.setattr(tau_mod, "cyclic_square_truncated", counted)
+        monkeypatch.setattr(tau_mod, "square_truncated", counted)
         limit = 2**15
-        first = find_ntt_primes(_sum_of_squares(_eta6(limit)))
-        final = find_ntt_primes(deligne_bound(limit))
         expand_delta(limit)
-        assert (len(first), len(final)) == (2, 3)
-        assert calls == first + final
+        # eta^12 fits one limb by its Cauchy-Schwarz bound, eta^24 two by Deligne's
+        assert calls == [(2, limit, 1), (4, limit, 2)]
 
-    def test_agrees_with_oracle_where_a_stage_count_steps(self):
-        steps = _modulus_count_steps(NAIVE_ORACLE_MAX)
-        # final stage 1 -> 2 moduli at 29, eta^12 1 -> 2 at 556, final 2 -> 3 at 1024
-        assert steps == [29, 556, 1024]
+    def test_agrees_with_oracle_where_a_stage_digit_count_steps(self):
+        steps = _digit_count_steps(NAIVE_ORACLE_MAX)
+        # eta^12 stage 1 -> 2 digits at 124; eta^24 1 -> 2 at 11, 2 -> 3 at 127, 3 -> 4 at 2604
+        assert steps == [11, 124, 127, 2604]
         for limit in steps:
             for n in (limit - 1, limit):
                 assert expand_delta(n).taus == tau_naive_oracle(n).taus, n
 
 
-def _stage_counts(limit: int) -> tuple[int, int]:
-    """Moduli of the eta^12 stage and of the final eta^24 stage at `limit`."""
-    return (len(find_ntt_primes(_sum_of_squares(_eta6(limit)))),
-            len(find_ntt_primes(deligne_bound(limit))))
+def _eta_powers(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Limbs of the first `limit` coefficients of eta^6 and of eta^12."""
+    eta6 = _eta6(limit)
+    eta12 = square_truncated(eta6.view(np.uint64)[:, None], limit,
+                             lb.width_for(_sum_of_squares(eta6)))
+    return eta6.view(np.uint64)[:, None], eta12
 
 
-def _modulus_count_steps(top: int) -> list[int]:
-    """Every limit 3..top whose stage counts differ from those at limit - 1.
+def _stage_digits(limit: int) -> tuple[int, int]:
+    """Digits of the eta^12 stage's input (eta^6) and of the eta^24 stage's (eta^12)."""
+    return tuple(digit_count(series) for series in _eta_powers(limit))
 
-    Both counts are non-decreasing in the limit: the bounds grow, and the
-    primes are the same at every limit.  Bisection then finds each step.
+
+def _digit_count_steps(top: int) -> list[int]:
+    """Every limit 2..top whose stage digits differ from those at limit - 1.
+
+    Truncation commutes with products, so the series at a limit are the
+    prefixes of those at top, and a prefix's digit count never falls as it
+    grows.  Bisection then finds each step.
     """
-    steps, lo = [], 2
-    while _stage_counts(top) != (base := _stage_counts(lo)):
+    powers = _eta_powers(top)
+
+    def counts(limit):
+        return tuple(digit_count(series[:limit]) for series in powers)
+
+    steps, lo = [], 1
+    while counts(top) != (base := counts(lo)):
         hi = top  # counts at lo are base, at hi they are not
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if _stage_counts(mid) == base:
+            if counts(mid) == base:
                 lo = mid
             else:
                 hi = mid
