@@ -1,17 +1,23 @@
-"""Exact squaring of integer series by float64 FFTs over 11-bit digits.
+"""Exact squaring of integer series by float64 FFTs over balanced digits.
 
 `square_truncated` squares a series of signed integers held as 64-bit limbs
 (`stseq.limbs`) exactly, with float FFTs over split digits (Knuth, TAOCP
-vol. 2, 4.3.3).  The series splits once into the fewest 11-bit digits that
-hold its widest value, unsigned below and signed at the top; the product of
-two digit series is a real convolution whose coefficients stay below
-digits * terms * 2^22, which is kept under 2^52 so that rounding recovers
-them exactly.  Each digit is transformed once, and each weight 2^(11w) of
-the square takes one inverse transform of the sum of its digit products.
-The weights come out in ascending order, so an int64 carry turns each into
-one 11-bit digit of the output limbs.  Every rounding is checked, and the
-carry left past the output's top bit must be its sign extension, so a wrong
-product or a too narrow output raises rather than return a wrong value.
+vol. 2, 4.3.3).  The series splits once into D balanced b-bit digits,
+|d| <= 2^(b - 1), so the product of two digit series is a real convolution
+whose coefficients stay below D * keep * 2^(2b - 2).  Rounding recovers
+them exactly below 2^52 only in principle: float FFT error grows with the
+norms of the factors (Percival, Math. Comp. 72, 2003), and digits that all
+sit at -2^(b - 1) round off by up to 1/2 at that bound.  So `digit_plan`
+takes the widest b whose bound stays at 2^47 or below, five bits of
+headroom, with D the fewest digits that hold the widest value.  At 2^19 the
+tau stages take b = 14, with 2 and 4 digits; at 10^6, 2 and 5; at 10^7 the
+headroom keeps b at 12 and 11, with 3 and 6 digits.  Each digit is
+transformed once, and each weight 2^(bw) of the square takes one inverse
+transform of the sum of its digit products.  The weights come out in
+ascending order, so an int64 carry turns each into one b-bit digit of the
+output limbs.  Every rounding is checked, and the carry left past the
+output's top bit must be its sign extension, so a wrong product or a too
+narrow output raises rather than return a wrong value.
 
 `cyclic_square_truncated` squares residues modulo a prime through the same
 kernel.  The CRT names below it (`find_ntt_primes`, `get_plan`,
@@ -42,7 +48,9 @@ MAX_MODULUS = 1 << 31
 # exact coefficients are integers, so a genuine rounding error stays far
 # below 1/2; anything past this means the float product lost precision
 ROUNDING_TOLERANCE = 0.25
-_DIGIT_MASK = (1 << LIMB_BITS) - 1
+# the digit plan's bound on every coefficient of a digit product: 5 bits
+# below 2^52, since coherent digits near that bound round off by up to 1/2
+_HEADROOM = 1 << 47
 # entries per step of the digit, product and carry passes: bounds their
 # temporaries to a fraction of a spectrum
 _CHUNK = 1 << 16
@@ -107,36 +115,48 @@ def transform_length(keep: int) -> int:
     return 1 << (2 * keep - 2).bit_length()
 
 
-def digit_count(series: np.ndarray) -> int:
-    """Fewest 11-bit digits, unsigned below and signed at the top, that hold
-    every row of a limb array: ceil((b + 1) / 11) for b the largest bit
-    length of v (v >= 0) or ~v (v < 0)."""
+def digit_plan(series: np.ndarray, keep: int) -> tuple[int, int]:
+    """(b, D): the widest digit width b whose D = bits // b + 1 balanced
+    digits square a limb array exactly over keep terms, for bits the largest
+    bit length of v (v >= 0) or ~v (v < 0) over its rows.
+
+    Balanced digits have |d| <= 2^(b - 1), so each weight of the square sums
+    at most D products of keep terms, each at most 2^(2b - 2).  b is the
+    widest with D * keep * 2^(2b - 2) <= 2^47 (_HEADROOM).  Raises
+    CapacityError, before anything keep-sized is allocated, when no b >= 1
+    fits.
+    """
     series = np.asarray(series, dtype=np.uint64)
     bits = 0
     for s in range(0, len(series), _CHUNK):
         rows = series[s : s + _CHUNK]
         fill = (rows[:, -1:].view(np.int64) >> 63).view(np.uint64)  # all ones if negative
-        # per limb, the OR of every row's v or ~v: its top set bit is b
+        # per limb, the OR of every row's v or ~v: its top set bit is bits
         cols = np.bitwise_or.reduce(rows ^ fill, axis=0).tolist()
         bits = max([bits] + [64 * k + c.bit_length() for k, c in enumerate(cols) if c])
-    return bits // LIMB_BITS + 1
+    # 2b - 2 <= 47 bounds b by 24
+    fits = [b for b in range(1, 25) if (bits // b + 1) * keep << 2 * b - 2 <= _HEADROOM]
+    if not fits:
+        raise CapacityError(f"no digit width squares {bits}-bit values over {keep} terms exactly")
+    return fits[-1], bits // fits[-1] + 1
 
 
-def _digit(rows: np.ndarray, i: int, top: bool) -> np.ndarray:
-    """Digit i (bits 11i .. 11i + 10) of each row as int64, signed if top.
+def _digit(rows: np.ndarray, i: int, b: int, top: bool) -> np.ndarray:
+    """Digit i (bits b i .. b i + b - 1) of each row as int64, read as two's
+    complement if top, else unsigned.
 
     A digit may straddle two limbs; bits above the last limb are the sign.
     """
-    q, r = divmod(LIMB_BITS * i, 64)
+    q, r = divmod(b * i, 64)
     u = rows[:, q] >> np.uint64(r)
-    if r > 64 - LIMB_BITS:
+    if r > 64 - b:
         above = rows[:, q + 1] if q + 1 < rows.shape[1] else \
             (rows[:, -1].view(np.int64) >> 63).view(np.uint64)
         u |= above << np.uint64(64 - r)
-    d = (u & np.uint64(_DIGIT_MASK)).view(np.int64)
-    if top:  # the 11 bits read as two's complement
-        d ^= 1 << (LIMB_BITS - 1)
-        d -= 1 << (LIMB_BITS - 1)
+    d = (u & np.uint64((1 << b) - 1)).view(np.int64)
+    if top:
+        d ^= 1 << (b - 1)
+        d -= 1 << (b - 1)
     return d
 
 
@@ -160,24 +180,24 @@ def square_truncated(series: np.ndarray, keep: int, width: int) -> np.ndarray:
     a (keep, width) limb array; the series is an (N, W) limb array, of
     which only the first keep rows can reach the kept coefficients.
 
-    With D digits (digit_count), weight w of the square is one inverse
-    transform of sum_{i+j=w} f_i f_j over the digit spectra f.  A spectrum
-    is taken when first needed and dropped after its last use; each
-    weight's product goes into a spectrum not filled yet or at its last
-    use, so no other spectrum-sized array is taken.  Weights 0 .. 2D - 2
-    are rounded in ascending order into a signed carry, which gives one
-    11-bit digit of the output per weight and then, past the last weight,
-    per carry step.  Raises CapacityError when a weight's coefficients
-    could reach 2^52, and DataCorruptionError on an inexact product or a
+    With D balanced b-bit digits (digit_plan), weight w of the square is one
+    inverse transform of sum_{i+j=w} f_i f_j over the digit spectra f.  The
+    digits are taken low to high: each low digit is its b bits plus the
+    carry from the digit below, less 2^b if that reaches 2^(b - 1), which
+    carries 1 into the next; the top digit is its b bits read signed, plus
+    the carry.  A spectrum is taken when first needed and dropped after its
+    last use; each weight's product goes into a spectrum not filled yet or
+    at its last use, so no other spectrum-sized array is taken.  Weights
+    0 .. 2D - 2 are rounded in ascending order into a signed carry, which
+    gives one b-bit digit of the output per weight and then, past the last
+    weight, per carry step.  Raises CapacityError when no digit width keeps
+    the products exact, and DataCorruptionError on an inexact product or a
     value wider than width limbs.
     """
     if keep < 1 or width < 1:
         raise ValueError(f"need keep >= 1 and width >= 1, got {keep} and {width}")
     series = np.asarray(series, dtype=np.uint64)[:keep]
-    D = digit_count(series)
-    # each weight sums at most D products of keep terms, each below 2^22
-    if D * keep << 2 * LIMB_BITS >= 1 << 52:
-        raise CapacityError(f"{D} digits of {keep} terms: float products are not exact")
+    b, D = digit_plan(series, keep)
     n = transform_length(keep)
     spectra = [None] * D
 
@@ -187,19 +207,27 @@ def square_truncated(series: np.ndarray, keep: int, width: int) -> np.ndarray:
         return spectra[i]
 
     buf = np.empty(n)  # digit input of each forward transform, output of each inverse
+    m = len(series)
+    borrowed = np.zeros(m, dtype=bool)  # the digit below went negative: carry 1 in
     # limb-major, so a limb's pages are touched only once a digit reaches it
     out = np.zeros((width, keep), dtype=np.uint64).T
     carry = np.zeros(keep, dtype=np.int64)
+    mask = (1 << b) - 1
     weights = 2 * D - 1
-    digits = -(-64 * width // LIMB_BITS)  # the last one holds the top bit
+    digits = -(-64 * width // b)  # the last one holds the top bit
     top_bit = 64 * width - 1
     steps = max(weights, digits)
-    m = len(series)
     for w in range(steps):
         if w < D:
             buf[m:] = 0
             for s in range(0, m, _CHUNK):
-                buf[s : min(s + _CHUNK, m)] = _digit(series[s : s + _CHUNK], w, w == D - 1)
+                e = min(s + _CHUNK, m)
+                d = _digit(series[s:e], w, b, w == D - 1)
+                d += borrowed[s:e]
+                if w < D - 1:
+                    np.greater_equal(d, 1 << (b - 1), out=borrowed[s:e])
+                    d -= (1 << b) * borrowed[s:e]
+                buf[s:e] = d
             np.fft.rfft(buf, out=spectrum(w))
         if w < weights:
             # below D - 1 the top spectrum is not filled yet; from D - 1 on
@@ -209,25 +237,25 @@ def square_truncated(series: np.ndarray, keep: int, width: int) -> np.ndarray:
             vals = np.fft.irfft(spectra[target], n=n, out=buf)
             if w >= D - 1:
                 spectra[target] = None
-        q, r = divmod(LIMB_BITS * w, 64)
+        q, r = divmod(b * w, 64)
         for s in range(0, keep, _CHUNK):
             e = min(s + _CHUNK, keep)
             c = carry[s:e]
             if w < weights:
                 c += round_exact(vals[s:e])
-            d = (c & _DIGIT_MASK).view(np.uint64)
-            c >>= LIMB_BITS
+            d = (c & mask).view(np.uint64)
+            c >>= b
             rows = out[s:e]
             if w < digits:
                 rows[:, q] |= d << np.uint64(r)
-                if r > 64 - LIMB_BITS and q + 1 < width:
+                if r > 64 - b and q + 1 < width:
                     rows[:, q + 1] |= d >> np.uint64(64 - r)
             if w >= digits - 1:
                 # every bit from the top bit up must repeat it, the carry too
                 sign = (rows[:, -1] >> np.uint64(63)).view(np.int64)
-                low = max(top_bit - LIMB_BITS * w, 0)
+                low = max(top_bit - b * w, 0)
                 ext = (d >> np.uint64(low)).view(np.int64)
-                if np.any(ext != sign * ((1 << (LIMB_BITS - low)) - 1)) or (
+                if np.any(ext != sign * ((1 << (b - low)) - 1)) or (
                         w == steps - 1 and np.any(c != -sign)):
                     raise DataCorruptionError(f"square exceeds {width} signed 64-bit limbs")
     return out

@@ -8,10 +8,12 @@ Two independent routes compute it:
                     (-1)^k (2k+1) at indices k(k+1)/2).  eta^6 is the
                     seed squared over the integers; eta^12 and eta^24 are
                     each squared once over the integers by float FFTs over
-                    11-bit digits (`stseq.ntt.square_truncated`), into as
-                    many limbs as a proven bound on that stage's output
-                    needs: Cauchy-Schwarz on the exact eta^6 for eta^12,
-                    Deligne's for eta^24.
+                    balanced digits (`stseq.ntt.square_truncated`), as wide
+                    as a bound with five bits of headroom below 2^52 allows
+                    (2 + 4 digits at 2^19, 2 + 5 at 10^6, 3 + 6 at 10^7),
+                    into as many limbs as a proven bound on that stage's
+                    output needs: Cauchy-Schwarz on the exact eta^6 for
+                    eta^12, Deligne's for eta^24.
   tau_naive_oracle  reference path: dense sequential multiplication of the
                     raw factors (1 - q^k) in arbitrary-precision integers,
                     then 23 further multiplications by the same truncated
@@ -144,9 +146,14 @@ def expand_delta(limit: int) -> ExactTauTable:
               |c12(n)| = |sum c6(i) c6(n-i)| <= sum_{i <= n} c6(i)^2;
       eta^24  the square of eta^12, in as many limbs as Deligne's bound on
               tau needs (deligne_bound).
-    Each stage is one exact digit squaring (`ntt.square_truncated`), which
-    raises if a value does not fit its proven width.  The first
-    min(limit, 500) coefficients are checked against the dense oracle.
+    Each stage is one exact squaring over D balanced digits of b bits
+    (`ntt.square_truncated`), D forward and 2D - 1 inverse transforms, which
+    raises if a value does not fit its proven width.  b is the widest with
+    D * limit * 2^(2b - 2) <= 2^47, five bits below where float rounding
+    stops being exact, since float error grows with the digits' norms: at
+    2^19 both stages take b = 14, with 2 and 4 digits, 16 transforms; at
+    10^6, 2 and 5 digits; at 10^7, 3 and 6.  The first min(limit, 500)
+    coefficients are checked against the dense oracle.
     """
     if limit < 1:
         raise ConfigurationError("limit must be >= 1")

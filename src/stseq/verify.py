@@ -285,8 +285,14 @@ def strongly_multiplicative_log(
     has j < sqrt(x), so p is its largest prime factor and comes last either
     way: those primes strike together, one gather-add per multiplier j.
     """
+    return _strongly_multiplicative_log(seq, primes_up_to(x), x)
+
+
+def _strongly_multiplicative_log(
+    seq: NormalizedSequence, ps: np.ndarray, x: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """strongly_multiplicative_log over ps, the primes up to x."""
     logh = np.zeros(x + 1, dtype=np.float64)
-    ps = primes_up_to(x)
     a = np.abs(seq.values[ps])
     nz = a != 0.0
     live = ps[nz]
@@ -363,7 +369,7 @@ def verify_thm3(
     ks, skew, kurt = _shape_statistics(log_abs, mu, sigma2)
 
     # additive identity over the zero-free part of [1, x]
-    logh, alive = strongly_multiplicative_log(seq, x)
+    logh, alive = _strongly_multiplicative_log(seq, ps, x)
     lhs = float(np.sum(logh[1:][alive[1:]]))
     ap = seq.values[ps]
     nz = ap != 0.0

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stseq import limbs as lb
+from stseq import ntt
 from stseq.arith import is_prime
 from stseq.errors import CapacityError, ConfigurationError, DataCorruptionError
 from stseq.limbs import to_ints
 from stseq.ntt import (
     cyclic_square_truncated,
-    digit_count,
+    digit_plan,
     find_ntt_primes,
     garner_lift,
     get_plan,
@@ -132,14 +135,25 @@ def _square_prefix(values, keep):
                 if i < len(values) and k - i < len(values)) for k in range(keep)]
 
 
-def test_digit_count_at_the_signed_edges():
-    # D digits hold [-2^(11D - 1), 2^(11D - 1)): unsigned below, signed on top
-    for d in (1, 2, 3, 6, 7, 12):
-        edge = 1 << (11 * d - 1)
-        for values, want in (([edge - 1], d), ([-edge], d), ([edge], d + 1), ([-edge - 1], d + 1)):
-            assert digit_count(_widened(values, 4)) == want, (values, want)
-    assert digit_count(np.zeros((5, 2), dtype=np.uint64)) == 1
-    assert digit_count(np.zeros((0, 1), dtype=np.uint64)) == 1
+def test_digit_plan_at_the_signed_edges():
+    # D digits of b bits hold [-2^(bD - 1), 2^(bD - 1)): balanced below, signed on top
+    for keep in (1, 1000, 2**19, 2**20):
+        plans = {digit_plan(_widened([(1 << k) - 1], 4), keep) for k in range(255)}
+        assert len(plans) >= 10
+        for b, D in plans:
+            edge = 1 << (b * D - 1)
+            for values in ([edge - 1], [-edge], [edge - 1, -edge, 0]):
+                assert digit_plan(_widened(values, 4), keep) == (b, D), (keep, values, b, D)
+            for values in ([edge], [-edge - 1]):  # one bit more: never fewer digit bits
+                wb, wD = digit_plan(_widened(values, 4), keep)
+                assert wb <= b and wb * wD > b * D, (keep, values, b, D)
+            # the widest width whose bound stays within the headroom
+            assert D * keep << 2 * b - 2 <= 1 << 47
+            assert ((b * D - 1) // (b + 1) + 1) * keep << 2 * b > 1 << 47
+    # eta^6 (26 bits) and eta^12 (53 bits) at 2^19
+    assert [digit_plan(lb.from_ints([-(1 << k)]), 2**19) for k in (26, 53)] == [(14, 2), (14, 4)]
+    assert digit_plan(np.zeros((5, 2), dtype=np.uint64), 1) == (24, 1)
+    assert digit_plan(np.zeros((0, 1), dtype=np.uint64), 1) == (24, 1)
     assert [transform_length(k) for k in (1, 2, 3, 5, 1000)] == [1, 4, 8, 16, 2048]
 
 
@@ -176,22 +190,23 @@ def test_square_truncated_raises_on_too_narrow_output():
         square_truncated(_widened([-(1 << 150)], 3), 1, 2)
 
 
-@pytest.mark.parametrize("values, weight, excess, caught", [
-    # 3 digits, one limb out: 5 weights, then one carry step to digit 5 (bits 55..65)
-    ([1 << 30, -(1 << 29), 12345], 4, 22, True),  # 2^(44 + 22) = 2^66: bits 63..65
-    #                                               stay 0, the carry is 1
-    ([1 << 30, -(1 << 29), 12345], 4, 19, True),  # 2^63: the top bit flips, the carry not
-    ([1 << 30, -(1 << 29), 12345], 4, 18, False),  # 2^62 still fits
-    # 4 digits, one limb out: 7 weights, the last past the output's 6 digits
-    ([1, 12345, -(1 << 39)], 6, 0, True),  # 2^66 arrives as digit 6 itself
+@pytest.mark.parametrize("values, plan, weight, excess, caught", [
+    # 2 digits of 23 bits, one limb out: 3 weights and 3 output digits (bits 46..68 last)
+    ([1 << 30, -(1 << 29), 12345], (23, 2), 2, 23, True),  # 2^(46 + 23) = 2^69: bits
+    #                                                         63..68 stay 0, the carry is 1
+    ([1 << 30, -(1 << 29), 12345], (23, 2), 2, 17, True),  # 2^63: the top bit flips, the carry not
+    ([1 << 30, -(1 << 29), 12345], (23, 2), 2, 16, False),  # 2^62 still fits
+    # 3 digits of 22 bits, one limb out: 5 weights, the last past the output's 3 digits
+    ([1, 0, -(1 << 61)], (22, 3), 4, 0, True),  # 2^88 arrives as digit 4 itself
 ], ids=["carry-only", "top-bit", "fits", "past-the-last-digit"])
-def test_square_truncated_checks_the_carry_past_the_top_bit(monkeypatch, values, weight, excess,
-                                                            caught):
-    """A product that is off by 2^(11 weight + excess) in one entry, injected
+def test_square_truncated_checks_the_carry_past_the_top_bit(monkeypatch, values, plan, weight,
+                                                            excess, caught):
+    """A product that is off by 2^(b weight + excess) in one entry, injected
     into the inverse transform of that weight, is caught exactly when the
     entry leaves one signed limb."""
     series = lb.from_ints(values)
-    assert digit_count(series) == (weight + 2) // 2
+    b, D = plan
+    assert digit_plan(series, 3) == plan and 2 * D - 1 > weight
     honest = to_ints(square_truncated(series, 3, 1))
     calls = []
     real_irfft = np.fft.irfft
@@ -209,7 +224,7 @@ def test_square_truncated_checks_the_carry_past_the_top_bit(monkeypatch, values,
             square_truncated(series, 3, 1)
     else:
         got = to_ints(square_truncated(series, 3, 1))
-        assert got == [honest[0] + (1 << (11 * weight + excess))] + honest[1:]
+        assert got == [honest[0] + (1 << (b * weight + excess))] + honest[1:]
 
 
 def test_square_truncated_refuses_inexact_capacity_before_allocating(monkeypatch):
@@ -219,12 +234,123 @@ def test_square_truncated_refuses_inexact_capacity_before_allocating(monkeypatch
     def refuse(*args, **kwargs):
         raise Allocated
 
-    series = lb.from_ints([(1 << 40) - 1] * 4)  # 41 bits: 4 digits
-    assert digit_count(series) == 4
+    series = lb.from_ints([(1 << 40) - 1] * 4)  # 40 bits: 41 digits of one bit
+    edge = (1 << 47) // 41  # 41 digits * edge terms * 2^0 stays within 2^47
+    assert digit_plan(series, edge) == (1, 41)
     monkeypatch.setattr(np, "empty", refuse)
     monkeypatch.setattr(np, "zeros", refuse)
-    # 4 digits * 2^28 terms * 2^22 reaches 2^52
+    # one term more and no width b >= 1 keeps the products exact
     with pytest.raises(CapacityError):
-        square_truncated(series, 1 << 28, 2)
-    with pytest.raises(Allocated):  # one term fewer passes the check
-        square_truncated(series, (1 << 28) - 1, 2)
+        square_truncated(series, edge + 1, 2)
+    with pytest.raises(CapacityError):
+        digit_plan(series, edge + 1)
+    with pytest.raises(Allocated):  # edge terms pass the check
+        square_truncated(series, edge, 2)
+
+
+def _edge_value(b, D):
+    """The value whose balanced b-bit digits are -2^(b-1) below a top digit
+    of 1 - 2^(b-1): after the borrows from below, the nearest the top comes."""
+    h = 1 << (b - 1)
+    return sum(-h << (b * i) for i in range(D - 1)) + ((1 - h) << (b * (D - 1)))
+
+
+def _scaled(big, m, width):
+    """Limbs of big * m for an int 0 <= big and an int64 array |m| <= 2^20,
+    by 32-bit halves of big with arithmetic-shift carries."""
+    halves, carry = [], 0
+    for j in range(2 * width):
+        v = m * ((big >> 32 * j) & 0xFFFF_FFFF) + carry  # |v| < 2^53
+        halves.append((v & 0xFFFF_FFFF).view(np.uint64))
+        carry = v >> 32
+    return np.stack([halves[2 * k] | halves[2 * k + 1] << np.uint64(32)
+                     for k in range(width)], axis=1)
+
+
+@pytest.mark.parametrize("keep, plan", [(2**19, (15, 1)), (2**19, (14, 4)),
+                                        (2**20, (14, 2)), (2**20, (13, 8))],
+                         ids=["2^19-b15", "2^19-b14", "2^20-b14", "2^20-b13"])
+def test_square_truncated_is_exact_on_coherent_edge_digits(monkeypatch, keep, plan):
+    """The inputs the headroom exists for: every digit at the edge and the
+    bound D keep 2^(2b-2) at 2^47 itself.  Constant, alternating and random
+    signs of one edge value c square to c^2 times the square of their sign
+    series, with every rounding within 0.1 of an integer."""
+    b, D = plan
+    assert D * keep << 2 * b - 2 == 1 << 47
+    c = _edge_value(b, D)
+    pair = lb.from_ints([c, -c])
+    k = np.arange(keep)
+    negative = {"constant": k * 0, "alternating": k % 2,
+                "random": np.random.default_rng(7).integers(0, 2, keep)}
+    errors, digits = [], []
+    real_round, real_rfft = ntt.round_exact, np.fft.rfft
+
+    def spy(x):
+        errors.append(float(np.max(np.abs(x - np.rint(x)), initial=0.0)))
+        return real_round(x)
+
+    def digit_spy(x, *args, **kwargs):
+        digits.append((x[:keep].min(), x[:keep].max()))
+        return real_rfft(x, *args, **kwargs)
+
+    monkeypatch.setattr(ntt, "round_exact", spy)
+    monkeypatch.setattr(np.fft, "rfft", digit_spy)
+    width = lb.width_for(keep * c * c)
+    n = transform_length(keep)
+    for form, neg in negative.items():
+        series = pair[neg]
+        assert digit_plan(series, keep) == plan, form
+        signs = real_rfft(1.0 - 2 * neg, n)
+        auto = np.fft.irfft(signs * signs, n)[:keep]  # |entries| <= keep: exact after rounding
+        m = np.rint(auto).astype(np.int64)
+        assert np.max(np.abs(auto - m)) < 1e-3
+        if form != "random":
+            assert np.array_equal(m, (k + 1) * (1 - 2 * negative[form]))
+        errors.clear()
+        digits.clear()
+        got = square_truncated(series, keep, width)
+        assert 0 < max(errors) <= 0.1, (form, max(errors))
+        h = 1 << (b - 1)
+        if form == "constant":
+            assert digits == [(-h, -h)] * (D - 1) + [(1 - h, 1 - h)]
+        else:
+            assert len(digits) == D and all(-h <= lo and hi <= h for lo, hi in digits)
+        assert np.array_equal(got, _scaled(c * c, m, width)), form
+
+
+@st.composite
+def _edge_series(draw):
+    """(values, width, keep): values of `width` signed limbs that are sums of
+    b-bit digits at or next to the balanced edges, or any in-range ints."""
+    width = draw(st.integers(1, 3))
+    b = draw(st.integers(1, 24))
+    h = 1 << (b - 1)
+    top = 64 * width - 1  # |sum of digits| < 2^(b * digits) <= 2^top
+    digits = st.lists(st.sampled_from([-h, 1 - h, -1, 0, 1, h - 1, h]),
+                      min_size=1, max_size=top // b)
+    value = st.one_of(st.builds(lambda ds: sum(d << (b * i) for i, d in enumerate(ds)), digits),
+                      st.integers(-(1 << top), (1 << top) - 1))
+    values = draw(st.lists(value, min_size=1, max_size=12))
+    return values, width, draw(st.integers(1, len(values) + 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_series())
+def test_square_truncated_matches_python_ints_at_digit_edges(case):
+    values, width, keep = case
+    want = _square_prefix(values, keep)
+    out_width = lb.width_for(max(abs(v) for v in want))
+    series = _widened(values, width)
+    b, D = digit_plan(series[:keep], keep)
+    digits = []
+    real_rfft = np.fft.rfft
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.fft, "rfft",
+                   lambda x, *a, **k: digits.append(x.copy()) or real_rfft(x, *a, **k))
+        got = square_truncated(series, keep, out_width)
+    assert to_ints(got) == want
+    assert to_ints(square_truncated(series, keep, out_width + 1)) == want
+    # the digits are balanced and sum back to the values
+    assert len(digits) == D and all(np.all(np.abs(d) <= 1 << (b - 1)) for d in digits)
+    rows = range(min(keep, len(values)))
+    assert [sum(int(d[r]) << (b * i) for i, d in enumerate(digits)) for r in rows] == values[:keep]

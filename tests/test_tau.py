@@ -7,7 +7,7 @@ import pytest
 from stseq import limbs as lb
 from stseq.arith import primes_up_to
 from stseq.errors import CapacityError, ConfigurationError, DataCorruptionError
-from stseq.ntt import digit_count, square_truncated, transform_length
+from stseq.ntt import digit_plan, square_truncated, transform_length
 from stseq.tau import (
     NAIVE_ORACLE_MAX,
     ExactTauTable,
@@ -82,15 +82,18 @@ class TestExpandDelta:
     @pytest.mark.parametrize("limit", [2**19, 10**6])
     def test_digit_plan_at_scale(self, limit):
         # one transform length per limit; eta^24 needs more digits than eta^12
-        length, digits = {2**19: (2**20, (3, 5)), 10**6: (2**21, (3, 6))}[limit]
+        length, plans = {2**19: (2**20, ((14, 2), (14, 4))),
+                         10**6: (2**21, ((14, 2), (13, 5)))}[limit]
         assert transform_length(limit) == length
-        assert _stage_digits(limit) == digits
-        # every weight's coefficients stay far below 2^52, where exactness ends
-        assert max(digits) * limit << 22 < 1 << 48
+        assert _stage_plans(limit) == plans
+        # every weight's coefficients stay 5 bits below 2^52, where exactness ends
+        assert all(D * limit << 2 * b - 2 <= 1 << 47 for b, D in plans)
+        # D forward and 2D - 1 inverse transforms per stage
+        assert sum(3 * D - 1 for _, D in plans) == {2**19: 16, 10**6: 19}[limit]
 
     def test_digits_per_stage(self):
-        want = {2000: (2, 3), 2**15: (2, 4)}
-        assert {limit: _stage_digits(limit) for limit in want} == want
+        want = {2000: ((19, 1), (18, 2)), 2**15: ((16, 2), (16, 3))}
+        assert {limit: _stage_plans(limit) for limit in want} == want
 
     def test_one_digit_squaring_per_stage(self, monkeypatch):
         import stseq.tau as tau_mod
@@ -99,22 +102,39 @@ class TestExpandDelta:
         real = tau_mod.square_truncated
 
         def counted(series, keep, width):
-            calls.append((digit_count(series), keep, width))
+            calls.append((digit_plan(series, keep), keep, width))
             return real(series, keep, width)
 
         monkeypatch.setattr(tau_mod, "square_truncated", counted)
         limit = 2**15
         expand_delta(limit)
         # eta^12 fits one limb by its Cauchy-Schwarz bound, eta^24 two by Deligne's
-        assert calls == [(2, limit, 1), (4, limit, 2)]
+        assert calls == [((16, 2), limit, 1), ((16, 3), limit, 2)]
 
-    def test_agrees_with_oracle_where_a_stage_digit_count_steps(self):
-        steps = _digit_count_steps(NAIVE_ORACLE_MAX)
-        # eta^12 stage 1 -> 2 digits at 124; eta^24 1 -> 2 at 11, 2 -> 3 at 127, 3 -> 4 at 2604
-        assert steps == [11, 124, 127, 2604]
+    def test_transforms_per_stage(self, monkeypatch):
+        # the kernel has no span of its own, so its transforms are counted here
+        limit = 2**15
+        plans = _stage_plans(limit)
+        calls = []
+        for name in ("rfft", "irfft"):
+            real = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda *a, real=real, name=name, **k:
+                                calls.append(name) or real(*a, **k))
+        expand_delta(limit)
+        assert calls.count("rfft") == sum(D for _, D in plans)
+        assert calls.count("irfft") == sum(2 * D - 1 for _, D in plans)
+        assert len(calls) == sum(3 * D - 1 for _, D in plans) == 13
+
+    def test_agrees_with_oracle_where_a_stage_plan_steps(self):
+        steps = _plan_steps(NAIVE_ORACLE_MAX)
+        # the widths narrow as the limit grows and the digit counts grow with
+        # the coefficients: (24, 1) for both stages at 1, (17, 2) and (17, 3) at 10^4
+        assert steps == [3, 9, 33, 120, 129, 257, 513, 1025, 2049, 4097, 8002]
+        # truncation commutes with products: the oracle at the last step holds every prefix
+        oracle = tau_naive_oracle(steps[-1]).taus
         for limit in steps:
             for n in (limit - 1, limit):
-                assert expand_delta(n).taus == tau_naive_oracle(n).taus, n
+                assert expand_delta(n).taus == oracle[: n + 1], n
 
 
 def _eta_powers(limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -125,29 +145,31 @@ def _eta_powers(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return eta6.view(np.uint64)[:, None], eta12
 
 
-def _stage_digits(limit: int) -> tuple[int, int]:
-    """Digits of the eta^12 stage's input (eta^6) and of the eta^24 stage's (eta^12)."""
-    return tuple(digit_count(series) for series in _eta_powers(limit))
+def _stage_plans(limit: int) -> tuple[tuple[int, int], ...]:
+    """Digit plan (b, D) of the eta^12 stage's input (eta^6) and of the eta^24 stage's (eta^12)."""
+    return tuple(digit_plan(series, limit) for series in _eta_powers(limit))
 
 
-def _digit_count_steps(top: int) -> list[int]:
-    """Every limit 2..top whose stage digits differ from those at limit - 1.
+def _plan_steps(top: int) -> list[int]:
+    """Every limit 2..top whose stage plans differ from those at limit - 1.
 
     Truncation commutes with products, so the series at a limit are the
-    prefixes of those at top, and a prefix's digit count never falls as it
-    grows.  Bisection then finds each step.
+    prefixes of those at top.  As the limit grows, a prefix's bit length
+    never falls and neither does keep, so a plan's width never grows and
+    its digit count never falls: each plan holds over one run of limits,
+    and bisection finds each step.
     """
     powers = _eta_powers(top)
 
-    def counts(limit):
-        return tuple(digit_count(series[:limit]) for series in powers)
+    def plans(limit):
+        return tuple(digit_plan(series[:limit], limit) for series in powers)
 
     steps, lo = [], 1
-    while counts(top) != (base := counts(lo)):
-        hi = top  # counts at lo are base, at hi they are not
+    while plans(top) != (base := plans(lo)):
+        hi = top  # plans at lo are base, at hi they are not
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if counts(mid) == base:
+            if plans(mid) == base:
                 lo = mid
             else:
                 hi = mid

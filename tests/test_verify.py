@@ -292,6 +292,16 @@ class TestThm3:
         assert row["identity_rel_err"] <= 1e-12
         assert rep.flags[0]["passed"]
 
+    @pytest.mark.parametrize("standardization", ["self", "finite-size"])
+    def test_lists_the_primes_once(self, synth_seq, monkeypatch, standardization):
+        import stseq.verify as verify_mod
+
+        calls = []
+        monkeypatch.setattr(verify_mod, "primes_up_to",
+                            lambda x: calls.append(x) or primes_up_to(x))
+        verify_thm3(synth_seq, 10_000, SupportFilter("nonzero"), standardization)
+        assert calls == [10_000]
+
     def test_identity_floor_formula_on_full_support(self, synth_seq):
         # no vanishing prime values here, so counts must equal floor(x/p)
         x = 10_000
