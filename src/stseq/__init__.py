@@ -6,9 +6,7 @@ from .arith import (
     AngleSeries,
     NormalizedSequence,
     PrimePowerRule,
-    SpfSieve,
     assemble_multiplicative,
-    build_spf_sieve,
     growth_violations,
     is_prime,
     primes_up_to,

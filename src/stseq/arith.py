@@ -4,11 +4,12 @@ Everything downstream builds on one multiplicative kernel,
 `fill_multiplicative`: any table fixed by its prime-power values, by
 prime-power strikes over `primes_up_to`.  It fills the sequences assembled
 from prime angles plus a prime-power rule (a_p = 2 cos(theta_p) in [-2, 2];
-higher prime powers come from the rule), the elliptic sequences, d(n) and
-sigma_11(n) mod 691.  The smallest-prime-factor sieve remains for the Hecke
-rebuild from primes; its (e, core) pairs and the largest prime factor are
-recursions over `dyadic_blocks`.  All heavy loops are vectorized; results
-are independent of evaluation order and thread count.
+higher prime powers come from the rule), the elliptic sequences, d(n),
+sigma_11(n) mod 691 and the exact Hecke rebuild of tau from its primes.
+The smallest-prime-factor sieve, its (e, core) pairs and the largest prime
+factor (recursions over `dyadic_blocks`) have no package reader; they are
+kept only because the benchmark's tracer wraps them.  All heavy loops are
+vectorized; results are independent of evaluation order and thread count.
 """
 
 from __future__ import annotations
@@ -67,8 +68,10 @@ def _check_sieve_limit(limit: int) -> None:
 
 
 def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array (plain boolean sieve); an n past
-    the SPF sieve's capacity is refused before anything is allocated."""
+    """All primes <= n as an int64 array (plain boolean sieve), the primes
+    every package table strikes with.  An n past the SPF sieve's capacity is
+    refused before anything is allocated, though that sieve has no package
+    reader and is kept only for the benchmark's tracer."""
     _check_sieve_limit(n)
     if n < 2:
         return np.empty(0, dtype=np.int64)
@@ -128,9 +131,11 @@ def dyadic_blocks(lo: int, hi: int):
     """[lo, hi) as consecutive (start, stop) pairs, none crossing a power of
     two and none holding more than _BLOCK entries.
 
-    The (e, core) and largest-prime-factor recursions read their entries at
-    m <= n/2: n >= 2^k in a block inside [2^k, 2^(k+1)) puts m below 2^k,
-    so m lies before the block and is already final.
+    `verify`'s running sums walk it.  So do the SPF sieve's (e, core) and
+    largest-prime-factor recursions, which have no package reader (the
+    benchmark's tracer wraps them): they read their entries at m <= n/2,
+    and n >= 2^k in a block inside [2^k, 2^(k+1)) puts m below 2^k, so m
+    lies before the block and is already final.
     """
     while lo < hi:
         stop = min(hi, 1 << lo.bit_length(), lo + _BLOCK)
@@ -138,13 +143,14 @@ def dyadic_blocks(lo: int, hi: int):
         lo = stop
 
 
-def _derive_exponent_core(spf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-n decomposition n = spf(n)^e * core with spf(n) not dividing core.
+def exponent_core_tables(sieve: SpfSieve) -> tuple[np.ndarray, np.ndarray]:
+    """The sieve's (e, core) pair: n = spf(n)^e * core with spf(n) not
+    dividing core.
 
-    Returns (e, core) arrays indexed 0..limit (entries below 2 are 0/1
-    placeholders), filled over `dyadic_blocks` from m = n // spf(n).
+    Arrays indexed 0..limit (entries below 2 are 0/1 placeholders), filled
+    over `dyadic_blocks` from m = n // spf(n).
     """
-    limit = len(spf) - 1
+    limit, spf = sieve.limit, sieve.spf
     e = np.zeros(limit + 1, dtype=np.int8)
     core = np.zeros(limit + 1, dtype=np.int64)
     core[1] = 1
@@ -158,16 +164,12 @@ def _derive_exponent_core(spf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e, core
 
 
-def exponent_core_tables(sieve: SpfSieve) -> tuple[np.ndarray, np.ndarray]:
-    """The sieve's (e, core) pair: n = spf(n)^e * core."""
-    return _derive_exponent_core(sieve.spf)
-
-
 def fill_multiplicative(limit: int, prime_power, out: np.ndarray,
                         combine=np.multiply) -> np.ndarray:
     """Fill out[1..limit] with f(n) = combine(f(p1^e1), combine(..., combine(f(pk^ek), 1)))
     for n = p1^e1 ... pk^ek, p1 < ... < pk; prime_power(p, v) gives f(p^v)
-    over int64 arrays, and out[0] is untouched.
+    over int64 arrays, in out's dtype (object for exact Python ints), and
+    out[0] is untouched.
 
     The primes strike largest first.  A prime p > sqrt(limit) divides each
     multiple j * p once, as its largest factor, so those strike together,
@@ -188,7 +190,7 @@ def fill_multiplicative(limit: int, prime_power, out: np.ndarray,
         f = prime_power(np.full(len(powers), p), np.arange(1, len(powers) + 1))
         for lo in range(0, limit // p, _BLOCK):  # the multiples m * p, lo < m <= hi
             hi = min(limit // p, lo + _BLOCK)
-            fv = np.full(hi - lo, f[0])
+            fv = np.full(hi - lo, f[0], dtype=f.dtype)
             for v, q in enumerate(powers[:-1], start=1):  # q = p^v divides m
                 fv[-(lo + 1) % q :: q] = f[v]
             seg = out[p * (lo + 1) : p * hi + 1 : p]

@@ -37,7 +37,6 @@ from . import limbs as lb
 from .arith import (
     AngleSeries,
     NormalizedSequence,
-    build_spf_sieve,
     fill_multiplicative,
     primes_up_to,
 )
@@ -358,30 +357,22 @@ def integrity_check(table: ExactTauTable) -> VerificationReport:
 
 
 def reconstruct_from_primes(table: ExactTauTable) -> int:
-    """Rebuild the table from {tau(p)} alone and count mismatches.
+    """Rebuild the table from {tau(p)} alone and count the n in 2..limit
+    where it differs.
 
-    Uses tau(p^(k+1)) = tau(p) tau(p^k) - p^11 tau(p^(k-1)) plus
-    multiplicativity; an independent internal oracle for the expansion.
+    One `fill_multiplicative` fill over exact Python ints: the prime powers
+    come from tau(p^(k+1)) = tau(p) tau(p^k) - p^11 tau(p^(k-1)), the rest
+    from multiplicativity; an independent internal oracle for the expansion.
     """
-    limit = table.limit
-    spf = build_spf_sieve(limit).spf
-    taus = table.taus
-    rebuilt: list[int] = [0] * (limit + 1)
-    if limit >= 1:
-        rebuilt[1] = 1
-    pk_cache: dict[int, list[int]] = {}
-    mismatches = 0
-    for n in range(2, limit + 1):
-        p = int(spf[n])
-        m = n
-        k = 0
-        while m % p == 0:
-            m //= p
-            k += 1
-        powers = pk_cache.setdefault(p, [1, taus[p]])
-        while len(powers) <= k:
-            powers.append(taus[p] * powers[-1] - p**11 * powers[-2])
-        rebuilt[n] = powers[k] * rebuilt[m]
-        if rebuilt[n] != taus[n]:
-            mismatches += 1
-    return mismatches
+    taus = np.array(table.taus, dtype=object)
+
+    def hecke(p, e):
+        t, p11 = taus[p], p.astype(object) ** 11
+        prev, cur, out = np.ones_like(t), t, t
+        for k in range(2, int(e.max(initial=1)) + 1):
+            prev, cur = cur, t * cur - p11 * prev
+            out = np.where(e == k, cur, out)
+        return out
+
+    rebuilt = fill_multiplicative(table.limit, hecke, np.zeros(table.limit + 1, dtype=object))
+    return int(np.count_nonzero(rebuilt[2:] != taus[2:]))

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import stseq
-from stseq import build_spf_sieve
+from stseq.arith import build_spf_sieve
 
 # Every route to a smallest-prime-factor sieve or a table derived from one.
-SIEVE_NAMES = ("build_spf_sieve", "_derive_exponent_core", "largest_prime_factor_table")
+SIEVE_NAMES = ("build_spf_sieve", "exponent_core_tables", "largest_prime_factor_table")
 
 
 @pytest.fixture(scope="session")

@@ -52,7 +52,8 @@ def test_exact_tau_table_holds_one_limb_array():
     assert table.taus[1:4] == (1, -24, 252) and table[3] == 252
 
 
-@pytest.mark.parametrize("name", ["Factorization", "factorize", "Ecdf", "sample_st_angle"])
+@pytest.mark.parametrize("name", ["Factorization", "factorize", "Ecdf", "sample_st_angle",
+                                  "SpfSieve", "build_spf_sieve"])
 def test_names_without_a_caller_are_gone(name):
     assert name not in stseq.__all__
     assert not hasattr(stseq, name)

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from stseq import build_spf_sieve
+from stseq.arith import build_spf_sieve
 from stseq.elliptic import CurveSpec, trace_series
 from stseq.tau import tau_naive_oracle
 

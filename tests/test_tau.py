@@ -23,6 +23,8 @@ from stseq.tau import (
     tau_naive_oracle,
 )
 
+from conftest import brute_factor
+
 # Classical values, cross-checked against the raw product of (1 - q^k) factors.
 TAU_1_TO_12 = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920, 534612, -370944]
 
@@ -365,6 +367,24 @@ class TestIntegritySampledPath:
         assert not rep.passed
 
 
+def _looped_rebuild_mismatches(table: ExactTauTable) -> int:
+    """The Hecke rebuild as a loop over n = p^k m, p the least prime factor
+    of n by trial division: tau(p^k) by the Hecke recurrence from the
+    table's tau(p), times the rebuilt tau(m); counts n in 2..limit."""
+    taus = table.taus
+    rebuilt = [0, 1] + [0] * (table.limit - 1)
+    powers: dict[int, list[int]] = {}
+    mismatches = 0
+    for n in range(2, table.limit + 1):
+        p, k = brute_factor(n)[0]
+        pk = powers.setdefault(p, [1, taus[p]])
+        while len(pk) <= k:
+            pk.append(taus[p] * pk[-1] - p**11 * pk[-2])
+        rebuilt[n] = pk[k] * rebuilt[n // p**k]
+        mismatches += rebuilt[n] != taus[n]
+    return mismatches
+
+
 class TestHeckeReconstruction:
     def test_rebuild_from_primes(self):
         table = expand_delta(2000)
@@ -373,7 +393,16 @@ class TestHeckeReconstruction:
     def test_rebuild_detects_corruption(self):
         table = tau_naive_oracle(200)
         table = _with(table, {8: table[8] + 7})
-        assert reconstruct_from_primes(table) >= 1
+        assert reconstruct_from_primes(table) == 1
+
+    # 13 strikes in blocks below sqrt(2000), 61 with the primes above it
+    @pytest.mark.parametrize("p", [13, 61])
+    def test_corrupt_prime_matches_the_looped_rebuild(self, p):
+        table = expand_delta(2000)
+        table = _with(table, {p: table[p] + 1})
+        want = _looped_rebuild_mismatches(table)
+        assert want == 2000 // p - 1  # every multiple of p but p itself
+        assert reconstruct_from_primes(table) == want
 
 
 def test_verify_small_guard_catches_bad_engine(monkeypatch):
