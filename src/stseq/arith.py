@@ -2,7 +2,8 @@
 
 Everything downstream builds on one multiplicative kernel,
 `fill_multiplicative`: any table fixed by its prime-power values, by
-prime-power strikes over `primes_up_to`.  It fills the sequences assembled
+prime-power strikes over the caller's `primes_up_to` list, the small
+primes one cache-sized block of n at a time.  It fills the sequences assembled
 from prime angles plus a prime-power rule (a_p = 2 cos(theta_p) in [-2, 2];
 higher prime powers come from the rule), the elliptic sequences, d(n),
 sigma_11(n) mod 691 and the exact Hecke rebuild of tau from its primes.
@@ -123,8 +124,20 @@ def build_spf_sieve(limit: int) -> SpfSieve:
     return SpfSieve(limit=limit, spf=spf)
 
 
-# Entries per block of `dyadic_blocks` and of a small prime's strike: bounds temporaries.
+# Entries per block of `dyadic_blocks` and of `blocks`, the blocks of n the
+# small primes strike: bounds temporaries and keeps a block's strikes in cache.
 _BLOCK = 1 << 20
+
+
+def blocks(lo: int, hi: int):
+    """[lo, hi) as consecutive (start, stop) pairs of at most _BLOCK entries.
+
+    The small-prime strikes of `fill_multiplicative` and of thm3's logs walk
+    it: every small prime strikes one block before the next block starts, so
+    the block's slice of the table stays in cache across the primes.
+    """
+    for start in range(lo, hi, _BLOCK):
+        yield start, min(hi, start + _BLOCK)
 
 
 def dyadic_blocks(lo: int, hi: int):
@@ -164,37 +177,57 @@ def exponent_core_tables(sieve: SpfSieve) -> tuple[np.ndarray, np.ndarray]:
     return e, core
 
 
-def fill_multiplicative(limit: int, prime_power, out: np.ndarray,
+def fill_multiplicative(limit: int, ps: np.ndarray, prime_power, out: np.ndarray,
                         combine=np.multiply) -> np.ndarray:
     """Fill out[1..limit] with f(n) = combine(f(p1^e1), combine(..., combine(f(pk^ek), 1)))
-    for n = p1^e1 ... pk^ek, p1 < ... < pk; prime_power(p, v) gives f(p^v)
-    over int64 arrays, in out's dtype (object for exact Python ints), and
-    out[0] is untouched.
+    for n = p1^e1 ... pk^ek, p1 < ... < pk, and return out; out[0] is untouched.
+
+    ps holds every prime <= limit, ascending and as int64, as `primes_up_to`
+    lists them; the caller lists them once for all its fills.
+    prime_power(p, v) gives f(p^v) over int64 arrays, in out's dtype (object
+    for exact Python ints).  It must be elementwise: f(p^v) at one entry may
+    not depend on the other entries, since a fill makes exactly two calls,
+    one on the primes above sqrt(limit) at v = 1 and one on every power
+    p^v <= limit of the primes below.  combine(a, b, out=c) writes the
+    elementwise combination into c, which is b itself, and returns c, as a
+    numpy ufunc such as the default np.multiply does.
 
     The primes strike largest first.  A prime p > sqrt(limit) divides each
     multiple j * p once, as its largest factor, so those strike together,
-    one gather per j.  Each smaller p then strikes its multiples m * p, at
-    most _BLOCK per block, with f(p^v), p^v || m * p.
+    one gather per j.  The smaller primes then strike `blocks` of n: within
+    a block each p, largest first, strikes its multiples n with f(p^v),
+    p^v || n, so every n still folds its prime powers in the same order.
     """
     out[1 : limit + 1] = 1
-    ps = primes_up_to(limit)
     root = math.isqrt(limit)
     small = int(np.searchsorted(ps, root, side="right"))
     big = ps[small:]
     f = prime_power(big, np.ones_like(big))
     for j in range(1, limit // (root + 1) + 1):
         at = j * big[: np.searchsorted(big, limit // j, side="right")]
-        out[at] = combine(f[: len(at)], out[at])
-    for p in ps[:small][::-1].tolist():
-        powers = [p**v for v in range(1, limit.bit_length()) if p**v <= limit]
-        f = prime_power(np.full(len(powers), p), np.arange(1, len(powers) + 1))
-        for lo in range(0, limit // p, _BLOCK):  # the multiples m * p, lo < m <= hi
-            hi = min(limit // p, lo + _BLOCK)
-            fv = np.full(hi - lo, f[0], dtype=f.dtype)
-            for v, q in enumerate(powers[:-1], start=1):  # q = p^v divides m
-                fv[-(lo + 1) % q :: q] = f[v]
-            seg = out[p * (lo + 1) : p * hi + 1 : p]
-            seg[...] = combine(fv, seg)
+        vals = out[at]
+        out[at] = combine(f[: len(at)], vals, out=vals)
+    small_ps = ps[:small].tolist()
+    tops = []  # the largest v with p^v <= limit
+    for p in small_ps:
+        v, q = 1, p
+        while q * p <= limit:
+            v, q = v + 1, q * p
+        tops.append(v)
+    f = prime_power(np.repeat(ps[:small], tops),
+                    np.array([v for top in tops for v in range(1, top + 1)], dtype=np.int64))
+    ends = np.cumsum(tops, dtype=np.int64).tolist()
+    powers = [f[end - top : end] for end, top in zip(ends, tops)]  # f(p), f(p^2), ...
+    for lo, hi in blocks(1, limit + 1):
+        for p, fp in zip(small_ps[::-1], powers[::-1]):
+            m = -(-lo // p)  # m * p is the block's first multiple of p
+            seg = out[m * p : hi : p]
+            fv = np.full(len(seg), fp[0], dtype=f.dtype)
+            q, v = p, 1  # q = p^v divides m
+            while q * p < hi:
+                fv[-m % q :: q] = fp[v]
+                q, v = q * p, v + 1
+            combine(fv, seg, out=seg)
     return out
 
 
@@ -345,25 +378,25 @@ class NormalizedSequence:
 
 
 def assemble_multiplicative(
-    angles: AngleSeries, rule: PrimePowerRule, limit: int
+    angles: AngleSeries, rule: PrimePowerRule, limit: int, ps: np.ndarray
 ) -> NormalizedSequence:
     """Build the synthetic a_n = prod over p^k || n of rule(theta_p, k); a_1 = 1.
 
-    Angles must cover every prime <= limit.  Filled by
-    `fill_multiplicative` with the rule as the prime-power value.
+    ps holds every prime <= limit (`primes_up_to(limit)`), and the angles
+    must cover each of them.  Filled by `fill_multiplicative` over ps with
+    the rule as the prime-power value.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     theta_at = np.full(limit + 1, np.nan)
     in_range = angles.primes <= limit
     theta_at[angles.primes[in_range]] = angles.theta[in_range]
-    ps = primes_up_to(limit)
     gaps = ps[np.isnan(theta_at[ps])]
     if gaps.size:
         raise IncompleteInputError(f"angles missing for {gaps.size} primes <= {limit} "
                                    f"(first: {gaps[0]})")
 
-    values = fill_multiplicative(limit, lambda p, e: rule.value(theta_at[p], e),
+    values = fill_multiplicative(limit, ps, lambda p, e: rule.value(theta_at[p], e),
                                  np.full(limit + 1, np.nan))
     return NormalizedSequence(limit=limit, values=values, source="synthetic")
 

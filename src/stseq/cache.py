@@ -56,15 +56,24 @@ _HEADER = struct.Struct("<4sIBQQ")
 MAX_ENTRY_BYTES = 255
 
 
-def _checksum(payload) -> int:
-    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
+def _checksum(*chunks) -> int:
+    """BLAKE2b-64 of the chunks' bytes laid end to end."""
+    h = hashlib.blake2b(digest_size=8)
+    for chunk in chunks:
+        h.update(chunk)
+    return int.from_bytes(h.digest(), "little")
 
 
-def _floats_bytes(arr: np.ndarray) -> bytes:
-    arr = np.asarray(arr, dtype=np.float64)
+def _floats(arr: np.ndarray) -> np.ndarray:
+    """arr as contiguous binary64 LE, a view when it already is one."""
+    arr = np.ascontiguousarray(arr, dtype="<f8")
     if not np.all(np.isfinite(arr)):
         raise ValueError("refusing to serialize non-finite floats")
-    return arr.astype("<f8").tobytes()
+    return arr
+
+
+def _int64s(arr: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(arr, dtype="<i8")
 
 
 def _str_block(s: str) -> bytes:
@@ -90,7 +99,7 @@ def _check_primes(primes: np.ndarray, limit: int, complete: bool) -> None:
                                f"(largest {last})")
 
 
-def _payload_exact_tau(table: ExactTauTable) -> bytes:
+def _payload_exact_tau(table: ExactTauTable) -> list:
     body = table.limbs[1:]
     n, w = body.shape
     lengths = lb.byte_lengths(body)
@@ -103,7 +112,7 @@ def _payload_exact_tau(table: ExactTauTable) -> bytes:
     rows[:, :4] = lengths.astype("<u4").view(np.uint8).reshape(n, 4)
     rows[:, 4:] = body.astype("<u8").view(np.uint8).reshape(n, 8 * w)
     keep = np.arange(4 + 8 * w) < 4 + lengths[:, None]
-    return rows[keep].tobytes()
+    return [rows[keep]]
 
 
 def _entry_ends(buf: memoryview, limit: int):
@@ -138,9 +147,9 @@ def _parse_exact_tau(limit: int, buf: memoryview) -> ExactTauTable:
     return ExactTauTable(limit=limit, limbs=table)
 
 
-def _payload_normalized(seq: NormalizedSequence) -> bytes:
+def _payload_normalized(seq: NormalizedSequence) -> list:
     meta = json.dumps(seq.meta, sort_keys=True, allow_nan=False)
-    return _str_block(seq.source) + _str_block(meta) + _floats_bytes(seq.values[1:])
+    return [_str_block(seq.source), _str_block(meta), _floats(seq.values[1:])]
 
 
 def _parse_normalized(limit: int, buf: memoryview) -> NormalizedSequence:
@@ -155,14 +164,14 @@ def _parse_normalized(limit: int, buf: memoryview) -> NormalizedSequence:
     return NormalizedSequence(limit=limit, values=vals, source=source, meta=json.loads(meta_raw))
 
 
-def _payload_angles(angles: AngleSeries) -> bytes:
-    return (
-        _str_block(angles.source)
-        + struct.pack("<Q", len(angles))
-        + angles.primes.astype("<i8").tobytes()
-        + _floats_bytes(angles.a)
-        + _floats_bytes(angles.theta)
-    )
+def _payload_angles(angles: AngleSeries) -> list:
+    return [
+        _str_block(angles.source),
+        struct.pack("<Q", len(angles)),
+        _int64s(angles.primes),
+        _floats(angles.a),
+        _floats(angles.theta),
+    ]
 
 
 def _parse_angles(limit: int, buf: memoryview) -> AngleSeries:
@@ -181,18 +190,17 @@ def _parse_angles(limit: int, buf: memoryview) -> AngleSeries:
     return AngleSeries(primes=primes, a=a, theta=theta, source=source, limit=limit)
 
 
-def _payload_traces(series: TraceSeries) -> bytes:
+def _payload_traces(series: TraceSeries) -> list:
     coeffs = (series.curve.a4, series.curve.a6)
     if not all(-(2**63) <= c < 2**63 for c in coeffs):
         raise ValueError(f"curve coefficients {coeffs} outside [-2^63, 2^63): "
                          "the traces format stores A and B as int64")
-    return (
-        struct.pack("<qq", *coeffs)
-        + struct.pack("<Q", len(series))
-        + series.primes.astype("<i8").tobytes()
-        + series.t.astype("<i8").tobytes()
-        + series.good.astype(np.uint8).tobytes()
-    )
+    return [
+        struct.pack("<qqQ", *coeffs, len(series)),
+        _int64s(series.primes),
+        _int64s(series.t),
+        series.good.astype(np.uint8),
+    ]
 
 
 def _parse_traces(limit: int, buf: memoryview) -> TraceSeries:
@@ -228,19 +236,25 @@ _PARSERS = {
 
 
 def save_cache(path, obj) -> None:
-    """Write header + payload for any of the four cacheable types."""
+    """Write header + payload for any of the four cacheable types.
+
+    The payload encoders return it as a list of buffers, views of the
+    object's arrays where their layout already is the file's, so the
+    checksum and the write read those buffers in place and nothing copies
+    the whole payload."""
     try:
         kind, encode = _SAVERS[type(obj)]
     except KeyError:
         raise TypeError(f"cannot cache objects of type {type(obj).__name__}") from None
-    payload = encode(obj)
-    header = _HEADER.pack(MAGIC, VERSION, kind, obj.limit, _checksum(payload))
+    chunks = encode(obj)
+    header = _HEADER.pack(MAGIC, VERSION, kind, obj.limit, _checksum(*chunks))
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(header)
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

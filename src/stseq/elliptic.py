@@ -395,7 +395,8 @@ def ec_normalized_sequence(series: TraceSeries, limit: int) -> NormalizedSequenc
         ap = a_at[p]
         return np.where(good_at[p], chebyshev_recurrence(ap, e), ap**e)
 
-    values = fill_multiplicative(limit, prime_power, np.full(limit + 1, np.nan))
+    values = fill_multiplicative(limit, primes_up_to(limit), prime_power,
+                                 np.full(limit + 1, np.nan))
     return NormalizedSequence(
         limit=limit,
         values=values,

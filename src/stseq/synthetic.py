@@ -105,7 +105,7 @@ def build_synthetic_sequence(spec: SyntheticSpec) -> tuple[AngleSeries, Normaliz
     stream = StRngStream(spec.seed)
     theta, n_acc, n_prop = sample_st_angles(stream, ps)
     angles = AngleSeries.from_theta(ps, theta, source="synthetic", limit=spec.limit)
-    seq = assemble_multiplicative(angles, spec.rule, spec.limit)
+    seq = assemble_multiplicative(angles, spec.rule, spec.limit, ps)
     violations = growth_violations(spec.rule, angles, _GROWTH_MAX_EXPONENT)
     seq.meta.update(
         {

@@ -246,8 +246,13 @@ def _exceeds(rows: np.ndarray, size: np.ndarray, bound: np.ndarray, exact_sq) ->
     return np.nonzero(over)[0]
 
 
-def _sigma11_mod691(limit: int) -> np.ndarray:
-    """sigma_11(n) mod 691 for n <= limit.
+def _mulmod691(a, b, out):
+    """a * b % 691 into out, in place: the products stay below 691^2."""
+    return np.remainder(np.multiply(a, b, out=out), 691, out=out)
+
+
+def _sigma11_mod691(limit: int, ps: np.ndarray) -> np.ndarray:
+    """sigma_11(n) mod 691 for n <= limit, over ps, the primes up to limit.
 
     sigma_11(p^e) = 1 + p^11 + ... + p^(11e) depends on p only mod 691, so
     one table S[r, e] over the residues r, by Horner in e, gives every
@@ -258,12 +263,13 @@ def _sigma11_mod691(limit: int) -> np.ndarray:
     for e in range(1, S.shape[1]):
         S[:, e] = (S[:, e - 1] * pow11 + 1) % 691
     out = np.zeros(limit + 1, dtype=np.int64)
-    return fill_multiplicative(limit, lambda p, e: S[p % 691, e], out,
-                               combine=lambda a, b: a * b % 691)
+    return fill_multiplicative(limit, ps, lambda p, e: S[p % 691, e], out, combine=_mulmod691)
 
 
-def _divisor_counts(limit: int) -> np.ndarray:
-    return fill_multiplicative(limit, lambda p, e: e + 1, np.zeros(limit + 1, dtype=np.int64))
+def _divisor_counts(limit: int, ps: np.ndarray) -> np.ndarray:
+    """d(n) for n <= limit, over ps, the primes up to limit."""
+    return fill_multiplicative(limit, ps, lambda p, e: e + 1,
+                               np.zeros(limit + 1, dtype=np.int64))
 
 
 INTEGRITY_SAMPLE_CAP = 100_000
@@ -324,13 +330,14 @@ def integrity_check(table: ExactTauTable) -> VerificationReport:
 
     # (b) divisor bound: tau(n)^2 <= d(n)^2 * n^11 exactly
     body = table.limbs[1:]
-    d = _divisor_counts(limit)[1:]
+    ps = primes_up_to(limit)  # for both integer fills
+    d = _divisor_counts(limit, ps)[1:]
     n = np.arange(1, limit + 1, dtype=np.float64)
     bound_fail = _exceeds(body, np.abs(lb.to_float(body)), d * n**5.5,
                           lambda i: int(d[i]) ** 2 * (i + 1) ** 11).size
 
     # (c) mod-691 congruence against sigma_11
-    sig = _sigma11_mod691(limit)[1:]
+    sig = _sigma11_mod691(limit, ps)[1:]
     cong_fail = int(np.count_nonzero(lb.mod_small(body, 691) != sig))
 
     rows = [
@@ -374,5 +381,6 @@ def reconstruct_from_primes(table: ExactTauTable) -> int:
             out = np.where(e == k, cur, out)
         return out
 
-    rebuilt = fill_multiplicative(table.limit, hecke, np.zeros(table.limit + 1, dtype=object))
+    rebuilt = fill_multiplicative(table.limit, primes_up_to(table.limit), hecke,
+                                  np.zeros(table.limit + 1, dtype=object))
     return int(np.count_nonzero(rebuilt[2:] != taus[2:]))

@@ -24,6 +24,7 @@ import numpy as np
 from .arith import (
     AngleSeries,
     NormalizedSequence,
+    blocks,
     dyadic_blocks,
     primes_up_to,
 )
@@ -281,8 +282,9 @@ def strongly_multiplicative_log(
     (h(n) != 0).  logh[n] is the sum of log|a_p| over the distinct primes
     p | n with a_p != 0, added smallest first: each such prime adds its log
     to all its multiples, in ascending order.  The primes p <= sqrt(x)
-    strike one slice each.  Every multiple j * p <= x of a larger prime p
-    has j < sqrt(x), so p is its largest prime factor and comes last either
+    strike one slice each per block of n (`arith.blocks`), ascending within
+    the block.  Every multiple j * p <= x of a larger prime p has
+    j < sqrt(x), so p is its largest prime factor and comes last either
     way: those primes strike together, one gather-add per multiplier j.
     """
     return _strongly_multiplicative_log(seq, primes_up_to(x), x)
@@ -299,8 +301,10 @@ def _strongly_multiplicative_log(
     logs = np.fromiter(map(math.log, a[nz].tolist()), np.float64)
     root = math.isqrt(x)
     small = int(np.searchsorted(live, root, side="right"))
-    for p, lp in zip(live[:small].tolist(), logs[:small].tolist()):
-        logh[p::p] += lp
+    strikes = list(zip(live[:small].tolist(), logs[:small].tolist()))
+    for lo, hi in blocks(1, x + 1):  # ascending p within each block of n
+        for p, lp in strikes:
+            logh[-(-lo // p) * p : hi : p] += lp
     big, lbig = live[small:], logs[small:]
     for j in range(1, x // (root + 1) + 1):
         k = int(np.searchsorted(big, x // j, side="right"))

@@ -1,4 +1,6 @@
+import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -96,6 +98,11 @@ def _mod691_power(p, v):
     return (np.asarray(p) ** 2 + 3 * np.asarray(v)) % 691
 
 
+def _mod691_combine(a, b, out):
+    out[...] = a * b % 691
+    return out
+
+
 def _object_power(p, v):
     """An exact Python-int f(p^v) past 2^63 from p = 7 on, negative at odd v."""
     p, v = np.asarray(p).astype(object), np.asarray(v).astype(object)
@@ -108,34 +115,69 @@ def _right_fold(limit, prime_power, combine, out):
     for n in range(1, limit + 1):
         acc = out[1:2] * 0 + 1
         for p, k in reversed(brute_factor(n)):
-            acc = combine(prime_power(np.array([p]), np.array([k])), acc)
+            acc = combine(prime_power(np.array([p]), np.array([k])), acc, out=acc)
         out[n] = acc[0]
     return out
 
 
-class TestFillMultiplicative:
-    LIMITS = [0, 1, 2, 3, 4, 8, 9, 24, 25, 26, 120, 121, 122, 168, 169, 170, 2000]
-    KINDS = {
-        "float": (_float_power, np.multiply, np.float64),
-        "mod691": (_mod691_power, lambda a, b: a * b % 691, np.int64),
-        "object": (_object_power, np.multiply, object),
-    }
+_FOLD_KINDS = {
+    "float": (_float_power, np.multiply, np.float64),
+    "mod691": (_mod691_power, _mod691_combine, np.int64),
+    "object": (_object_power, np.multiply, object),
+}
 
-    @pytest.mark.parametrize("kind", KINDS)
+
+@functools.lru_cache(maxsize=None)
+def _right_fold_table(kind: str, limit: int) -> np.ndarray:
+    """The right fold of one kind over out = [7] * (limit + 2), built once."""
+    prime_power, combine, dtype = _FOLD_KINDS[kind]
+    return _right_fold(limit, prime_power, combine, np.full(limit + 2, 7, dtype))
+
+
+class TestFillMultiplicative:
+    # blocks of n start at 1 + k * block, so a limit of k * block ends a block
+    # and k * block +- 1 end one short of an edge or one past it (block 5:
+    # 24, 25, 26 and 119, 120, 121; block 64: 63, 64, 65 and 127, 128, 129)
+    LIMITS = [0, 1, 2, 3, 4, 8, 9, 24, 25, 26, 63, 64, 65, 119, 120, 121, 122, 127, 128, 129,
+              168, 169, 170, 2000]
+
+    @pytest.mark.parametrize("kind", _FOLD_KINDS)
     @pytest.mark.parametrize("limit", LIMITS)
-    @pytest.mark.parametrize("block", [3, 1 << 20])
+    @pytest.mark.parametrize("block", [3, 5, 64, 1 << 20])
     def test_equals_the_right_fold(self, monkeypatch, kind, limit, block):
         import stseq.arith as arith_mod
 
         monkeypatch.setattr(arith_mod, "_BLOCK", block)
-        prime_power, combine, dtype = self.KINDS[kind]
-        want = _right_fold(limit, prime_power, combine, np.full(limit + 2, 7, dtype))
-        got = fill_multiplicative(limit, prime_power, np.full(limit + 2, 7, dtype), combine)
+        prime_power, combine, dtype = _FOLD_KINDS[kind]
+        want = _right_fold_table(kind, limit)
+        got = fill_multiplicative(limit, primes_up_to(limit), prime_power,
+                                  np.full(limit + 2, 7, dtype), combine)
         # out[0] and out[limit + 1] stay 7; object entries are compared as ints
         if dtype is object:
             assert got.tolist() == want.tolist()
         else:
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("limit", [0, 3, 4, 2000])
+    @pytest.mark.parametrize("block", [5, 1 << 20])
+    def test_two_prime_power_calls(self, monkeypatch, limit, block):
+        """One call on the primes above sqrt(limit) at v = 1, one on every
+        power p^v <= limit of the primes below, whatever the block size."""
+        import stseq.arith as arith_mod
+
+        monkeypatch.setattr(arith_mod, "_BLOCK", block)
+        calls = []
+
+        def recorded(p, v):
+            calls.append(sorted(zip(p.tolist(), v.tolist())))
+            return _float_power(p, v)
+
+        fill_multiplicative(limit, primes_up_to(limit), recorded, np.zeros(limit + 1))
+        root = math.isqrt(limit)
+        big = [(p, 1) for p in primes_up_to(limit).tolist() if p > root]
+        small = [(p, v) for p in primes_up_to(root).tolist()
+                 for v in range(1, limit.bit_length()) if p**v <= limit]
+        assert calls == [big, small]
 
     def test_multiplicative_tables_build_no_sieve(self, monkeypatch):
         from stseq.elliptic import CurveSpec, ec_normalized_sequence, trace_series
@@ -148,6 +190,24 @@ class TestFillMultiplicative:
         ec_normalized_sequence(series, 3000)
         assert integrity_check(table).passed
         assert reconstruct_from_primes(table) == 0
+
+    def test_synthetic_build_and_integrity_list_the_primes_once(self, monkeypatch):
+        """The primes are listed once per call and handed down: the sampler,
+        the coverage check and the fill of a synthetic build share one list,
+        and integrity_check's d(n) and sigma_11 mod 691 fills share another."""
+        from stseq.synthetic import SyntheticSpec, build_synthetic_sequence
+        from stseq.tau import expand_delta, integrity_check
+
+        table = expand_delta(300)
+        calls = []
+        for modname, module in list(sys.modules.items()):
+            if modname.split(".")[0] == "stseq" and hasattr(module, "primes_up_to"):
+                monkeypatch.setattr(module, "primes_up_to",
+                                    lambda n: calls.append(n) or primes_up_to(n))
+        build_synthetic_sequence(SyntheticSpec(limit=3000, seed=7))
+        assert calls == [3000]
+        assert integrity_check(table).passed
+        assert calls == [3000, 300]
 
 
 def _assert_walker_blocks(blocks, lo, hi, block):
@@ -275,7 +335,7 @@ class TestAssembly:
     def test_trivial_and_composite(self):
         ang = _angles_for(1000)
         rule = PrimePowerRule()
-        seq = assemble_multiplicative(ang, rule, 1000)
+        seq = assemble_multiplicative(ang, rule, 1000, ang.primes)
         assert seq.source == "synthetic"
         assert seq.values[1] == 1.0
         v2 = rule.value(ang.theta[0], 2)  # p=2, k=2
@@ -287,12 +347,12 @@ class TestAssembly:
         ang = _angles_for(100)
         ang.theta[0] = math.pi / 2
         ang = AngleSeries.from_theta(ang.primes, ang.theta, limit=100)
-        seq = assemble_multiplicative(ang, PrimePowerRule(), 100)
+        seq = assemble_multiplicative(ang, PrimePowerRule(), 100, ang.primes)
         assert seq.values[4] == pytest.approx(-1.0, abs=1e-12)
 
     def test_prime_values_are_2cos(self):
         ang = _angles_for(2000)
-        seq = assemble_multiplicative(ang, PrimePowerRule(), 2000)
+        seq = assemble_multiplicative(ang, PrimePowerRule(), 2000, ang.primes)
         ps = ang.primes
         assert np.allclose(seq.values[ps], 2.0 * np.cos(ang.theta), rtol=1e-12)
         assert np.max(np.abs(seq.values[ps])) <= 2.0
@@ -303,7 +363,7 @@ class TestAssembly:
         if math.gcd(m, n) != 1:
             return
         ang = _angles_for(10_000)
-        seq = assemble_multiplicative(ang, PrimePowerRule(), 10_000)
+        seq = assemble_multiplicative(ang, PrimePowerRule(), 10_000, ang.primes)
         assert seq.values[m * n] == pytest.approx(
             seq.values[m] * seq.values[n], rel=1e-9, abs=1e-12
         )
@@ -312,7 +372,7 @@ class TestAssembly:
         ang = _angles_for(100)
         short = AngleSeries(ang.primes[:-1], ang.a[:-1], ang.theta[:-1])
         with pytest.raises(IncompleteInputError):
-            assemble_multiplicative(short, PrimePowerRule(), 100)
+            assemble_multiplicative(short, PrimePowerRule(), 100, ang.primes)
 
     @pytest.mark.parametrize("block", [7, 1 << 20])
     def test_missing_primes_counted_across_blocks(self, monkeypatch, block):
@@ -323,7 +383,7 @@ class TestAssembly:
         keep = ~np.isin(ang.primes, [5, 53, 97])
         short = AngleSeries(ang.primes[keep], ang.a[keep], ang.theta[keep])
         with pytest.raises(IncompleteInputError, match=r"for 3 primes <= 100 \(first: 5\)"):
-            assemble_multiplicative(short, PrimePowerRule(), 100)
+            assemble_multiplicative(short, PrimePowerRule(), 100, ang.primes)
 
 
 class TestGrowthViolations:

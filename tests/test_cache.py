@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import struct
 
 import numpy as np
@@ -18,7 +20,7 @@ from stseq.cache import (
 )
 from stseq.elliptic import CurveSpec, trace_series
 from stseq.errors import CacheFormatError, ChecksumError
-from stseq.synthetic import StRngStream, sample_st_angles
+from stseq.synthetic import StRngStream, SyntheticSpec, build_synthetic_sequence, sample_st_angles
 from stseq.tau import ExactTauTable, tau_naive_oracle
 
 
@@ -267,6 +269,47 @@ def _one_of_each_kind():
                                          source="synthetic", limit=500),
         "traces": trace_series(CurveSpec(-1, 1), 500),
     }
+
+
+def _one_shot_file(obj) -> bytes:
+    """The whole file as one bytes object, every field packed on its own by
+    struct from Python ints and floats: the layout the chunked writer keeps."""
+
+    def block(s):
+        return struct.pack("<I", len(s.encode())) + s.encode()
+
+    def packed(code, arr):
+        return struct.pack(f"<{len(arr)}{code}", *arr.tolist())
+
+    if isinstance(obj, ExactTauTable):
+        lengths = [(v if v >= 0 else ~v).bit_length() // 8 + 1 for v in obj.taus[1:]]
+        kind, payload = 1, b"".join(struct.pack("<I", n) + v.to_bytes(n, "little", signed=True)
+                                    for v, n in zip(obj.taus[1:], lengths))
+    elif isinstance(obj, NormalizedSequence):
+        kind, payload = 2, (block(obj.source) + block(json.dumps(obj.meta, sort_keys=True))
+                            + packed("d", obj.values[1:]))
+    elif isinstance(obj, AngleSeries):
+        kind, payload = 3, (block(obj.source) + struct.pack("<Q", len(obj))
+                            + packed("q", obj.primes) + packed("d", obj.a)
+                            + packed("d", obj.theta))
+    else:
+        kind, payload = 4, (struct.pack("<qqQ", obj.curve.a4, obj.curve.a6, len(obj))
+                            + packed("q", obj.primes) + packed("q", obj.t)
+                            + packed("B", obj.good.astype(np.uint8)))
+    checksum = hashlib.blake2b(payload, digest_size=8).digest()
+    return struct.pack("<4sIBQ", b"ASTC", 1, kind, obj.limit) + checksum + payload
+
+
+@pytest.mark.parametrize("kind", ["exact-tau", "normalized", "angles", "traces", "synthetic"])
+def test_file_bytes_equal_the_one_shot_layout(tmp_path, kind):
+    objs = _one_of_each_kind()
+    taus = list(objs["exact-tau"].taus)
+    taus[7:10] = [-(10**40), 10**45, -(2**63)]  # entries past one limb
+    objs["exact-tau"] = ExactTauTable.from_ints(taus)
+    objs["synthetic"] = build_synthetic_sequence(SyntheticSpec(limit=1000, seed=7))[1]
+    path = tmp_path / "x.astc"
+    save_cache(path, objs[kind])
+    assert path.read_bytes() == _one_shot_file(objs[kind])
 
 
 @pytest.mark.parametrize("delta", [7, -7, 1 << 40])

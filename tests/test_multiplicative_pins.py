@@ -61,7 +61,8 @@ def _angles() -> AngleSeries:
 
 @pytest.mark.parametrize("kind", RULE_KINDS)
 def test_assembled_sequence_bytes(kind):
-    seq = assemble_multiplicative(_angles(), PrimePowerRule(kind=kind), LIMIT)
+    angles = _angles()
+    seq = assemble_multiplicative(angles, PrimePowerRule(kind=kind), LIMIT, angles.primes)
     assert _digest(seq.values) == PINS[kind]
 
 
@@ -72,8 +73,9 @@ def test_elliptic_sequence_bytes():
 
 
 def test_integer_table_bytes(sieve):
-    assert _digest(_divisor_counts(LIMIT)) == PINS["divisor_counts"]
-    assert _digest(_sigma11_mod691(LIMIT)) == PINS["sigma11_mod691"]
+    ps = primes_up_to(LIMIT)
+    assert _digest(_divisor_counts(LIMIT, ps)) == PINS["divisor_counts"]
+    assert _digest(_sigma11_mod691(LIMIT, ps)) == PINS["sigma11_mod691"]
     assert _digest(largest_prime_factor_table(sieve)) == PINS["largest_prime_factor"]
     assert _digest(*exponent_core_tables(sieve)) == PINS["exponent_core"]
 
@@ -83,13 +85,14 @@ def _walked_tables(limit: int, cm_traces) -> list[np.ndarray]:
     strikes, (e, core) from a fresh sieve under the current block size."""
     sieve = build_spf_sieve(limit)
     _, synth = build_synthetic_sequence(SyntheticSpec(limit=limit, seed=7))
+    ps = primes_up_to(limit)
     return [
         *exponent_core_tables(sieve),
         largest_prime_factor_table(sieve),
         synth.values,
         ec_normalized_sequence(cm_traces, limit).values,
-        _divisor_counts(limit),
-        _sigma11_mod691(limit),
+        _divisor_counts(limit, ps),
+        _sigma11_mod691(limit, ps),
     ]
 
 

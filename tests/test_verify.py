@@ -521,6 +521,16 @@ class TestStronglyMultiplicativeLogOracle:
                 for x in (p * p - 1, p * p, p * p + 1):
                     self.assert_same(seq, x)
 
+    @pytest.mark.parametrize("block", [5, 64])
+    def test_small_blocks(self, monkeypatch, synth_seq, cm_seq, block):
+        # blocks of n start at 1 + k * block; x = k * block ends one
+        import stseq.arith as arith_mod
+
+        monkeypatch.setattr(arith_mod, "_BLOCK", block)
+        for seq in (synth_seq, cm_seq):
+            for x in (block - 1, block, block + 1, 2 * block, 20 * block + 1, 5000):
+                self.assert_same(seq, x)
+
     def test_tau(self):
         from stseq.tau import expand_delta, normalize_tau
 
