@@ -208,16 +208,10 @@ def fill_multiplicative(limit: int, ps: np.ndarray, prime_power, out: np.ndarray
         vals = out[at]
         out[at] = combine(f[: len(at)], vals, out=vals)
     small_ps = ps[:small].tolist()
-    tops = []  # the largest v with p^v <= limit
-    for p in small_ps:
-        v, q = 1, p
-        while q * p <= limit:
-            v, q = v + 1, q * p
-        tops.append(v)
-    f = prime_power(np.repeat(ps[:small], tops),
-                    np.array([v for top in tops for v in range(1, top + 1)], dtype=np.int64))
-    ends = np.cumsum(tops, dtype=np.int64).tolist()
-    powers = [f[end - top : end] for end, top in zip(ends, tops)]  # f(p), f(p^2), ...
+    pv = np.array([(p, v) for p in small_ps for v in range(1, limit.bit_length())
+                   if p**v <= limit], dtype=np.int64).reshape(-1, 2)
+    f = prime_power(pv[:, 0], pv[:, 1])
+    powers = np.split(f, np.flatnonzero(pv[:, 1] == 1)[1:])  # each p's f(p), f(p^2), ...
     for lo, hi in blocks(1, limit + 1):
         for p, fp in zip(small_ps[::-1], powers[::-1]):
             m = -(-lo // p)  # m * p is the block's first multiple of p
