@@ -134,7 +134,8 @@ def blocks(lo: int, hi: int):
 
     The small-prime strikes of `fill_multiplicative` and of thm3's logs walk
     it: every small prime strikes one block before the next block starts, so
-    the block's slice of the table stays in cache across the primes.
+    the block's slice of the table stays in cache across the primes.  thm3
+    packs its gap profile block by block along it too.
     """
     for start in range(lo, hi, _BLOCK):
         yield start, min(hi, start + _BLOCK)
@@ -399,7 +400,12 @@ def growth_violations(
     rule: PrimePowerRule, angles: AngleSeries, max_exponent: int
 ) -> list[tuple[int, int, float, float]]:
     """All (p, k, |a_{p^k}|, bound) with 2 <= k <= max_exponent breaking
-    |a_{p^k}| <= p^((k-1)/2 - rule.rho), sorted by p then k."""
+    |a_{p^k}| <= p^((k-1)/2 - rule.rho), sorted by p then k.
+
+    Both rules keep |a_{p^k}| <= k + 1 (|U_k| <= k + 1), so the rule is
+    evaluated only at the primes whose bound is below k + 2, which leaves
+    room for rounding in the evaluated value.
+    """
     if max_exponent < 2:
         raise ValueError("max_exponent must be >= 2")
     if not rule.rho > 0:
@@ -407,10 +413,11 @@ def growth_violations(
     out: list[tuple[int, int, float, float]] = []
     p = angles.primes.astype(np.float64)
     for k in range(2, max_exponent + 1):
-        vals = np.abs(rule.value(angles.theta, k))
         bound = p ** ((k - 1) / 2.0 - rule.rho)
-        bad = np.nonzero(vals > bound)[0]
-        for i in bad:
-            out.append((int(angles.primes[i]), k, float(vals[i]), float(bound[i])))
+        near = np.nonzero(bound < k + 2)[0]
+        vals = np.abs(rule.value(angles.theta[near], k))
+        bad = vals > bound[near]
+        for i, v in zip(near[bad].tolist(), vals[bad].tolist()):
+            out.append((int(angles.primes[i]), k, v, float(bound[i])))
     out.sort(key=lambda r: (r[0], r[1]))
     return out

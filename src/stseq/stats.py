@@ -163,16 +163,22 @@ _KS_BLOCK = 1024
 
 
 def ks_statistic(sample, cdf) -> float:
-    """Two-sided Kolmogorov-Smirnov sup distance between an ECDF and cdf.
+    """Two-sided Kolmogorov-Smirnov sup distance between an ECDF and cdf:
+    `ks_sorted` on a sorted copy of the sample, which must not be empty."""
+    return ks_sorted(np.sort(np.asarray(sample, dtype=np.float64)), cdf)
+
+
+def ks_sorted(x: np.ndarray, cdf) -> float:
+    """ks_statistic of a sample already sorted ascending: x is a non-empty
+    float64 array, read as given and neither sorted nor copied here.
 
     cdf must be nondecreasing: then on a sorted block [s, e) every term
     i/n - F(x_i) is at most e/n - F(x_s) and every F(x_i) - i/n at most
     F(x_{e-1}) - s/n.  cdf is evaluated at the block ends first, and then
     only inside the blocks whose bound reaches the best term seen there
     (less a 1e-12 margin), so the result is the same float as the maximum
-    over every point.  The sample is sorted here and must not be empty.
+    over every point.
     """
-    x = np.sort(np.asarray(sample, dtype=np.float64))
     n = int(x.size)
     if n < 1:
         raise ValueError("empty sample")

@@ -31,7 +31,7 @@ from .arith import (
 from .errors import DataCorruptionError
 from .report import VerificationReport, flag
 from .stats import (
-    ks_statistic,
+    ks_sorted,
     log1,
     log2_iter,
     log3_iter,
@@ -312,19 +312,6 @@ def _strongly_multiplicative_log(
     return logh, prime_free_mask(ps[~nz], x)
 
 
-def _shape_statistics(log_abs: np.ndarray, mu: float, sigma2: float) -> tuple[float, float, float]:
-    """(KS distance to the normal law, skewness, excess kurtosis) of log_abs
-    standardized by (mu, sigma2); the full-length temporaries die on return."""
-    z = (log_abs - mu) / math.sqrt(sigma2)
-    ks = ks_statistic(z, normal_cdf)
-    del z
-    centered = log_abs - np.mean(log_abs)
-    m2 = float(np.mean(centered**2))
-    skew = float(np.mean(centered**3) / m2**1.5) if m2 > 0 else 0.0
-    kurt = float(np.mean(centered**4) / m2**2 - 3.0) if m2 > 0 else 0.0
-    return ks, skew, kurt
-
-
 def verify_thm3(
     seq: NormalizedSequence,
     x: int,
@@ -353,12 +340,47 @@ def verify_thm3(
     if x > seq.limit:
         raise ValueError(f"cutoff {x} beyond sequence limit {seq.limit}")
     support = support or SupportFilter()
-    vals = seq.values[: x + 1]
-    ns = np.nonzero(support.mask(seq, x))[0]
-    if ns.size == 0:
+    mask = support.mask(seq, x)
+    n_support = int(np.count_nonzero(mask))
+    if n_support == 0:
         raise ValueError("filtered support is empty")
-    log_abs = np.log(np.abs(vals[ns]))
     ps = primes_up_to(x)
+    # Beside seq.values, at most two full-length float64 arrays live at once:
+    # logh and the identity's alive entries, logh and log_abs, then log_abs
+    # and z.  Each ufunc sees the same inputs as a straight-line evaluation,
+    # so every value is the same float.
+
+    # additive identity over the zero-free part of [1, x]
+    logh, alive = _strongly_multiplicative_log(seq, ps, x)
+    lhs = float(np.sum(logh[1:][alive[1:]]))
+    ap = seq.values[ps]
+    nz = ap != 0.0
+    # for a_p != 0, p * m is alive exactly when m is: count the alive m <= x/p
+    counts = np.cumsum(alive[: x // 2 + 1], dtype=np.int64)[x // ps[nz]]
+    rhs = float(np.sum(np.log(np.abs(ap[nz])) * counts))
+    rel_err = abs(lhs - rhs) / max(1.0, abs(lhs))
+    del ap, nz, counts  # pi(x) entries each, alive through the gap profile otherwise
+
+    log_abs = seq.values[: x + 1][mask]
+    np.abs(log_abs, out=log_abs)
+    np.log(log_abs, out=log_abs)
+
+    # gaps c(n) = log|h(n)| - log|a_n| to the strongly multiplicative
+    # companion h (h(p^k) = a_p), zero on squarefree n, packed into the
+    # front of logh block by block: the i-th support entry n has n > i, so
+    # no write reaches an entry a later block still reads
+    n_gaps = i = 0
+    for lo, hi in blocks(1, x + 1):
+        m = mask[lo:hi]
+        gaps = logh[lo:hi][m]
+        gaps -= log_abs[i : i + gaps.size]
+        i += gaps.size
+        gaps = gaps[alive[lo:hi][m]]
+        logh[n_gaps : n_gaps + gaps.size] = gaps
+        n_gaps += gaps.size
+    del alive, mask, m, gaps
+    gap_row = _gap_quantiles(logh[:n_gaps])
+    del logh
 
     L2 = log2_iter(x)
     if standardization == "asymptotic":
@@ -370,27 +392,22 @@ def verify_thm3(
         mu, sigma2 = float(np.mean(log_abs)), float(np.var(log_abs))
     if sigma2 <= 0:
         raise ValueError("degenerate standardization variance")
-    ks, skew, kurt = _shape_statistics(log_abs, mu, sigma2)
 
-    # additive identity over the zero-free part of [1, x]
-    logh, alive = _strongly_multiplicative_log(seq, ps, x)
-    lhs = float(np.sum(logh[1:][alive[1:]]))
-    ap = seq.values[ps]
-    nz = ap != 0.0
-    # for a_p != 0, p * m is alive exactly when m is: count the alive m <= x/p
-    counts = np.cumsum(alive[: x // 2 + 1], dtype=np.int64)[x // ps[nz]]
-    rhs = float(np.sum(np.log(np.abs(ap[nz])) * counts))
-    rel_err = abs(lhs - rhs) / max(1.0, abs(lhs))
+    # KS distance of the standardized logs to the normal law, sorted in place
+    z = np.subtract(log_abs, mu)
+    z /= math.sqrt(sigma2)
+    z.sort()
+    ks = ks_sorted(z, normal_cdf)
+    # skewness and excess kurtosis: z's buffer holds the centered logs and
+    # log_abs's buffer each of their powers in turn
+    centered = np.subtract(log_abs, np.mean(log_abs), out=z)
+    m2 = float(np.mean(np.square(centered, out=log_abs)))
+    skew = float(np.mean(np.power(centered, 3, out=log_abs)) / m2**1.5) if m2 > 0 else 0.0
+    kurt = float(np.mean(np.power(centered, 4, out=log_abs)) / m2**2 - 3.0) if m2 > 0 else 0.0
 
-    # gaps c(n) = log|h(n)| - log|a_n| to the strongly multiplicative
-    # companion h (h(p^k) = a_p), zero on squarefree n
-    gaps = logh[ns]
-    gaps -= log_abs
-    del logh, log_abs  # the gap profile below sets the call's peak: free these first
-    gaps = gaps[alive[ns]]
     row = {
         "x": x,
-        "n_support": int(ns.size),
+        "n_support": n_support,
         "mu": mu,
         "sigma2": sigma2,
         "ks_vs_normal": ks,
@@ -400,7 +417,7 @@ def verify_thm3(
         "identity_rhs": rhs,
         "identity_rel_err": rel_err,
     }
-    row.update(_gap_quantiles(gaps))
+    row.update(gap_row)
     flags = [flag("additive_identity", rel_err <= IDENTITY_RTOL, rel_err,
                   f"rel err <= {IDENTITY_RTOL}")]
     if ks_tol is not None:

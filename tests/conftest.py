@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,24 @@ def refuse_sieves(monkeypatch, caller: str) -> None:
             for name in SIEVE_NAMES:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
+
+
+def traced_peak(fn):
+    """(fn(), peak bytes traced while fn ran, above the bytes traced when it
+    started).  numpy reports its array buffers to tracemalloc, so the peak
+    counts every array fn allocates, whatever the C heap keeps resident."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    return out, peak - base
 
 
 def brute_spf(n: int) -> int:

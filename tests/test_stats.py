@@ -9,6 +9,7 @@ from stseq.stats import (
     cos_moment_integrals,
     h_gamma,
     half_band_density,
+    ks_sorted,
     ks_statistic,
     log1,
     log2_iter,
@@ -21,6 +22,8 @@ from stseq.stats import (
     st_pdf,
 )
 from stseq.synthetic import StRngStream, sample_st_angles
+
+from conftest import traced_peak
 
 
 class TestIteratedLogs:
@@ -249,6 +252,26 @@ class TestKsBlockPruning:
     def test_equals_brute_force(self, n):
         for sample, cdf in self.samples(n, n):
             assert ks_statistic(sample, cdf) == ks_brute(sample, cdf)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_sorted_scan_equals_brute_force(self, n):
+        for sample, cdf in self.samples(n, n + 1):
+            x = np.sort(sample)
+            kept = x.copy()
+            assert ks_sorted(x, cdf) == ks_statistic(sample, cdf) == ks_brute(sample, cdf)
+            assert x.tobytes() == kept.tobytes()
+
+    def test_sorted_scan_neither_sorts_nor_copies(self):
+        # read as given: reversed, the ECDF steps land on the wrong points
+        x = np.linspace(-3.0, 3.0, 100_000)
+        rev = x[::-1].copy()
+        assert ks_sorted(rev, normal_cdf) > 0.9 > ks_sorted(x, normal_cdf)
+        assert rev.tobytes() == x[::-1].tobytes()
+        # the sup sits in a narrow peak of v - v^2, so few blocks are scanned
+        # and a copy of the sample would dominate the traced peak
+        u = np.linspace(0.0, 1.0, 1_000_000)
+        _, peak = traced_peak(lambda: ks_sorted(u, lambda v: v * v))
+        assert peak < u.nbytes // 2
 
     def test_ties_present(self):
         normal, angles, unit = (s for s, _ in self.samples(100_000, 3))

@@ -13,9 +13,13 @@ from stseq.arith import (
     primes_up_to,
 )
 from stseq.errors import DataCorruptionError
-from stseq.report import VerificationReport
+from stseq.report import VerificationReport, flag
+from stseq.stats import ks_statistic, log2_iter, normal_cdf, prime_log_moments
 from stseq.synthetic import SyntheticSpec, build_synthetic_sequence
 from stseq.verify import (
+    CLT_C,
+    IDENTITY_RTOL,
+    STANDARDIZATIONS,
     SupportFilter,
     check_assumptions,
     prime_free_mask,
@@ -30,7 +34,7 @@ from stseq.verify import (
     verify_thm3,
 )
 
-from conftest import refuse_sieves
+from conftest import refuse_sieves, traced_peak
 
 
 def const_sequence(limit: int, value: float = 1.0) -> NormalizedSequence:
@@ -95,6 +99,66 @@ def full_array_thm1(seq: NormalizedSequence, eps: float, cps: list[int],
         name="thm1-typical-size",
         parameters={"eps": eps, "source": seq.source, "checkpoints": cps},
         rows=rows, flags=flags, runtime=0.0,
+    )
+
+
+def full_array_thm3(seq: NormalizedSequence, x: int, support: SupportFilter | None = None,
+                    standardization: str = "self", ks_tol: float | None = None,
+                    skew_tol: float | None = None) -> VerificationReport:
+    """Oracle for thm3: straight-line, every table at full length, with the
+    support's indices, a sorted copy for the KS scan and one array per power."""
+    if standardization not in STANDARDIZATIONS:
+        raise ValueError(f"unknown standardization {standardization!r}")
+    if x < 1:
+        raise ValueError(f"thm3 needs x >= 1, got x = {x}")
+    if x > seq.limit:
+        raise ValueError(f"cutoff {x} beyond sequence limit {seq.limit}")
+    support = support or SupportFilter()
+    ns = np.nonzero(support.mask(seq, x))[0]
+    if ns.size == 0:
+        raise ValueError("filtered support is empty")
+    log_abs = np.log(np.abs(seq.values[ns]))
+    ps = primes_up_to(x)
+    L2 = log2_iter(x)
+    if standardization == "asymptotic":
+        mu, sigma2 = -0.5 * L2, CLT_C * L2
+    elif standardization == "finite-size":
+        moments = prime_log_moments(prime_values_of(seq, x), x, support.floor(x))
+        mu, sigma2 = moments.mu, moments.sigma2
+    else:
+        mu, sigma2 = float(np.mean(log_abs)), float(np.var(log_abs))
+    if sigma2 <= 0:
+        raise ValueError("degenerate standardization variance")
+    ks = ks_statistic((log_abs - mu) / math.sqrt(sigma2), normal_cdf)
+    centered = log_abs - np.mean(log_abs)
+    m2 = float(np.mean(centered**2))
+    skew = float(np.mean(centered**3) / m2**1.5) if m2 > 0 else 0.0
+    kurt = float(np.mean(centered**4) / m2**2 - 3.0) if m2 > 0 else 0.0
+    logh, alive = strongly_multiplicative_log(seq, x)
+    lhs = float(np.sum(logh[1:][alive[1:]]))
+    ap = seq.values[ps]
+    nz = ap != 0.0
+    counts = np.cumsum(alive[: x // 2 + 1], dtype=np.int64)[x // ps[nz]]
+    rhs = float(np.sum(np.log(np.abs(ap[nz])) * counts))
+    rel_err = abs(lhs - rhs) / max(1.0, abs(lhs))
+    gaps = np.abs((logh[ns] - log_abs)[alive[ns]])
+    qs = (0.5, 0.9, 0.99, 1.0)
+    quantiles = np.quantile(gaps, qs) if gaps.size else np.zeros(len(qs))
+    row = {"x": x, "n_support": int(ns.size), "mu": mu, "sigma2": sigma2,
+           "ks_vs_normal": ks, "skewness": skew, "excess_kurtosis": kurt,
+           "identity_lhs": lhs, "identity_rhs": rhs, "identity_rel_err": rel_err}
+    row.update({f"gap_q{int(q * 100)}": float(v) for q, v in zip(qs, quantiles)})
+    flags = [flag("additive_identity", rel_err <= IDENTITY_RTOL, rel_err,
+                  f"rel err <= {IDENTITY_RTOL}")]
+    if ks_tol is not None:
+        flags.append(flag("ks_vs_normal", ks <= ks_tol, ks, f"<= {ks_tol}"))
+    if skew_tol is not None:
+        flags.append(flag("abs_skewness", abs(skew) <= skew_tol, skew, f"|skew| <= {skew_tol}"))
+    return VerificationReport(
+        name="thm3-clt",
+        parameters={"source": seq.source, "standardization": standardization,
+                    "support_mode": support.mode, "support_A": support.A},
+        rows=[row], flags=flags, runtime=0.0,
     )
 
 
@@ -613,6 +677,93 @@ class TestThm1Blocks:
         seq = noise_sequence(5000)
         edge = 128 + block  # a block start the entry cap makes
         self.check(seq, [3, 4, 2 * block + 3, edge - 1, edge, edge + 1, 4999, 5000])
+
+
+class TestThm3Oracle:
+    """Reordered in-place thm3 equals the straight-line full-array oracle,
+    report bytes and raised errors alike."""
+
+    LIMIT = 20_000
+    SUPPORTS = (SupportFilter("nonzero"), SupportFilter("floor-A", A=2.0),
+                SupportFilter("floor-A", A=1.2))
+
+    @staticmethod
+    def outcome(fn, *args):
+        try:
+            return fn(*args).canonical_bytes()
+        except ValueError as exc:
+            return type(exc), exc.args
+
+    @pytest.fixture(scope="class", params=[
+        "synth-hecke", "synth-truncate", "ec-1,1", "ec-1,0", "ec0,1", "tau"])
+    def seq(self, request):
+        from stseq.elliptic import CurveSpec, ec_normalized_sequence, trace_series
+        from stseq.tau import expand_delta, normalize_tau
+
+        name, x = request.param, self.LIMIT
+        if name.startswith("synth"):
+            kind = "hecke-chebyshev" if name == "synth-hecke" else "truncate-zero"
+            return build_synthetic_sequence(
+                SyntheticSpec(limit=x, seed=7, rule=PrimePowerRule(kind=kind)))[1]
+        if name == "tau":
+            return normalize_tau(expand_delta(x))
+        a4, a6 = map(int, name[2:].split(","))
+        return ec_normalized_sequence(trace_series(CurveSpec(a4, a6), x), x)
+
+    @pytest.mark.parametrize("block", [None, 100])
+    def test_equals_full_array(self, monkeypatch, seq, block):
+        import stseq.arith as arith_mod
+
+        if block is not None:  # the gap packing crosses many block edges
+            monkeypatch.setattr(arith_mod, "_BLOCK", block)
+        x = seq.limit
+        outcomes = set()
+        for cut in (x, x // 3 + 1, 2, 10):
+            for support in self.SUPPORTS:
+                for standardization in STANDARDIZATIONS:
+                    args = (seq, cut, support, standardization, 0.1, 1.0)
+                    got = self.outcome(verify_thm3, *args)
+                    assert got == self.outcome(full_array_thm3, *args)
+                    outcomes.add(type(got))
+        assert bytes in outcomes
+
+    def test_zero_primes_exercised(self):
+        # on y^2 = x^3 - x, a_p = 0 at every p = 3 mod 4 and at the bad prime
+        # 2: the alive mask and floor-A strike, and x = 2 leaves one point
+        from stseq.elliptic import CurveSpec, ec_normalized_sequence, trace_series
+
+        x = self.LIMIT
+        seq = ec_normalized_sequence(trace_series(CurveSpec(-1, 0), x), x)
+        assert np.count_nonzero(seq.values[primes_up_to(x)] == 0.0) > 1000
+        args = (seq, 2, SupportFilter("nonzero"), "self")
+        err = (ValueError, ("degenerate standardization variance",))
+        assert self.outcome(verify_thm3, *args) == self.outcome(full_array_thm3, *args) == err
+
+
+class TestThm3Memory:
+    """Beside the sequence, thm3 holds at most two full-length float64 arrays
+    and a few bytes per entry of masks and counts."""
+
+    X = (1 << 21) - 1
+    # the primes listed to x, their values and logs (155,611 each at 2^21),
+    # one block's temporaries and the KS scan's hit blocks
+    SLACK = 2 << 20
+
+    @pytest.fixture(scope="class")
+    def seq(self):
+        return build_synthetic_sequence(SyntheticSpec(limit=self.X, seed=7))[1]
+
+    @pytest.mark.parametrize("mode, standardization",
+                             [("nonzero", "self"), ("floor-A", "finite-size")])
+    def test_traced_peak(self, monkeypatch, seq, mode, standardization):
+        import stseq.arith as arith_mod
+
+        monkeypatch.setattr(arith_mod, "_BLOCK", 1 << 14)
+        n = self.X + 1
+        rep, peak = traced_peak(
+            lambda: verify_thm3(seq, self.X, SupportFilter(mode), standardization))
+        assert rep.flags[0]["passed"]
+        assert peak <= 2 * 8 * n + 4 * n + self.SLACK
 
 
 class TestPrimeFreeMask:
