@@ -11,10 +11,13 @@ Layout: a fixed header followed by a kind-specific payload.
 Exact tau entries are stored as a u32 LE length prefix plus that many
 bytes of the entry's shortest little-endian two's-complement form, so at
 least one.  Entries are encoded from and decoded to the table's 64-bit
-limbs (`stseq.limbs`) in numpy.  The decoder reads prefixes of 1..255
-only; a zero or larger prefix is a CacheFormatError, and save_cache raises
-ValueError on a value whose shortest form passes 255 bytes (outside
-[-2^2039, 2^2039)), which could not be read back.  Traces store the
+limbs (`stseq.limbs`) in numpy, block by block, with no Python step per
+entry: the decoder finds the entry starts among the candidates, bytes
+1..255 followed by three zero bytes, where each start's length links to
+the next (`_entry_runs`).  It reads prefixes of 1..255 only; a zero or
+larger prefix is a CacheFormatError, and save_cache raises ValueError on a
+value whose shortest form passes 255 bytes (outside [-2^2039, 2^2039)),
+which could not be read back.  Traces store the
 curve's A and B as int64, and save_cache raises ValueError on a curve
 whose coefficients leave [-2^63, 2^63).
 
@@ -54,6 +57,8 @@ KIND_TRACES = 4
 _HEADER = struct.Struct("<4sIBQQ")
 # longest exact-tau entry the decoder reads: the prefix's high three bytes are 0
 MAX_ENTRY_BYTES = 255
+# payload bytes per block of the exact-tau decoder's scan for entry starts
+_SCAN_BYTES = 1 << 18
 
 
 def _checksum(*chunks) -> int:
@@ -101,49 +106,88 @@ def _check_primes(primes: np.ndarray, limit: int, complete: bool) -> None:
 
 def _payload_exact_tau(table: ExactTauTable) -> list:
     body = table.limbs[1:]
-    n, w = body.shape
-    lengths = lb.byte_lengths(body)
-    if n and lengths.max() > MAX_ENTRY_BYTES:
-        raise ValueError(f"exact-tau entry of {int(lengths.max())} bytes exceeds "
-                         f"{MAX_ENTRY_BYTES}, the longest the decoder reads")
-    # each row: the u32 prefix, then all 8W bytes; a mask keeps the prefix and
-    # the entry's first `length` bytes, and row-major order lays them end to end
-    rows = np.empty((n, 4 + 8 * w), dtype=np.uint8)
-    rows[:, :4] = lengths.astype("<u4").view(np.uint8).reshape(n, 4)
-    rows[:, 4:] = body.astype("<u8").view(np.uint8).reshape(n, 8 * w)
-    keep = np.arange(4 + 8 * w) < 4 + lengths[:, None]
-    return [rows[keep]]
+    w = body.shape[1]
+    columns = np.arange(4 + 8 * w, dtype=np.uint16)
+    chunks = []
+    for start, stop in lb.row_blocks(len(body)):
+        rows = body[start:stop]
+        lengths = lb.byte_lengths(rows)
+        if lengths.max() > MAX_ENTRY_BYTES:
+            raise ValueError(f"exact-tau entry of {int(lengths.max())} bytes exceeds "
+                             f"{MAX_ENTRY_BYTES}, the longest the decoder reads")
+        # each row: the u32 prefix, then all 8W bytes; a mask keeps the prefix
+        # and the entry's first `length` bytes, and row-major order lays them
+        # end to end
+        raw = np.zeros((len(rows), 4 + 8 * w), dtype=np.uint8)
+        raw[:, 0] = lengths
+        raw[:, 4:] = rows.astype("<u8", copy=False).view(np.uint8)
+        ends = lengths.astype(np.uint16)
+        ends += 4
+        chunks.append(raw[columns < ends[:, None]])
+    return chunks
 
 
-def _entry_ends(buf: memoryview, limit: int):
-    """Where each of `limit` entries ends, following the length prefixes'
-    low bytes only; the parser rejects any prefix with another byte set."""
-    off = 0
-    for _ in range(limit):
-        off += buf[off] + 4
-        yield off
+def _entry_runs(data: np.ndarray, limit: int):
+    """The starts of the payload's `limit` entries, in runs of consecutive
+    entries, each run a (starts, lengths) pair, as the length prefixes chain
+    them from byte 0 to the payload's end.
+
+    Every start is a candidate, a byte in 1..255 followed by three zero
+    bytes, and each start's link (start + 4 + its length) is the next start.
+    A candidate that is not a start lies inside an entry's data (xx 00 00
+    00), so where each link of a run of candidates lands on the next one,
+    the run is a run of entries.  The payload is scanned in blocks of
+    _SCAN_BYTES, and the walk steps once per block and once per link that
+    skips a candidate, not once per entry.
+    """
+    size = len(data)
+    runs, got, at = [], 0, 0
+    for lo in range(0, size - 3, _SCAN_BYTES):
+        hi = min(lo + _SCAN_BYTES, size - 3)
+        if got == limit:
+            break
+        if at >= hi:  # the next start lies past this block
+            continue
+        zero3 = data[lo + 1 : hi + 1] | data[lo + 2 : hi + 2]
+        zero3 |= data[lo + 3 : hi + 3]
+        is_cand = zero3 == 0
+        is_cand &= data[lo:hi] != 0
+        cand = np.flatnonzero(is_cand)
+        cand += lo
+        lengths = data[cand]
+        link = cand + 4
+        link += lengths
+        # the block's last candidate links past it
+        breaks = np.append(np.flatnonzero(link[:-1] != cand[1:]), len(cand) - 1)
+        while got < limit and at < hi:
+            j = int(np.searchsorted(cand, at))
+            if j == len(cand) or cand[j] != at:
+                raise CacheFormatError(f"exact-tau entry {got + 1} has a length prefix "
+                                       f"outside 1..{MAX_ENTRY_BYTES}")
+            stop = min(int(breaks[np.searchsorted(breaks, j)]) + 1, j + limit - got)
+            runs.append((cand[j:stop], lengths[j:stop]))
+            got += stop - j
+            at = int(link[stop - 1])
+    if got < limit:
+        raise CacheFormatError(f"exact-tau entries run past the {size}-byte payload")
+    if at != size:
+        raise CacheFormatError(f"exact-tau entries end at byte {at} of a {size}-byte payload")
+    return runs
 
 
 def _parse_exact_tau(limit: int, buf: memoryview) -> ExactTauTable:
     if 5 * limit > len(buf):  # every entry is a 4-byte length plus at least one byte
         raise CacheFormatError(f"exact-tau payload too short for header limit {limit}")
-    try:
-        ends = np.fromiter(_entry_ends(buf, limit), dtype=np.int64, count=limit)
-    except IndexError:
-        raise CacheFormatError(f"exact-tau entries run past the {len(buf)}-byte payload") from None
-    end = int(ends[-1]) if limit else 0
-    if end != len(buf):
-        raise CacheFormatError(f"exact-tau entries end at byte {end} of a {len(buf)}-byte payload")
     data = np.frombuffer(buf, dtype=np.uint8)
-    at = np.concatenate([[0], ends])[:-1]
-    lengths = data[at]
-    bad = np.nonzero((lengths == 0) | ((data[at + 1] | data[at + 2] | data[at + 3]) != 0))[0]
-    if bad.size:
-        raise CacheFormatError(f"exact-tau entry {int(bad[0]) + 1} has a length prefix "
-                               f"outside 1..{MAX_ENTRY_BYTES}")
-    body = lb.from_le_bytes(data, at + 4, lengths)
-    table = np.zeros((limit + 1, body.shape[1]), dtype=np.uint64)
-    table[1:] = body
+    runs = _entry_runs(data, limit)
+    longest = max((int(lengths.max()) for _, lengths in runs), default=1)
+    table = np.empty((limit + 1, (longest + 7) // 8), dtype=np.uint64)
+    table[0] = 0
+    row = 1
+    for starts, lengths in runs:
+        starts += 4
+        lb.from_le_bytes(data, starts, lengths, out=table[row : row + len(starts)])
+        row += len(starts)
     return ExactTauTable(limit=limit, limbs=table)
 
 

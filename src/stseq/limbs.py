@@ -7,6 +7,11 @@ of each value; any W that holds the largest value is valid.  Exact tau
 tables live in this form, and every stage that reads one (the cache codec,
 the float views, the mod-691 congruence) works on the limbs in numpy.
 Python ints are built only where exact arithmetic needs them.
+
+The whole-table kernels (to_float, mod_small, byte_lengths) run over
+`row_blocks`: a block's temporaries come back from the allocator block
+after block and stay in cache, where full-length ones would be fresh pages
+on every call.
 """
 
 from __future__ import annotations
@@ -16,9 +21,14 @@ from collections.abc import Sequence
 import numpy as np
 
 _U64 = np.uint64
-_ONES = _U64(0xFFFF_FFFF_FFFF_FFFF)
-# _BYTE_MASKS[k] keeps the low k bytes of a uint64, k = 0..8
-_BYTE_MASKS = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
+# rows per block: 256 KiB per uint64 column
+ROW_BLOCK = 1 << 15
+
+
+def row_blocks(n: int):
+    """[0, n) as consecutive (start, stop) pairs of at most ROW_BLOCK rows."""
+    for start in range(0, n, ROW_BLOCK):
+        yield start, min(n, start + ROW_BLOCK)
 
 
 def from_ints(values: Sequence[int]) -> np.ndarray:
@@ -43,107 +53,179 @@ def to_ints(limbs: np.ndarray) -> list[int]:
     return out
 
 
-def negative(limbs: np.ndarray) -> np.ndarray:
-    """Sign of each row, as a bool array."""
-    return (limbs[:, -1] >> _U64(63)).astype(bool)
-
-
 def _bit_length(x: np.ndarray) -> np.ndarray:
-    """Exact bit length of each uint64 (0 for 0).
+    """Exact bit length of each uint64 (0 for 0), as int64.
 
-    float64 rounding can carry x up to the next power of two, so the
-    exponent frexp gives is b or b + 1; x >> (e - 1) is 0 only in the second
-    case (shifts by 64 give 0 in numpy).
+    Whichever 32-bit half holds x's top bit converts to float64 exactly, so
+    the exponent field of that float is 1022 plus the half's bit length; 0
+    has exponent field 0, clamped to bit length 0.
     """
-    e = np.frexp(x.astype(np.float64))[1]
-    return e - ((x >> np.maximum(e - 1, 0).astype(np.uint64) == 0) & (x != 0))
+    half = x >> _U64(32)
+    upper = half != 0
+    np.copyto(half, x, where=~upper)
+    bits = half.astype(np.float64).view(np.int64)
+    bits >>= 52
+    bits -= 1022
+    np.maximum(bits, 0, out=bits)
+    bits += 32 * upper
+    return bits
 
 
-def _magnitude(limbs: np.ndarray) -> np.ndarray:
-    """|v| per row as unsigned limbs of the same width (exact: |v| <= 2^(64W-1))."""
-    sign = (limbs[:, -1:].view(np.int64) >> 63).view(np.uint64)  # all ones if negative
-    mag = limbs ^ sign  # -v = ~v + 1, the +1 carried up the limbs
-    carry = sign[:, 0] & _U64(1)
-    for k in range(mag.shape[1]):
-        mag[:, k] += carry
-        carry &= mag[:, k] == 0
-    return mag
-
-
-def to_float(limbs: np.ndarray) -> np.ndarray:
-    """Correctly rounded float64 of every row, equal to float(int) bit for bit.
+def to_float(limbs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Correctly rounded float64 of every row, equal to float(int) bit for bit,
+    written into `out` when given.
 
     The top 64 bits of |v| go through one uint64 -> float64 conversion with a
     sticky bit OR-ed into their lowest bit for any nonzero bit below them
     (round to odd at 64 bits, then to nearest even at 53, is exact rounding),
-    and ldexp puts back the dropped scale.  Values past the float64 range
-    give inf where float(int) raises.
+    a power of two puts back the dropped scale and the sign bit is set last.
+    The window starts at the top bit, or one bit above it where the exponent
+    of float(hi) rounded up; 63 bits still round to odd exactly.  Values past
+    the float64 range give inf where float(int) raises.
     """
     limbs = np.asarray(limbs, dtype=np.uint64)
-    mag = _magnitude(limbs)
-    # walk up the limbs: hi is the highest nonzero one (index top), lo the
-    # limb below it, and below whether any limb under lo is nonzero
-    hi, lo = mag[:, 0], np.zeros(len(mag), dtype=np.uint64)
-    below = seen = np.zeros(len(mag), dtype=bool)  # seen: limbs under k - 1
-    top = np.zeros(len(mag), dtype=np.int64)
-    for k in range(1, mag.shape[1]):
-        up = mag[:, k] != 0
-        below = np.where(up, seen, below)
-        lo = np.where(up, mag[:, k - 1], lo)
-        hi = np.where(up, mag[:, k], hi)
-        top[up] = k
-        seen = seen | (mag[:, k - 1] != 0)
-    bits = _bit_length(hi)
-    shift = (64 - bits).astype(np.uint64)
-    # shifts by 64 give 0 in numpy, which covers hi = 0 (bits 0) and bits = 64
-    head = (hi << shift) | (lo >> bits.astype(np.uint64))
-    head |= (((lo << shift) != 0) | below).astype(np.uint64)
-    out = np.ldexp(head.astype(np.float64), 64 * top + bits - 64)
-    return np.where(negative(limbs), -out, out)
+    if out is None:
+        out = np.empty(len(limbs), dtype=np.float64)
+    for start, stop in row_blocks(len(limbs)):
+        _to_float_rows(limbs[start:stop], out[start:stop])
+    return out
+
+
+def _to_float_rows(limbs: np.ndarray, out: np.ndarray) -> None:
+    n, w = limbs.shape
+    sign = limbs[:, -1].view(np.int64) >> 63  # -1 on negative rows, else 0
+    ones = sign.view(np.uint64)
+    # |v| = (v ^ ones) - ones, the borrow carried up while the limbs below
+    # are 0; walking up, hi is the highest nonzero limb (at bit `scale`), lo
+    # the limb below it, sticky whether any limb under lo is nonzero
+    hi = limbs[:, 0] ^ ones
+    hi -= ones
+    lo = np.zeros(n, dtype=np.uint64)
+    sticky = np.zeros(n, dtype=bool)
+    scale = np.zeros(n, dtype=np.int64)
+    prev, carry, seen = hi, None, None
+    for k in range(1, w):
+        mag = limbs[:, k] ^ ones
+        carry = prev == 0 if carry is None else carry & (prev == 0)
+        np.subtract(mag, ones, out=mag, where=carry)
+        up = mag != 0
+        if seen is None:  # nothing lies under limb 0
+            seen = prev != 0
+        else:
+            np.copyto(sticky, seen, where=up)
+            seen |= prev != 0
+        # lo reads prev before hi (which is prev while k = 1) moves up
+        np.copyto(lo, prev, where=up)
+        np.copyto(hi, mag, where=up)
+        scale[up] = 64 * k
+        prev = mag
+    # 64 - bits of hi, or one less where float(hi) rounded up to 2^bits;
+    # shifts by 64 give 0 in numpy, which covers hi = 0
+    shift = hi.astype(np.float64).view(np.int64)
+    shift >>= 52
+    np.subtract(1086, shift, out=shift)
+    np.clip(shift, 0, 64, out=shift)
+    left = shift.view(np.uint64)
+    np.left_shift(hi, left, out=hi)
+    if w > 1:
+        right = np.subtract(64, shift).view(np.uint64)
+        hi |= np.right_shift(lo, right, out=right)
+        np.left_shift(lo, left, out=lo)
+        sticky |= lo != 0
+        hi |= sticky
+    np.copyto(out, hi, casting="unsafe")
+    # 2^(scale - shift) as a float64 bit pattern; past the range it is inf
+    scale -= shift
+    scale += 1023
+    np.clip(scale, 0, 2047, out=scale)
+    scale <<= 52
+    with np.errstate(over="ignore"):
+        out *= scale.view(np.float64)
+    sign <<= 63
+    out.view(np.int64)[...] |= sign
+
+
+def _rem(x: np.ndarray, m) -> np.ndarray:
+    """x mod m for int64 or uint64 x and a divisor m of x's type, with the
+    sign of m: numpy floor-divides a contiguous array by one divisor with a
+    multiply, where its % divides each entry, and x - (x // m) m is exact in
+    wrapping arithmetic since the remainder fits."""
+    x = np.ascontiguousarray(x)
+    q = x // m
+    q *= m
+    return np.subtract(x, q, out=q)
 
 
 def mod_small(limbs: np.ndarray, m: int) -> np.ndarray:
     """v mod m in [0, m) per row, for 2 <= m < 2^31 (Python's % on ints):
-    Horner from the top limb read as int64, whose % takes the sign of m."""
+    Horner from the top limb read as int64, every step below 2^63."""
     limbs = np.asarray(limbs, dtype=np.uint64)
-    acc = limbs[:, -1].view(np.int64) % m
-    for k in range(limbs.shape[1] - 2, -1, -1):
-        acc = (acc * pow(2, 64, m) + (limbs[:, k] % _U64(m)).view(np.int64)) % m
-    return acc
+    out = np.empty(len(limbs), dtype=np.int64)
+    radix = pow(2, 64, m)
+    for start, stop in row_blocks(len(limbs)):
+        rows = limbs[start:stop]
+        acc = _rem(rows[:, -1].view(np.int64), m)
+        for k in range(rows.shape[1] - 2, -1, -1):
+            acc *= radix
+            acc += _rem(rows[:, k], _U64(m)).view(np.int64)
+            acc = _rem(acc, m)
+        out[start:stop] = acc
+    return out
 
 
 def byte_lengths(limbs: np.ndarray) -> np.ndarray:
     """Bytes of each row's shortest two's-complement form, as Python's
-    (bit_length(v if v >= 0 else ~v) // 8) + 1: at least 1, at most 8W."""
+    (bit_length(v if v >= 0 else ~v) // 8) + 1: at least 1, at most 8W.
+
+    ~v for negatives is non-negative with the same shortest length, and its
+    bit length is that of its highest nonzero limb plus 64 per limb below.
+    """
     limbs = np.asarray(limbs, dtype=np.uint64)
-    n, w = limbs.shape
-    # ~v for negatives is non-negative with the same shortest length
-    u = np.where(negative(limbs)[:, None], limbs ^ _ONES, limbs)
-    raw = u.astype("<u8").view(np.uint8).reshape(n, 8 * w)
-    nonzero = raw != 0
-    # highest nonzero byte; 0 for an all-zero row, whose byte 0 is then 0
-    top = np.where(nonzero.any(axis=1), 8 * w - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
-    return top + 1 + (raw[np.arange(n), top] >= 0x80)
+    out = np.empty(len(limbs), dtype=np.int64)
+    for start, stop in row_blocks(len(limbs)):
+        rows = limbs[start:stop]
+        ones = (rows[:, -1].view(np.int64) >> 63).view(np.uint64)
+        bits = _bit_length(rows[:, 0] ^ ones)
+        for k in range(1, rows.shape[1]):
+            u = rows[:, k] ^ ones
+            np.copyto(bits, _bit_length(u) + 64 * k, where=u != 0)
+        np.right_shift(bits, 3, out=out[start:stop])
+    out += 1
+    return out
 
 
-def from_le_bytes(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def from_le_bytes(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Rows read from `data` (uint8): lengths[r] >= 1 little-endian
     two's-complement bytes at starts[r], sign-extended to the fewest limbs
-    that hold the longest entry.
+    that hold the longest entry, or to the width of `out`, whose rows they
+    are written into when it is given.
 
-    Each limb is gathered as one unaligned 8-byte word and masked to the
-    bytes that belong to its entry; `data` is padded so no word runs past it.
+    Limb k of a row is one unaligned 8-byte word: the word at starts + 8k
+    where the entry fills it, else the word that ends on the entry's last
+    byte, shifted down arithmetically past the bytes below limb k (by 64
+    for a limb wholly above the entry, which leaves the sign).  No word
+    reads past the entry; a word that would start before `data` is read at
+    byte 0 and moved up.
     """
     n = len(starts)
-    w = int((int(lengths.max(initial=1)) + 7) // 8)
-    padded = np.concatenate([data, np.zeros(8 * w, dtype=np.uint8)])
-    words = np.ndarray(shape=(len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
-    starts = starts.astype(np.int64)
-    lengths = lengths.astype(np.int64)
-    # all ones where the entry's last byte has its top bit set
-    fill = np.where(padded[starts + lengths - 1] >= 0x80, _ONES, _U64(0))
-    out = np.empty((n, w), dtype=np.uint64)
-    for k in range(w):
-        keep = _BYTE_MASKS[np.clip(lengths - 8 * k, 0, 8)]
-        out[:, k] = words[starts + 8 * k] & keep | fill & ~keep
+    if out is None:
+        out = np.empty((n, (int(lengths.max(initial=1)) + 7) // 8), dtype=np.uint64)
+    if len(data) < 8:
+        data = np.concatenate([data, np.zeros(8 - len(data), dtype=np.uint8)])
+    words = np.ndarray(shape=(len(data) - 7,), dtype="<i8", buffer=data, strides=(1,))
+    starts = np.asarray(starts, dtype=np.int64)
+    last = np.subtract(lengths, 8, dtype=np.int64)  # the last word's offset in its entry
+    for k in range(out.shape[1]):
+        at = np.minimum(last, 8 * k)
+        drop = np.subtract(8 * k, at)
+        np.minimum(drop, 8, out=drop)
+        drop <<= 3
+        at += starts
+        early = np.flatnonzero(at < 0)
+        lift = at[early] * -8
+        at[early] = 0
+        limb = words[at]
+        limb[early] <<= lift
+        np.right_shift(limb, drop, out=out[:, k].view(np.int64))
     return out

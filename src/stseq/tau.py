@@ -43,7 +43,7 @@ from .arith import (
 from .errors import CapacityError, ConfigurationError, DataCorruptionError
 # bench/test_bench.py::test_every_binding_is_patched_and_then_restored reads
 # this module's cyclic_square_truncated binding; nothing here calls it
-from .ntt import cyclic_square_truncated, square_truncated
+from .ntt import cyclic_square_truncated, find_ntt_primes, square_truncated
 from .report import VerificationReport, flag
 
 NAIVE_ORACLE_MAX = 10_000
@@ -207,9 +207,9 @@ def normalize_tau(table: ExactTauTable) -> NormalizedSequence:
         raise ValueError("empty table")
     vals = np.empty(table.limit + 1, dtype=np.float64)
     vals[0] = np.nan
-    vals[1:] = lb.to_float(table.limbs[1:])
-    n = np.arange(1, table.limit + 1, dtype=np.float64)
-    vals[1:] /= n**5.5
+    body = lb.to_float(table.limbs[1:], out=vals[1:])
+    for start, stop in lb.row_blocks(table.limit):
+        body[start:stop] /= np.arange(start + 1, stop + 1, dtype=np.float64) ** 5.5
     return NormalizedSequence(limit=table.limit, values=vals, source="tau")
 
 
@@ -274,8 +274,6 @@ def _divisor_counts(limit: int, ps: np.ndarray) -> np.ndarray:
 
 INTEGRITY_SAMPLE_CAP = 100_000
 _INTEGRITY_SEED = 0x5EED_0691
-# Pairs per block of the multiplicativity check: bounds the Python ints alive.
-_PAIR_BLOCK = 1 << 14
 
 
 def _coprime_pairs(limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -311,30 +309,43 @@ def integrity_check(table: ExactTauTable) -> VerificationReport:
     coprime pairs (all pairs when limit <= 1e5, a fixed-seed sample above),
     (b) the divisor bound |tau(n)| <= d(n) n^(11/2), float-screened with
     exact integers near equality, (c) the classical congruence
-    tau(n) = sigma_11(n) mod 691, exact on the limbs.  Ints are built only
-    for the pairs of (a) and the near-equality entries of (b).  All three
-    counts are zero for a correct table; failures are reported, never raised.
+    tau(n) = sigma_11(n) mod 691, exact on the limbs.  (a) compares residues
+    modulo each prime of find_ntt_primes(2^(128W - 2)) for a W-limb table:
+    its entries have |v| <= 2^(64W - 1), so |tau(m) tau(n) - tau(mn)| <
+    2^(128W - 1) lies below the primes' product, and agreement modulo every
+    one of them is equality.  Ints are built only for the near-equality
+    entries of (b).  All three counts are zero for a correct table;
+    failures are reported, never raised.
     """
     t0 = time.perf_counter()
     limit = table.limit
 
-    # (a) multiplicativity
+    # (a) multiplicativity, modulo primes whose product passes 2^(128W - 1)
     sampled = limit > INTEGRITY_SAMPLE_CAP
     m, n = _sampled_pairs(limit) if sampled else _coprime_pairs(limit)
     pairs_checked = int(m.size)
-    mult_fail = 0
-    for lo in range(0, pairs_checked, _PAIR_BLOCK):
-        mb, nb = m[lo : lo + _PAIR_BLOCK], n[lo : lo + _PAIR_BLOCK]
-        tm, tn, tmn = (lb.to_ints(table.limbs[x]) for x in (mb, nb, mb * nb))
-        mult_fail += sum(a * b != c for a, b, c in zip(tm, tn, tmn))
+    rows = table.limbs[np.concatenate([m, n, m * n])]
+    del m, n
+    wrong = np.zeros(pairs_checked, dtype=bool)
+    for p in find_ntt_primes(2 ** (128 * rows.shape[1] - 2)):
+        tm, tn, tmn = lb.mod_small(rows, p).reshape(3, pairs_checked)
+        tm *= tn
+        tm %= p
+        wrong |= tm != tmn
+    del rows
+    mult_fail = int(np.count_nonzero(wrong))
 
     # (b) divisor bound: tau(n)^2 <= d(n)^2 * n^11 exactly
     body = table.limbs[1:]
     ps = primes_up_to(limit)  # for both integer fills
     d = _divisor_counts(limit, ps)[1:]
-    n = np.arange(1, limit + 1, dtype=np.float64)
-    bound_fail = _exceeds(body, np.abs(lb.to_float(body)), d * n**5.5,
-                          lambda i: int(d[i]) ** 2 * (i + 1) ** 11).size
+    size = lb.to_float(body)
+    np.abs(size, out=size)
+    bound = np.arange(1, limit + 1, dtype=np.float64)
+    bound **= 5.5
+    bound *= d
+    bound_fail = _exceeds(body, size, bound, lambda i: int(d[i]) ** 2 * (i + 1) ** 11).size
+    del size, bound
 
     # (c) mod-691 congruence against sigma_11
     sig = _sigma11_mod691(limit, ps)[1:]

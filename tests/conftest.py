@@ -6,6 +6,7 @@ import pytest
 
 import stseq
 from stseq.arith import build_spf_sieve
+from stseq.tau import expand_delta
 
 # Every route to a smallest-prime-factor sieve or a table derived from one.
 SIEVE_NAMES = ("build_spf_sieve", "exponent_core_tables", "largest_prime_factor_table")
@@ -14,6 +15,12 @@ SIEVE_NAMES = ("build_spf_sieve", "exponent_core_tables", "largest_prime_factor_
 @pytest.fixture(scope="session")
 def sieve_10k():
     return build_spf_sieve(10_000)
+
+
+@pytest.fixture(scope="session")
+def tau_2_19():
+    """The exact table at 2^19, the tau-session limit of the benchmark."""
+    return expand_delta(2**19)
 
 
 def refuse_sieves(monkeypatch, caller: str) -> None:
@@ -46,6 +53,15 @@ def traced_peak(fn):
         if started:
             tracemalloc.stop()
     return out, peak - base
+
+
+def limbs_at_width(values, w: int) -> np.ndarray:
+    """values as an (N, w) limb array (`stseq.limbs`) of exactly w limbs,
+    each wrapped into the signed range of w limbs."""
+    half = 2 ** (64 * w - 1)
+    raw = b"".join(((v + half) % (2 * half) - half).to_bytes(8 * w, "little", signed=True)
+                   for v in values)
+    return np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(len(values), w)
 
 
 def brute_spf(n: int) -> int:

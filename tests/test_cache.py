@@ -15,6 +15,7 @@ from stseq.cache import (
     MAGIC,
     VERSION,
     _checksum,
+    _entry_runs,
     load_cache,
     save_cache,
 )
@@ -257,6 +258,163 @@ def test_non_finite_meta_rejected(tmp_path, value):
 def test_uncacheable_type(tmp_path):
     with pytest.raises(TypeError):
         save_cache(tmp_path / "x.astc", {"not": "cacheable"})
+
+
+def _sequential_walk(limit: int, payload: bytes) -> tuple[list[int], list[int]]:
+    """(starts, values) of an exact-tau payload by one Python step per entry,
+    following each u32 length prefix from byte 0: the decoder's walk before
+    it scanned for candidate starts, kept as the oracle of that scan."""
+    if 5 * limit > len(payload):
+        raise CacheFormatError("payload too short for the limit")
+    starts, values, off = [], [], 0
+    for k in range(limit):
+        if off + 4 > len(payload):
+            raise CacheFormatError("entries run past the payload")
+        (n,) = struct.unpack_from("<I", payload, off)
+        if not 1 <= n <= 255:
+            raise CacheFormatError(f"entry {k + 1} has a length prefix outside 1..255")
+        if off + 4 + n > len(payload):
+            raise CacheFormatError("entries run past the payload")
+        starts.append(off)
+        values.append(int.from_bytes(payload[off + 4 : off + 4 + n], "little", signed=True))
+        off += 4 + n
+    if off != len(payload):
+        raise CacheFormatError("entries end before the payload does")
+    return starts, values
+
+
+def _false_candidates(payload: bytes, starts: list[int]) -> list[int]:
+    """Bytes xx 00 00 00 (xx != 0) of the payload that start no entry."""
+    data = np.frombuffer(payload, dtype=np.uint8)
+    cand = np.flatnonzero((data[:-3] != 0) & (data[1:-2] == 0) & (data[2:-1] == 0)
+                          & (data[3:] == 0))
+    return sorted(set(cand.tolist()) - set(starts))
+
+
+def _scanned_starts(limit: int, payload: bytes) -> list[int]:
+    runs = _entry_runs(np.frombuffer(payload, dtype=np.uint8), limit)
+    return [int(x) for starts, _ in runs for x in starts]
+
+
+def _outcome(load):
+    """The values a load returns, or the type of what it raises."""
+    try:
+        return list(load())
+    except Exception as exc:
+        return type(exc)
+
+
+def test_entry_starts_at_2_19_match_the_sequential_walk(tmp_path, tau_2_19):
+    """At 2^19 one data run xx 00 00 00 lies inside an entry, the bytes
+    8b 00 00 00 of tau(481424); the scan must step over it."""
+    path = tmp_path / "t.astc"
+    save_cache(path, tau_2_19)
+    payload = path.read_bytes()[_HEADER.size :]
+    starts, values = _sequential_walk(2**19, payload)
+    false = _false_candidates(payload, starts)
+    assert len(false) == 1
+    assert starts[481423] < false[0] < starts[481424]  # inside tau(481424)'s entry
+    assert payload[false[0] : false[0] + 4] == b"\x8b\0\0\0"
+    assert _scanned_starts(2**19, payload) == starts
+    back = load_cache(path)
+    assert back.limbs.tobytes() == tau_2_19.limbs.tobytes()
+
+
+def _planted(head, xx, tail):
+    """An int whose shortest form holds xx 00 00 00 after the `head` bytes:
+    `tail` ends in 7f or 80, which carries the sign and is neither a 00 nor
+    an ff sign byte, so no byte is trimmed."""
+    return int.from_bytes(head + bytes([xx, 0, 0, 0]) + tail, "little", signed=True)
+
+
+_plant = st.builds(_planted, st.binary(max_size=40), st.integers(1, 255),
+                   st.binary(max_size=30).map(lambda b: b + b"\x7f")
+                   | st.binary(max_size=30).map(lambda b: b + b"\x80"))
+# shortest forms of every length 1..255
+_any_length = st.integers(1, 255).flatmap(
+    lambda n: st.integers(-(2 ** (8 * n - 1)), 2 ** (8 * n - 1) - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_any_length | _ints, min_size=1, max_size=20), _plant, _plant, _plant,
+       st.integers(0, 20))
+def test_planted_false_candidates_match_the_sequential_walk(
+        tmp_path_factory, values, first, middle, last, at):
+    """Data runs xx 00 00 00 in the first, a middle and the last entry."""
+    values = [first, *values[: at % len(values)], middle, *values[at % len(values) :], last]
+    taus = [0, *values]
+    path = tmp_path_factory.mktemp("plant") / "t.astc"
+    save_cache(path, ExactTauTable.from_ints(taus))
+    payload = path.read_bytes()[_HEADER.size :]
+    starts, read = _sequential_walk(len(values), payload)
+    assert read == values
+    assert len(_false_candidates(payload, starts)) >= 3
+    assert _scanned_starts(len(values), payload) == starts
+    assert load_cache(path).taus == tuple(taus)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_plant | _ints, min_size=1, max_size=12), st.data())
+def test_corrupted_prefixes_fail_as_the_sequential_walk_does(tmp_path_factory, values, data):
+    """Prefixes rewritten (onto false candidates, past the end, to 0 or past
+    255), bytes cut or appended and the header limit moved: the scan returns
+    what the sequential walk returns, or raises CacheFormatError where it does."""
+    path = tmp_path_factory.mktemp("corrupt") / "t.astc"
+    save_cache(path, ExactTauTable.from_ints([0, *values]))
+    payload = bytearray(path.read_bytes()[_HEADER.size :])
+    starts, _ = _sequential_walk(len(values), bytes(payload))
+    targets = starts + _false_candidates(bytes(payload), starts) + [len(payload)]
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.sampled_from(starts))
+        goal = data.draw(st.sampled_from(targets) | st.integers(at + 4, len(payload) + 9))
+        prefix = data.draw(st.sampled_from([goal - at - 4, 0, 256, 1 << 24])
+                           | st.integers(0, 300))
+        struct.pack_into("<I", payload, at, prefix & 0xFFFF_FFFF)
+    payload = bytes(payload[: data.draw(st.integers(len(payload) - 6, len(payload)))])
+    payload += data.draw(st.sampled_from([b"", b"\0", b"\x01\0\0\0\x05"]))
+    limit = len(values) + data.draw(st.integers(-2, 2))
+    if limit < 0:
+        return
+    _write_exact_tau(path, limit, payload)
+    want = _outcome(lambda: _sequential_walk(limit, payload)[1])
+    got = _outcome(lambda: load_cache(path).taus[1:])
+    assert got == want
+    assert got is not IndexError
+
+
+def _with_false_candidate():
+    """Entries 1, then 8 bytes aa 03 00 00 00 bb cc dd holding a false
+    candidate at payload byte 10, then 2: a prefix of 1 on the middle entry
+    links to byte 10, whose own link is the last entry's start, byte 17."""
+    return [b"\x01\0\0\0\x01", b"\x08\0\0\0\xaa\x03\0\0\0\xbb\xcc\xdd",
+            b"\x01\0\0\0\x02"]
+
+
+@pytest.mark.parametrize("case", ["zero prefix", "high prefix byte", "past the end",
+                                  "trailing bytes", "ends on a false candidate",
+                                  "resumes on a false candidate"])
+def test_malformed_exact_tau_payloads(tmp_path, case):
+    entries = _with_false_candidate()
+    limit = 3
+    if case == "zero prefix":
+        entries[2] = b"\0\0\0\0\x02"
+    elif case == "high prefix byte":
+        entries[1] = b"\x08\0\x01\0" + entries[1][4:]
+    elif case == "past the end":
+        entries[2] = b"\x02\0\0\0\x02"
+    elif case == "trailing bytes":
+        entries.append(b"\0")
+    elif case == "ends on a false candidate":
+        limit = 2
+        entries[1] = b"\x01\0\0\0" + entries[1][4:]  # entry 2 ends on byte 10, not 22
+    else:  # entry 3 is read at the false candidate and ends on byte 17, not 22
+        entries[1] = b"\x01\0\0\0" + entries[1][4:]
+    payload = b"".join(entries)
+    assert _outcome(lambda: _sequential_walk(limit, payload)) is CacheFormatError
+    path = tmp_path / "t.astc"
+    _write_exact_tau(path, limit, payload)
+    with pytest.raises(CacheFormatError):
+        load_cache(path)
 
 
 def _one_of_each_kind():

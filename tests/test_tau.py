@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import stseq.tau as tau_mod
 from stseq import limbs as lb
 from stseq.arith import primes_up_to
 from stseq.errors import CapacityError, ConfigurationError, DataCorruptionError
-from stseq.ntt import digit_plan, square_truncated, transform_length
+from stseq.ntt import digit_plan, find_ntt_primes, square_truncated, transform_length
 from stseq.tau import (
     NAIVE_ORACLE_MAX,
     ExactTauTable,
@@ -23,7 +24,7 @@ from stseq.tau import (
     tau_naive_oracle,
 )
 
-from conftest import brute_factor
+from conftest import brute_factor, limbs_at_width
 
 # Classical values, cross-checked against the raw product of (1 - q^k) factors.
 TAU_1_TO_12 = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920, 534612, -370944]
@@ -335,6 +336,56 @@ class TestIntegrityFullPairs:
         pairs, failures = _double_loop_multiplicativity(table)
         assert (row["pairs_checked"], row["multiplicativity_failures"]) == (pairs, failures)
         assert (failures > 0) == (faulty and limit >= 6)
+
+
+def _int_loop_failures(table: ExactTauTable) -> int:
+    """integrity_check's multiplicativity count as a Python-int loop over
+    the same pairs: the detector before it compared residues, kept as its
+    oracle."""
+    sampled = table.limit > tau_mod.INTEGRITY_SAMPLE_CAP
+    m, n = tau_mod._sampled_pairs(table.limit) if sampled else tau_mod._coprime_pairs(table.limit)
+    taus = table.taus
+    return sum(taus[a] * taus[b] != taus[a * b] for a, b in zip(m.tolist(), n.tolist()))
+
+
+class TestMultiplicativityResidues:
+    """Agreement modulo primes whose product passes 2^(128W - 1) is
+    equality for any W-limb table, so the count equals the int loop's."""
+
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    @pytest.mark.parametrize("change", ["none", "tau(8) + 7", "largest modulus", "signed ends"])
+    def test_count_equals_the_int_loop(self, w, change):
+        taus = list(expand_delta(2000).taus)  # |tau(n)| < 2^63 here, so w = 1 holds it
+        top = 2 ** (64 * w - 1)
+        if change == "tau(8) + 7":
+            taus[8] += 7
+        elif change == "largest modulus":
+            p = max(find_ntt_primes(2 ** (128 * w - 2)))
+            for k, j in ((6, 1), (35, -3), (1001, 2 ** (64 * w - 33))):
+                taus[k] += j * p
+        elif change == "signed ends":
+            for k, v in ((2, top - 1), (3, -(top - 1)), (5, -top), (10, top - 1), (77, -top)):
+                taus[k] = v
+        table = ExactTauTable(limit=len(taus) - 1, limbs=limbs_at_width(taus, w))
+        row = integrity_check(table).rows[0]
+        assert row["multiplicativity_failures"] == _int_loop_failures(table)
+        assert (row["multiplicativity_failures"] == 0) == (change == "none")
+
+    def test_sampled_count_equals_the_int_loop(self, monkeypatch):
+        monkeypatch.setattr(tau_mod, "INTEGRITY_SAMPLE_CAP", 700)
+        taus = list(expand_delta(2000).taus)
+        taus[7] += 1
+        taus[12] = -(2**127)
+        table = ExactTauTable(limit=len(taus) - 1, limbs=limbs_at_width(taus, 2))
+        row = integrity_check(table).rows[0]
+        assert row["pairs_checked"] == 700
+        assert row["multiplicativity_failures"] == _int_loop_failures(table) > 0
+
+    def test_report_bytes_at_2_19(self, tau_2_19):
+        # recorded from the Python-int pair loop
+        rep = integrity_check(tau_2_19)
+        digest = hashlib.blake2b(rep.canonical_bytes(), digest_size=16).hexdigest()
+        assert digest == "ed3bbc8e216301de5156e3daf682c6f8"
 
 
 class TestIntegritySampledPath:
