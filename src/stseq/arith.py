@@ -129,16 +129,19 @@ def build_spf_sieve(limit: int) -> SpfSieve:
 _BLOCK = 1 << 20
 
 
-def blocks(lo: int, hi: int):
-    """[lo, hi) as consecutive (start, stop) pairs of at most _BLOCK entries.
+def blocks(lo: int, hi: int, size: int | None = None):
+    """[lo, hi) as consecutive (start, stop) pairs of at most `size` entries,
+    _BLOCK by default.
 
     The small-prime strikes of `fill_multiplicative` and of thm3's logs walk
     it: every small prime strikes one block before the next block starts, so
     the block's slice of the table stays in cache across the primes.  thm3
-    packs its gap profile block by block along it too.
+    packs its gap profile block by block along it too, and the `stseq.limbs`
+    kernels walk it in blocks of `limbs.ROW_BLOCK` rows.
     """
-    for start in range(lo, hi, _BLOCK):
-        yield start, min(hi, start + _BLOCK)
+    size = size or _BLOCK
+    for start in range(lo, hi, size):
+        yield start, min(hi, start + size)
 
 
 def dyadic_blocks(lo: int, hi: int):

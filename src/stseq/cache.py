@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import limbs as lb
-from .arith import AngleSeries, NormalizedSequence, is_prime
+from .arith import AngleSeries, NormalizedSequence, blocks, is_prime
 from .elliptic import CurveSpec, TraceSeries
 from .errors import CacheFormatError, ChecksumError
 from .tau import ExactTauTable
@@ -109,7 +109,7 @@ def _payload_exact_tau(table: ExactTauTable) -> list:
     w = body.shape[1]
     columns = np.arange(4 + 8 * w, dtype=np.uint16)
     chunks = []
-    for start, stop in lb.row_blocks(len(body)):
+    for start, stop in blocks(0, len(body), lb.ROW_BLOCK):
         rows = body[start:stop]
         lengths = lb.byte_lengths(rows)
         if lengths.max() > MAX_ENTRY_BYTES:

@@ -8,8 +8,8 @@ tables live in this form, and every stage that reads one (the cache codec,
 the float views, the mod-691 congruence) works on the limbs in numpy.
 Python ints are built only where exact arithmetic needs them.
 
-The whole-table kernels (to_float, mod_small, byte_lengths) run over
-`row_blocks`: a block's temporaries come back from the allocator block
+The whole-table kernels (to_float, mod_small, byte_lengths) run in blocks
+of ROW_BLOCK rows: a block's temporaries come back from the allocator block
 after block and stay in cache, where full-length ones would be fresh pages
 on every call.
 """
@@ -20,15 +20,11 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from .arith import blocks
+
 _U64 = np.uint64
-# rows per block: 256 KiB per uint64 column
+# rows per block of the whole-table kernels: 256 KiB per uint64 column
 ROW_BLOCK = 1 << 15
-
-
-def row_blocks(n: int):
-    """[0, n) as consecutive (start, stop) pairs of at most ROW_BLOCK rows."""
-    for start in range(0, n, ROW_BLOCK):
-        yield start, min(n, start + ROW_BLOCK)
 
 
 def from_ints(values: Sequence[int]) -> np.ndarray:
@@ -86,7 +82,7 @@ def to_float(limbs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     limbs = np.asarray(limbs, dtype=np.uint64)
     if out is None:
         out = np.empty(len(limbs), dtype=np.float64)
-    for start, stop in row_blocks(len(limbs)):
+    for start, stop in blocks(0, len(limbs), ROW_BLOCK):
         _to_float_rows(limbs[start:stop], out[start:stop])
     return out
 
@@ -162,7 +158,7 @@ def mod_small(limbs: np.ndarray, m: int) -> np.ndarray:
     limbs = np.asarray(limbs, dtype=np.uint64)
     out = np.empty(len(limbs), dtype=np.int64)
     radix = pow(2, 64, m)
-    for start, stop in row_blocks(len(limbs)):
+    for start, stop in blocks(0, len(limbs), ROW_BLOCK):
         rows = limbs[start:stop]
         acc = _rem(rows[:, -1].view(np.int64), m)
         for k in range(rows.shape[1] - 2, -1, -1):
@@ -182,7 +178,7 @@ def byte_lengths(limbs: np.ndarray) -> np.ndarray:
     """
     limbs = np.asarray(limbs, dtype=np.uint64)
     out = np.empty(len(limbs), dtype=np.int64)
-    for start, stop in row_blocks(len(limbs)):
+    for start, stop in blocks(0, len(limbs), ROW_BLOCK):
         rows = limbs[start:stop]
         ones = (rows[:, -1].view(np.int64) >> 63).view(np.uint64)
         bits = _bit_length(rows[:, 0] ^ ones)

@@ -37,6 +37,7 @@ from . import limbs as lb
 from .arith import (
     AngleSeries,
     NormalizedSequence,
+    blocks,
     fill_multiplicative,
     primes_up_to,
 )
@@ -208,7 +209,7 @@ def normalize_tau(table: ExactTauTable) -> NormalizedSequence:
     vals = np.empty(table.limit + 1, dtype=np.float64)
     vals[0] = np.nan
     body = lb.to_float(table.limbs[1:], out=vals[1:])
-    for start, stop in lb.row_blocks(table.limit):
+    for start, stop in blocks(0, table.limit, lb.ROW_BLOCK):
         body[start:stop] /= np.arange(start + 1, stop + 1, dtype=np.float64) ** 5.5
     return NormalizedSequence(limit=table.limit, values=vals, source="tau")
 
