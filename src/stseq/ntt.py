@@ -20,8 +20,9 @@ output's top bit must be its sign extension, so a wrong product or a too
 narrow output raises rather than return a wrong value.
 
 `cyclic_square_truncated` squares residues modulo a prime through the same
-kernel.  The CRT names below it (`find_ntt_primes`, `get_plan`,
-`garner_lift`) have no package caller; they stay because the benchmark's
+kernel.  `find_ntt_primes` lists the moduli of `tau.integrity_check`'s
+multiplicativity detector; the other CRT names below it (`get_plan`,
+`garner_lift`) have no package caller and stay because the benchmark's
 tracer wraps them by name (ROADMAP item 2).  The Garner lift takes balanced
 mixed-radix digits (Knuth, TAOCP vol. 2, 4.3.2), whose Horner sum is the
 centred value, written in two's complement by int64 carries with no
@@ -61,10 +62,11 @@ def find_ntt_primes(bound: int) -> list[int]:
     2 * bound, so a centred Garner lift recovers every integer of absolute
     value at most bound.
 
-    The float squaring and the lift take any distinct odd primes below
-    2^31.  The name dates from the number-theoretic transform, whose primes
-    had to be 1 mod its length; it stays until the benchmark, which wraps
-    this function by name, stops naming it (ROADMAP item 2).
+    The float squaring, the lift and the residue comparisons of
+    `tau.integrity_check` take any distinct odd primes below 2^31.  The name
+    dates from the number-theoretic transform, whose primes had to be 1 mod
+    its length; it stays until the benchmark, which wraps this function by
+    name, stops naming it (ROADMAP item 2).
     """
     out, product = [], 1
     for p in range(MAX_MODULUS - 1, 2, -2):
