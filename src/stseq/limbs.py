@@ -129,7 +129,7 @@ def _to_float_rows(limbs: np.ndarray, out: np.ndarray) -> None:
         np.left_shift(lo, left, out=lo)
         sticky |= lo != 0
         hi |= sticky
-    np.copyto(out, hi, casting="unsafe")
+    np.copyto(out, hi)
     # 2^(scale - shift) as a float64 bit pattern; past the range it is inf
     scale -= shift
     scale += 1023
