@@ -333,7 +333,7 @@ class AngleSeries:
         self.theta = np.asarray(self.theta, dtype=np.float64)
         if not (len(self.primes) == len(self.a) == len(self.theta)):
             raise ValueError("primes, a, theta must have equal length")
-        if self.a.size and np.max(np.abs(self.a)) > 2.0 + 1e-12:
+        if self.a.size and max(self.a.max(), -self.a.min()) > 2.0 + 1e-12:
             raise ValueError("|a_p| <= 2 violated")
         if self.theta.size and (self.theta.min() < -1e-12 or self.theta.max() > math.pi + 1e-12):
             raise ValueError("theta outside [0, pi]")

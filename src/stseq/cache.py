@@ -23,12 +23,18 @@ whose coefficients leave [-2^63, 2^63).
 
 Float payloads are IEEE-754 binary64 little-endian; non-finite values,
 in the payload or in a sequence's JSON meta, refuse to serialize.  Loads
-verify magic, version, kind, and checksum before any parsing.  The header
-is outside the checksum, so parsers check the header limit against the
-payload length and the stored primes, and raise CacheFormatError on any
-disagreement.  Saves write a temporary file beside the target and rename
-it into place, so an interrupted save never leaves a partial file under
-the target name.
+read each payload once, field by field, straight into the arrays the
+loaded object keeps (an exact-tau payload into one uint8 array that the
+decoder scans), and compute the checksum over those same buffers, so no
+copy of the file is held beside them.  A load checks, in order: magic,
+version and kind; every size the header and payload declare, against the
+file's size, before anything of that size is allocated; the checksum; and
+only then decodes strings, JSON meta and entries.  The header is outside
+the checksum, so the size checks and the decoders check the header limit
+against the payload length and the stored primes, and raise
+CacheFormatError on any disagreement.  Saves write a temporary file beside
+the target and rename it into place, so an interrupted save never leaves a
+partial file under the target name.
 """
 
 from __future__ import annotations
@@ -55,6 +61,9 @@ KIND_ANGLES = 3
 KIND_TRACES = 4
 
 _HEADER = struct.Struct("<4sIBQQ")
+_U32 = struct.Struct("<I")
+_COUNT = struct.Struct("<Q")
+_TRACES_HEAD = struct.Struct("<qqQ")  # A, B, record count
 # longest exact-tau entry the decoder reads: the prefix's high three bytes are 0
 MAX_ENTRY_BYTES = 255
 # payload bytes per block of the exact-tau decoder's scan for entry starts
@@ -83,15 +92,53 @@ def _int64s(arr: np.ndarray) -> np.ndarray:
 
 def _str_block(s: str) -> bytes:
     raw = s.encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
+    return _U32.pack(len(raw)) + raw
 
 
-def _read_str(buf: memoryview, off: int) -> tuple[str, int]:
-    (n,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    if off + n > len(buf):
-        raise CacheFormatError("string block runs past the payload")
-    return bytes(buf[off : off + n]).decode("utf-8"), off + n
+def _read_fully(fh, view: memoryview) -> int:
+    """Bytes read into `view`, which fills it unless the file ends first."""
+    got = 0
+    while got < len(view) and (n := fh.readinto(view[got:])):
+        got += n
+    return got
+
+
+class _Payload:
+    """A cache file's payload, read in order, each field straight into the
+    buffer that keeps it.  Every read is checked against the bytes the file
+    has left (its size from os.fstat) before its buffer is allocated, and
+    feeds the BLAKE2b-64 over the buffer it filled."""
+
+    def __init__(self, fh, size: int):
+        self.fh, self.left = fh, size
+        self.hash = hashlib.blake2b(digest_size=8)
+
+    def into(self, buf) -> None:
+        view = memoryview(buf).cast("B")
+        if _read_fully(self.fh, view) != len(view):
+            raise CacheFormatError("file ends inside its payload")
+        self.hash.update(view)
+        self.left -= len(view)
+
+    def array(self, count: int, dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        if count * dtype.itemsize > self.left:
+            raise CacheFormatError(f"payload ends {count * dtype.itemsize - self.left} bytes "
+                                   "short of its next field")
+        arr = np.empty(count, dtype=dtype)
+        self.into(arr)
+        return arr
+
+    def unpack(self, st: struct.Struct) -> tuple:
+        return st.unpack(self.array(st.size, np.uint8))
+
+    def block(self) -> bytes:
+        """A string block's raw bytes, decoded only once the checksum holds."""
+        (n,) = self.unpack(_U32)
+        return self.array(n, np.uint8).tobytes()
+
+    def checksum(self) -> int:
+        return int.from_bytes(self.hash.digest(), "little")
 
 
 def _check_primes(primes: np.ndarray, limit: int, complete: bool) -> None:
@@ -175,10 +222,14 @@ def _entry_runs(data: np.ndarray, limit: int):
     return runs
 
 
-def _parse_exact_tau(limit: int, buf: memoryview) -> ExactTauTable:
-    if 5 * limit > len(buf):  # every entry is a 4-byte length plus at least one byte
+def _read_exact_tau(limit: int, rd: _Payload):
+    if 5 * limit > rd.left:  # every entry is a 4-byte length plus at least one byte
         raise CacheFormatError(f"exact-tau payload too short for header limit {limit}")
-    data = np.frombuffer(buf, dtype=np.uint8)
+    data = rd.array(rd.left, np.uint8)
+    return lambda: _parse_exact_tau(limit, data)
+
+
+def _parse_exact_tau(limit: int, data: np.ndarray) -> ExactTauTable:
     runs = _entry_runs(data, limit)
     longest = max((int(lengths.max()) for _, lengths in runs), default=1)
     table = np.empty((limit + 1, (longest + 7) // 8), dtype=np.uint64)
@@ -196,42 +247,42 @@ def _payload_normalized(seq: NormalizedSequence) -> list:
     return [_str_block(seq.source), _str_block(meta), _floats(seq.values[1:])]
 
 
-def _parse_normalized(limit: int, buf: memoryview) -> NormalizedSequence:
-    source, off = _read_str(buf, 0)
-    meta_raw, off = _read_str(buf, off)
-    if len(buf) - off != 8 * limit:
+def _read_normalized(limit: int, rd: _Payload):
+    source, meta = rd.block(), rd.block()
+    if rd.left != 8 * limit:
         raise CacheFormatError(
-            f"sequence payload holds {len(buf) - off} value bytes, header limit {limit}")
-    vals = np.empty(limit + 1, dtype=np.float64)
-    vals[0] = np.nan
-    vals[1:] = np.frombuffer(buf[off:], dtype="<f8", count=limit)
-    return NormalizedSequence(limit=limit, values=vals, source=source, meta=json.loads(meta_raw))
+            f"sequence payload holds {rd.left} value bytes, header limit {limit}")
+    values = np.empty(limit + 1, dtype="<f8")
+    values[0] = np.nan
+    rd.into(values[1:])
+    return lambda: NormalizedSequence(limit=limit, values=values, source=source.decode("utf-8"),
+                                      meta=json.loads(meta))
 
 
 def _payload_angles(angles: AngleSeries) -> list:
     return [
         _str_block(angles.source),
-        struct.pack("<Q", len(angles)),
+        _COUNT.pack(len(angles)),
         _int64s(angles.primes),
         _floats(angles.a),
         _floats(angles.theta),
     ]
 
 
-def _parse_angles(limit: int, buf: memoryview) -> AngleSeries:
-    source, off = _read_str(buf, 0)
-    (n,) = struct.unpack_from("<Q", buf, off)
-    off += 8
-    if len(buf) - off != 24 * n:
+def _read_angles(limit: int, rd: _Payload):
+    source = rd.block()
+    (n,) = rd.unpack(_COUNT)
+    if rd.left != 24 * n:
         raise CacheFormatError(f"angles payload does not hold {n} records")
-    primes = np.frombuffer(buf[off : off + 8 * n], dtype="<i8").copy()
-    off += 8 * n
-    a = np.frombuffer(buf[off : off + 8 * n], dtype="<f8").copy()
-    off += 8 * n
-    theta = np.frombuffer(buf[off : off + 8 * n], dtype="<f8").copy()
-    # elliptic angles omit the curve's bad primes, so only their maximum is checked
-    _check_primes(primes, limit, complete=source != "elliptic")
-    return AngleSeries(primes=primes, a=a, theta=theta, source=source, limit=limit)
+    primes, a, theta = rd.array(n, "<i8"), rd.array(n, "<f8"), rd.array(n, "<f8")
+
+    def decode():
+        src = source.decode("utf-8")
+        # elliptic angles omit the curve's bad primes, so only their maximum is checked
+        _check_primes(primes, limit, complete=src != "elliptic")
+        return AngleSeries(primes=primes, a=a, theta=theta, source=src, limit=limit)
+
+    return decode
 
 
 def _payload_traces(series: TraceSeries) -> list:
@@ -240,28 +291,26 @@ def _payload_traces(series: TraceSeries) -> list:
         raise ValueError(f"curve coefficients {coeffs} outside [-2^63, 2^63): "
                          "the traces format stores A and B as int64")
     return [
-        struct.pack("<qqQ", *coeffs, len(series)),
+        _TRACES_HEAD.pack(*coeffs, len(series)),
         _int64s(series.primes),
         _int64s(series.t),
         series.good.astype(np.uint8),
     ]
 
 
-def _parse_traces(limit: int, buf: memoryview) -> TraceSeries:
-    a4, a6 = struct.unpack_from("<qq", buf, 0)
-    (n,) = struct.unpack_from("<Q", buf, 16)
-    off = 24
-    if len(buf) - off != 17 * n:
+def _read_traces(limit: int, rd: _Payload):
+    a4, a6, n = rd.unpack(_TRACES_HEAD)
+    if rd.left != 17 * n:
         raise CacheFormatError(f"traces payload does not hold {n} records")
-    primes = np.frombuffer(buf[off : off + 8 * n], dtype="<i8").copy()
-    off += 8 * n
-    t = np.frombuffer(buf[off : off + 8 * n], dtype="<i8").copy()
-    off += 8 * n
-    good = np.frombuffer(buf[off : off + n], dtype=np.uint8).astype(bool)
-    _check_primes(primes, limit, complete=True)
-    return TraceSeries(
-        limit=limit, curve=CurveSpec(a4, a6), primes=primes, t=t, good=good
-    )
+    primes, t, good = rd.array(n, "<i8"), rd.array(n, "<i8"), rd.array(n, np.uint8)
+
+    def decode():
+        _check_primes(primes, limit, complete=True)
+        np.minimum(good, 1, out=good)  # any nonzero byte reads as good
+        return TraceSeries(limit=limit, curve=CurveSpec(a4, a6), primes=primes, t=t,
+                           good=good.view(bool))
+
+    return decode
 
 
 _SAVERS = {
@@ -271,11 +320,12 @@ _SAVERS = {
     TraceSeries: (KIND_TRACES, _payload_traces),
 }
 
-_PARSERS = {
-    KIND_EXACT_TAU: _parse_exact_tau,
-    KIND_NORMALIZED: _parse_normalized,
-    KIND_ANGLES: _parse_angles,
-    KIND_TRACES: _parse_traces,
+# kind -> reader: checks the payload's sizes and reads it, returning its decoder
+_READERS = {
+    KIND_EXACT_TAU: _read_exact_tau,
+    KIND_NORMALIZED: _read_normalized,
+    KIND_ANGLES: _read_angles,
+    KIND_TRACES: _read_traces,
 }
 
 
@@ -306,23 +356,28 @@ def save_cache(path, obj) -> None:
 
 
 def load_cache(path):
-    """Read, verify, and parse a cache file back to its object."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise CacheFormatError("file shorter than header")
-    magic, version, kind, limit, checksum = _HEADER.unpack_from(blob, 0)
-    if magic != MAGIC:
-        raise CacheFormatError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise CacheFormatError(f"unsupported version {version}")
-    if kind not in _PARSERS:
-        raise CacheFormatError(f"unknown kind {kind}")
-    payload = memoryview(blob)[_HEADER.size :]
-    if _checksum(payload) != checksum:
+    """Read, verify, and parse a cache file back to its object.
+
+    Each payload field is read once, straight into its final array, and
+    checksummed there; sizes are checked before allocating, the checksum
+    before decoding (the module docstring gives the order)."""
+    with open(path, "rb", buffering=0) as fh:
+        head = bytearray(_HEADER.size)
+        if _read_fully(fh, memoryview(head)) < _HEADER.size:
+            raise CacheFormatError("file shorter than header")
+        magic, version, kind, limit, checksum = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise CacheFormatError(f"bad magic {magic!r}")
+        if version != VERSION:
+            raise CacheFormatError(f"unsupported version {version}")
+        if kind not in _READERS:
+            raise CacheFormatError(f"unknown kind {kind}")
+        payload = _Payload(fh, os.fstat(fh.fileno()).st_size - _HEADER.size)
+        decode = _READERS[kind](limit, payload)
+    if payload.checksum() != checksum:
         raise ChecksumError("payload checksum mismatch")
     try:
-        return _PARSERS[kind](limit, payload)
-    except (struct.error, ValueError) as exc:
+        return decode()
+    except ValueError as exc:
         # the payload is intact, so the header disagrees with it
         raise CacheFormatError(f"kind {kind} payload does not parse: {exc}") from exc

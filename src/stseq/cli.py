@@ -125,21 +125,35 @@ def cache_dir_of(args) -> Path:
     return p
 
 
-def _cached(paths: list[Path], builder, fits) -> tuple:
-    """Objects at `paths` if all load and `fits` them, else builder()'s, saved one per path."""
+def _cached(paths: list[Path], builder, fits, read=None) -> tuple:
+    """Objects at `paths` if all load and `fits` them, else builder()'s, saved one per path.
+
+    `read` lists the positions of the paths to load and return, all by
+    default; a rebuild still saves every path.  A file that fails to load
+    is named on stderr before the rebuild overwrites it."""
+    read = range(len(paths)) if read is None else read
+    wanted = [paths[i] for i in read]
     with _path_flag("--cache-dir"):
-        try:
-            if all(p.exists() for p in paths):
-                objs = tuple(load_cache(p) for p in paths)
+        if all(p.exists() for p in wanted):
+            try:
+                objs = tuple(_load(p) for p in wanted)
                 if fits(*objs):
                     return objs
-        except CacheFormatError:
-            pass  # corrupt: rebuild and overwrite
+            except CacheFormatError:
+                pass  # named by _load; rebuilt and overwritten below
     objs = builder()
     with _path_flag("--cache-dir"):
         for path, obj in zip(paths, objs):
             save_cache(path, obj)
-    return objs
+    return tuple(objs[i] for i in read)
+
+
+def _load(path: Path):
+    try:
+        return load_cache(path)
+    except CacheFormatError as exc:
+        print(f"cache file {path} is unreadable ({exc}); rebuilding it", file=sys.stderr)
+        raise
 
 
 def _limit(args) -> int:
@@ -173,19 +187,36 @@ def get_trace_series(args) -> TraceSeries:
     )[0]
 
 
-def get_synthetic(args) -> tuple[AngleSeries, NormalizedSequence]:
-    """(angles, seq) for --source synth; a cached pair is used only if it fits the request."""
+def _synthetic_cache(args):
+    """(paths, builder, seq_fits) of the synth files for the request: the
+    angles file, then the sequence file, whose contents `seq_fits` checks."""
     cache, limit, seed = cache_dir_of(args), _limit(args), _require(args, "seed")
     # repr keeps every digit of rho (":g" would give 0.25 and 0.2500001 one file)
     paths = [cache / f"synth_angles_{limit}_{seed}.astc",
              cache / f"synth_{limit}_{seed}_{args.rule}_{args.rho!r}.astc"]
     spec = SyntheticSpec(limit=limit, seed=seed, rule=PrimePowerRule(args.rule, args.rho))
+
+    def seq_fits(seq) -> bool:
+        return isinstance(seq, NormalizedSequence) and seq.limit == limit \
+            and [seq.meta.get(k) for k in ("seed", "rule", "rho")] == [seed, args.rule, args.rho]
+
+    return paths, lambda: build_synthetic_sequence(spec), seq_fits
+
+
+def get_synthetic_sequence(args) -> NormalizedSequence:
+    """The --source synth sequence; its file alone is read, never the angles file."""
+    paths, builder, seq_fits = _synthetic_cache(args)
+    return _cached(paths, builder, seq_fits, read=[1])[0]
+
+
+def get_synthetic(args) -> tuple[AngleSeries, NormalizedSequence]:
+    """(angles, seq) for --source synth; a cached pair is used only if it fits the request."""
+    paths, builder, seq_fits = _synthetic_cache(args)
     return _cached(
         paths,
-        lambda: build_synthetic_sequence(spec),
-        lambda angles, seq: isinstance(angles, AngleSeries)
-        and isinstance(seq, NormalizedSequence) and seq.limit == angles.limit == limit
-        and [seq.meta.get(k) for k in ("seed", "rule", "rho")] == [seed, args.rule, args.rho],
+        builder,
+        lambda angles, seq: isinstance(angles, AngleSeries) and seq_fits(seq)
+        and angles.limit == seq.limit,
     )
 
 
@@ -196,8 +227,19 @@ def _require(args, name):
     return val
 
 
-def resolve_sequence(args):
-    """(sequence, angles) for --source tau|ec|synth."""
+def resolve_sequence(args) -> NormalizedSequence:
+    """The normalized sequence for --source tau|ec|synth, without its angles."""
+    source = _require(args, "source")
+    if source == "tau":
+        return normalize_tau(get_tau_table(args))
+    if source == "ec":
+        series = get_trace_series(args)
+        return ec_normalized_sequence(series, series.limit)
+    return get_synthetic_sequence(args)  # --source choices leave only synth
+
+
+def resolve_with_angles(args) -> tuple[NormalizedSequence, AngleSeries]:
+    """(sequence, angles) for --source tau|ec|synth, from one read of the source."""
     source = _require(args, "source")
     if source == "tau":
         table = get_tau_table(args)
@@ -205,7 +247,7 @@ def resolve_sequence(args):
     if source == "ec":
         series = get_trace_series(args)
         return ec_normalized_sequence(series, series.limit), angles_from_traces(series)
-    angles, seq = get_synthetic(args)  # --source choices leave only synth
+    angles, seq = get_synthetic(args)
     return seq, angles
 
 
@@ -274,7 +316,7 @@ def cmd_ec(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    _, seq = get_synthetic(args)
+    seq = get_synthetic_sequence(args)
     print(
         f"synthetic sequence: limit={args.limit} seed={args.seed} rule={args.rule} "
         f"acceptance={seq.meta['acceptance_rate']:.4f} "
@@ -285,7 +327,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_angles(args) -> int:
-    _, angles = resolve_sequence(args)
+    _, angles = resolve_with_angles(args)
     print(f"{len(angles)} angle records from source {args.source}")
     return 0
 
@@ -318,7 +360,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    _, angles = resolve_sequence(args)
+    _, angles = resolve_with_angles(args)
     gammas = _parse_float_list(args.gammas)
     report = prime_angle_summary(angles, gammas)
     return _finish(report, args)
@@ -330,7 +372,10 @@ def cmd_verify(args) -> int:
     eps = _require(args, "epsilon") if kind == "thm1" else None
     if kind in ("thm1", "thm2", "lemma-sums"):
         cps = _parse_int_list(_require(args, "checkpoints"))
-    seq, angles = resolve_sequence(args)
+    if kind == "assumptions":  # the one verifier that reads the prime angles
+        seq, angles = resolve_with_angles(args)
+    else:
+        seq = resolve_sequence(args)
     if kind == "thm1":
         report = verify_thm1(seq, eps=eps, checkpoints=cps, monotone_slack=args.slack)
     elif kind == "thm2":

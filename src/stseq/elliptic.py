@@ -29,6 +29,7 @@ import numpy as np
 from .arith import (
     AngleSeries,
     NormalizedSequence,
+    blocks,
     chebyshev_recurrence,
     fill_multiplicative,
     is_prime,
@@ -344,12 +345,14 @@ class TraceSeries:
         self.primes = np.asarray(self.primes, dtype=np.int64)
         self.t = np.asarray(self.t, dtype=np.int64)
         self.good = np.asarray(self.good, dtype=bool)
-        g = self.good
-        if np.any(self.t[g] ** 2 > 4 * self.primes[g]):
-            raise DataCorruptionError("Hasse bound violated on a good prime")
-        tb = self.t[~g]
-        if tb.size and (tb.min() < -1 or tb.max() > 1):
-            raise DataCorruptionError("bad-prime trace outside {-1, 0, 1}")
+        # blocks of 2^12 records keep the checks' temporaries under 100 KiB,
+        # so a loaded series costs its arrays and little more
+        for lo, hi in blocks(0, len(self.t), 1 << 12):
+            t, g = self.t[lo:hi], self.good[lo:hi]
+            if np.any((t * t > 4 * self.primes[lo:hi]) & g):
+                raise DataCorruptionError("Hasse bound violated on a good prime")
+            if np.any(((t < -1) | (t > 1)) & ~g):
+                raise DataCorruptionError("bad-prime trace outside {-1, 0, 1}")
 
     def __len__(self) -> int:
         return len(self.primes)

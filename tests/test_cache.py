@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from stseq.cache import (
     load_cache,
     save_cache,
 )
-from stseq.elliptic import CurveSpec, trace_series
+from stseq.elliptic import CurveSpec, TraceSeries, trace_series
 from stseq.errors import CacheFormatError, ChecksumError
 from stseq.synthetic import StRngStream, SyntheticSpec, build_synthetic_sequence, sample_st_angles
 from stseq.tau import ExactTauTable, tau_naive_oracle
@@ -526,3 +527,96 @@ def test_interrupted_save_leaves_no_file(tmp_path, monkeypatch):
         save_cache(path, tau_naive_oracle(120))
     assert [p.name for p in tmp_path.iterdir()] == ["t.astc"]
     assert path.read_bytes() == before
+
+
+def _small_files(tmp_path):
+    """One small file of each kind, as bytes, keyed by kind."""
+    objs = _one_of_each_kind()
+    objs["exact-tau"] = tau_naive_oracle(60)
+    out = {}
+    for kind, obj in objs.items():
+        path = tmp_path / f"{kind}.astc"
+        save_cache(path, obj)
+        out[kind] = path.read_bytes()
+    return out
+
+
+def _load_outcome(path, raw: bytes):
+    path.write_bytes(raw)
+    try:
+        load_cache(path)
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+def test_every_single_byte_corruption_is_caught(tmp_path):
+    """Every byte flipped, and the file cut at every byte, header included:
+    each raises CacheFormatError (ChecksumError is one), never another type
+    and never a loaded object."""
+    path = tmp_path / "x.astc"
+    for kind, raw in _small_files(tmp_path).items():
+        wrong = {}
+        for at in range(len(raw)):
+            flipped = bytearray(raw)
+            flipped[at] ^= 0xFF
+            for case, bad in (("flip", bytes(flipped)), ("cut", raw[:at])):
+                got = _load_outcome(path, bad)
+                if got is None or not issubclass(got, CacheFormatError):
+                    wrong[(case, at)] = got
+        assert wrong == {}, kind
+
+
+@pytest.mark.parametrize("kind", ["exact-tau", "normalized", "angles", "traces"])
+def test_header_limit_2_62_raises_before_allocating(tmp_path, kind):
+    path = tmp_path / "x.astc"
+    save_cache(path, _one_of_each_kind()[kind])
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<Q", raw, _HEADER.size - 16, 2**62)
+    path.write_bytes(bytes(raw))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CacheFormatError):
+            load_cache(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+
+
+def _large_objects():
+    """A 2^20-entry sequence, and angles and traces at every prime below
+    2^24 (1,077,871 records), each of 8-9 MB per array."""
+    rng = np.random.default_rng(5)
+    vals = rng.uniform(-2, 2, 2**20 + 1)
+    vals[1] = 1.0
+    ps = primes_up_to(2**24)
+    return {
+        "normalized": NormalizedSequence(limit=2**20, values=vals, source="synthetic",
+                                         meta={"seed": 5}),
+        "angles": AngleSeries.from_theta(ps, rng.uniform(0, np.pi, len(ps)),
+                                         source="synthetic", limit=2**24),
+        "traces": TraceSeries(limit=2**24, curve=CurveSpec(-1, 1), primes=ps,
+                              t=rng.integers(-1, 2, len(ps)), good=np.ones(len(ps), bool)),
+    }
+
+
+_ARRAYS = {"normalized": ("values",), "angles": ("primes", "a", "theta"),
+           "traces": ("primes", "t", "good")}
+
+
+def test_load_peaks_at_its_arrays(tmp_path):
+    """A load holds no copy of the file beside the arrays it returns: its
+    traced peak is those arrays plus 256 KiB."""
+    for kind, obj in _large_objects().items():
+        path = tmp_path / f"{kind}.astc"
+        save_cache(path, obj)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            back = load_cache(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        arrays = sum(getattr(back, name).nbytes for name in _ARRAYS[kind])
+        assert arrays <= peak <= arrays + 256 * 1024, kind

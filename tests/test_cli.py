@@ -516,7 +516,9 @@ def test_corrupt_synth_cache_is_rebuilt(tmp_path, monkeypatch, name):
     for stem, argv in SYNTH_CALLS.items():
         assert run(tmp_path, *argv) == 0
         assert _canonical(tmp_path, stem) == expected[stem]
-    assert builds == [1]  # the first call rebuilt and overwrote, the rest loaded
+    # the first call that read the corrupt file rebuilt and overwrote it, the rest loaded:
+    # thm1 for the sequence file, assumptions for the angles file
+    assert builds == [1]
 
 
 def test_rho_keys_its_own_cache_file(tmp_path):
@@ -529,3 +531,63 @@ def test_rho_keys_its_own_cache_file(tmp_path):
                      "synth_angles_500_7.astc"]
     seq = load_cache(tmp_path / "cache" / "synth_500_7_hecke-chebyshev_0.2500001.astc")
     assert seq.meta["rho"] == 0.2500001
+
+
+def test_corrupt_cache_file_is_named_on_stderr(tmp_path, capsys):
+    assert run(tmp_path, "synth", "--limit", "3000", "--seed", "7") == 0
+    path = tmp_path / "cache" / "synth_3000_7_hecke-chebyshev_0.25.astc"
+    raw = bytearray(path.read_bytes())
+    raw[-1] ^= 0x01
+    path.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert run(tmp_path, *SYNTH_CALLS["thm1-typical-size"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"cache file {path} is unreadable (payload checksum mismatch); rebuilding it"]
+    assert run(tmp_path, *SYNTH_CALLS["thm1-typical-size"]) == 0  # rebuilt, so read silently
+    assert capsys.readouterr().err == ""
+
+
+def _opened(monkeypatch):
+    """The cache files each later call passes to load_cache, by file name."""
+    opened = []
+    real = stseq.cli.load_cache
+    monkeypatch.setattr(stseq.cli, "load_cache", lambda path: opened.append(path.name)
+                        or real(path))
+    return opened
+
+
+def test_only_assumptions_opens_the_synth_angles(tmp_path, monkeypatch):
+    assert run(tmp_path, "synth", "--limit", "3000", "--seed", "7") == 0
+    opened = _opened(monkeypatch)
+    calls = {**SYNTH_CALLS, "lemma-moment-sums": ["verify", "lemma-sums", *SYNTH,
+                                                  "--checkpoints", "1000,3000"]}
+    seq_file = "synth_3000_7_hecke-chebyshev_0.25.astc"
+    for stem, argv in calls.items():
+        opened.clear()
+        assert run(tmp_path, *argv) == 0
+        if stem == "assumption-diagnostics":
+            assert opened == ["synth_angles_3000_7.astc", seq_file]
+        else:
+            assert opened == [seq_file], stem
+
+
+def test_missing_synth_angles_rebuilt_only_by_assumptions(tmp_path, monkeypatch):
+    expected = _fresh_build_bytes(tmp_path)
+    assert run(tmp_path, "synth", "--limit", "3000", "--seed", "7") == 0
+    cache = tmp_path / "cache"
+    angles = cache / "synth_angles_3000_7.astc"
+    angles_bytes = angles.read_bytes()
+    angles.unlink()
+    builds = []
+    real = stseq.cli.build_synthetic_sequence
+    monkeypatch.setattr(stseq.cli, "build_synthetic_sequence",
+                        lambda *a, **kw: builds.append(1) or real(*a, **kw))
+    assert run(tmp_path, *SYNTH_CALLS["thm1-typical-size"]) == 0
+    assert builds == []
+    assert sorted(p.name for p in cache.iterdir()) == ["synth_3000_7_hecke-chebyshev_0.25.astc"]
+    for _ in range(2):
+        assert run(tmp_path, *SYNTH_CALLS["assumption-diagnostics"]) == 0
+        stem = "assumption-diagnostics"
+        assert _canonical(tmp_path, stem) == expected[stem]
+    assert builds == [1]
+    assert angles.read_bytes() == angles_bytes
