@@ -135,9 +135,10 @@ def blocks(lo: int, hi: int, size: int | None = None):
 
     The small-prime strikes of `fill_multiplicative` and of thm3's logs walk
     it: every small prime strikes one block before the next block starts, so
-    the block's slice of the table stays in cache across the primes.  thm3
-    packs its gap profile block by block along it too, and the `stseq.limbs`
-    kernels walk it in blocks of `limbs.ROW_BLOCK` rows.
+    the block's slice of the table stays in cache across the primes.  thm3's
+    packing and counting passes walk it in blocks of `verify.THM3_BLOCK`
+    entries, and the `stseq.limbs` kernels in blocks of `limbs.ROW_BLOCK`
+    rows.
     """
     size = size or _BLOCK
     for start in range(lo, hi, size):

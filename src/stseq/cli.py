@@ -251,6 +251,21 @@ def resolve_with_angles(args) -> tuple[NormalizedSequence, AngleSeries]:
     return seq, angles
 
 
+def resolve_angles(args) -> AngleSeries:
+    """The prime angles for --source tau|ec|synth, without the sequence: for
+    synth the angles file alone is read, fit by type and limit (the angles
+    depend on the seed and limit alone, both in its name)."""
+    source = _require(args, "source")
+    if source == "tau":
+        return tau_angles(get_tau_table(args))
+    if source == "ec":
+        return angles_from_traces(get_trace_series(args))
+    paths, builder, _ = _synthetic_cache(args)
+    return _cached(paths, builder,
+                   lambda angles: isinstance(angles, AngleSeries) and angles.limit == args.limit,
+                   read=[0])[0]
+
+
 def write_report(report: VerificationReport, out_dir: Path, stem: str) -> None:
     with _path_flag("--out-dir"):
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -327,7 +342,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_angles(args) -> int:
-    _, angles = resolve_with_angles(args)
+    angles = resolve_angles(args)
     print(f"{len(angles)} angle records from source {args.source}")
     return 0
 
@@ -360,7 +375,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    _, angles = resolve_with_angles(args)
+    angles = resolve_angles(args)
     gammas = _parse_float_list(args.gammas)
     report = prime_angle_summary(angles, gammas)
     return _finish(report, args)

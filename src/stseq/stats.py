@@ -160,6 +160,35 @@ class STConstants:
 
 # Sorted points per block of the KS scan.
 _KS_BLOCK = 1024
+# numpy's pairwise summation adds runs of at most this many entries without
+# splitting them (PW_BLOCKSIZE in its loops_utils.h)
+_NUMPY_PW_BLOCK = 128
+
+
+def pairwise_sums(n: int, leaf_sums, leaf: int = 1 << 16) -> list:
+    """Sums over [0, n) of several series, from blocks, each the same float
+    as np.add.reduce over the whole contiguous float64 series.
+
+    [0, n) is split as numpy's pairwise sum splits it: a node of m entries
+    beyond numpy's unsplit runs gives its first (m // 2) rounded down to a
+    multiple of 8 entries to the left half.  Nodes of at most `leaf` entries
+    (or numpy's run length, if larger) are leaves: leaf_sums(i, j) returns
+    np.add.reduce of each series over [i, j), where numpy walks that node's
+    own subtree.  The halves' sums are then added in order, left + right.
+    """
+    return _pairwise_node(0, n, leaf_sums, max(leaf, _NUMPY_PW_BLOCK))
+
+
+def _pairwise_node(i: int, j: int, leaf_sums, leaf: int) -> list:
+    """pairwise_sums over the node [i, j).  A module function, not a nested
+    one: a closure that calls itself is a reference cycle, which would keep
+    leaf_sums and the arrays it reads alive until the collector runs."""
+    if j - i <= leaf:
+        return list(leaf_sums(i, j))
+    h = (j - i) // 2
+    h -= h % 8
+    return [a + b for a, b in zip(_pairwise_node(i, i + h, leaf_sums, leaf),
+                                  _pairwise_node(i + h, j, leaf_sums, leaf))]
 
 
 def ks_statistic(sample, cdf) -> float:

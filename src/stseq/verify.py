@@ -36,6 +36,7 @@ from .stats import (
     log2_iter,
     log3_iter,
     normal_cdf,
+    pairwise_sums,
     prime_log_moments,
     st_cdf,
 )
@@ -45,6 +46,8 @@ SUPPORT_MODES = ("nonzero", "floor-A")
 CLT_C = 0.5 + math.pi**2 / 12.0
 # thm3's additive identity holds exactly; this relative error absorbs rounding
 IDENTITY_RTOL = 1e-6
+# entries per block of thm3's packing, counting and moment passes
+THM3_BLOCK = 1 << 16
 
 
 def validate_checkpoints(checkpoints: list[int], limit: int) -> list[int]:
@@ -345,40 +348,53 @@ def verify_thm3(
     if n_support == 0:
         raise ValueError("filtered support is empty")
     ps = primes_up_to(x)
-    # Beside seq.values, at most two full-length float64 arrays live at once:
-    # logh and the identity's alive entries, logh and log_abs, then log_abs
-    # and z.  Each ufunc sees the same inputs as a straight-line evaluation,
-    # so every value is the same float.
+    # Beside seq.values one full-length float64 array lives at a time: logh,
+    # then log_abs.  The passes around them walk blocks of THM3_BLOCK
+    # entries, and every sum is numpy's own over the same values in the same
+    # order, so every value is the same float as a straight-line evaluation.
 
-    # additive identity over the zero-free part of [1, x]
+    # additive identity over the zero-free part of [1, x]: the alive logs are
+    # packed into the front of logh block by block (the k-th alive n has
+    # n > k, so no write reaches an entry a later block still reads)
     logh, alive = _strongly_multiplicative_log(seq, ps, x)
-    lhs = float(np.sum(logh[1:][alive[1:]]))
+    n_alive = 0
+    for lo, hi in blocks(1, x + 1, THM3_BLOCK):
+        kept = logh[lo:hi][alive[lo:hi]]
+        logh[n_alive : n_alive + kept.size] = kept
+        n_alive += kept.size
+    lhs = float(np.sum(logh[:n_alive]))
     ap = seq.values[ps]
     nz = ap != 0.0
-    # for a_p != 0, p * m is alive exactly when m is: count the alive m <= x/p
-    counts = np.cumsum(alive[: x // 2 + 1], dtype=np.int64)[x // ps[nz]]
-    rhs = float(np.sum(np.log(np.abs(ap[nz])) * counts))
+    # for a_p != 0, p * m is alive exactly when m is: count the alive m <= q
+    # for q = x // p from a running count over blocks; q falls as p grows, so
+    # the queries inside a block are one run of the reversed q
+    q = (x // ps[nz])[::-1]
+    counts = np.empty_like(q)
+    carry = 0
+    for lo, hi in blocks(0, x // 2 + 1, THM3_BLOCK):
+        i, j = np.searchsorted(q, [lo, hi])
+        running = np.cumsum(alive[lo:hi], dtype=np.int64)
+        running += carry
+        counts[i:j] = running[q[i:j] - lo]
+        carry = int(running[-1])
+    rhs = float(np.sum(np.log(np.abs(ap[nz])) * counts[::-1]))
     rel_err = abs(lhs - rhs) / max(1.0, abs(lhs))
-    del ap, nz, counts  # pi(x) entries each, alive through the gap profile otherwise
-
-    log_abs = seq.values[: x + 1][mask]
-    np.abs(log_abs, out=log_abs)
-    np.log(log_abs, out=log_abs)
+    del ap, nz, q, counts  # pi(x) entries each, alive through the gaps otherwise
 
     # gaps c(n) = log|h(n)| - log|a_n| to the strongly multiplicative
-    # companion h (h(p^k) = a_p), zero on squarefree n, packed into the
-    # front of logh block by block: the i-th support entry n has n > i, so
-    # no write reaches an entry a later block still reads
-    n_gaps = i = 0
-    for lo, hi in blocks(1, x + 1):
-        m = mask[lo:hi]
-        gaps = logh[lo:hi][m]
-        gaps -= log_abs[i : i + gaps.size]
-        i += gaps.size
-        gaps = gaps[alive[lo:hi][m]]
+    # companion h (h(p^k) = a_p), zero on squarefree n, over the alive n of
+    # the support: read off the packed logs and packed again into the front
+    # of logh (the k-th gap comes from the k-th alive n or a later one)
+    n_gaps = n_alive = 0
+    for lo, hi in blocks(1, x + 1, THM3_BLOCK):
+        live = alive[lo:hi]
+        n_live = int(np.count_nonzero(live))
+        gaps = logh[n_alive : n_alive + n_live][mask[lo:hi][live]]
+        n_alive += n_live
+        gaps -= np.log(np.abs(seq.values[lo:hi][live & mask[lo:hi]]))
         logh[n_gaps : n_gaps + gaps.size] = gaps
         n_gaps += gaps.size
-    del alive, mask, m, gaps
+    del alive, live, gaps
     gap_row = _gap_quantiles(logh[:n_gaps])
     del logh
 
@@ -388,22 +404,38 @@ def verify_thm3(
     elif standardization == "finite-size":
         moments = prime_log_moments(_prime_angles(seq, ps, x), x, support.floor(x))
         mu, sigma2 = moments.mu, moments.sigma2
-    else:
-        mu, sigma2 = float(np.mean(log_abs)), float(np.var(log_abs))
+    del ps
+
+    log_abs = seq.values[: x + 1][mask]
+    del mask
+    np.abs(log_abs, out=log_abs)
+    np.log(log_abs, out=log_abs)
+    # the second to fourth central moments in one pairwise walk; in self
+    # mode m2 is np.var's value: its mean, then the sum of (x - mean)^2
+    mean = np.mean(log_abs)
+
+    def central_sums(i: int, j: int):
+        c = log_abs[i:j] - mean
+        power = np.square(c)
+        yield np.sum(power)
+        yield np.sum(np.power(c, 3, out=power))
+        yield np.sum(np.power(c, 4, out=power))
+
+    s2, s3, s4 = pairwise_sums(n_support, central_sums, THM3_BLOCK)
+    m2 = float(s2 / n_support)
+    if standardization == "self":
+        mu, sigma2 = float(mean), m2
     if sigma2 <= 0:
         raise ValueError("degenerate standardization variance")
+    skew = float(s3 / n_support / m2**1.5) if m2 > 0 else 0.0
+    kurt = float(s4 / n_support / m2**2 - 3.0) if m2 > 0 else 0.0
 
-    # KS distance of the standardized logs to the normal law, sorted in place
-    z = np.subtract(log_abs, mu)
-    z /= math.sqrt(sigma2)
-    z.sort()
-    ks = ks_sorted(z, normal_cdf)
-    # skewness and excess kurtosis: z's buffer holds the centered logs and
-    # log_abs's buffer each of their powers in turn
-    centered = np.subtract(log_abs, np.mean(log_abs), out=z)
-    m2 = float(np.mean(np.square(centered, out=log_abs)))
-    skew = float(np.mean(np.power(centered, 3, out=log_abs)) / m2**1.5) if m2 > 0 else 0.0
-    kurt = float(np.mean(np.power(centered, 4, out=log_abs)) / m2**2 - 3.0) if m2 > 0 else 0.0
+    # KS distance of the standardized logs to the normal law, standardized
+    # and sorted in place
+    np.subtract(log_abs, mu, out=log_abs)
+    log_abs /= math.sqrt(sigma2)
+    log_abs.sort()
+    ks = ks_sorted(log_abs, normal_cdf)
 
     row = {
         "x": x,

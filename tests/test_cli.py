@@ -591,3 +591,41 @@ def test_missing_synth_angles_rebuilt_only_by_assumptions(tmp_path, monkeypatch)
         assert _canonical(tmp_path, stem) == expected[stem]
     assert builds == [1]
     assert angles.read_bytes() == angles_bytes
+
+
+ANGLE_CALLS = {"stats": ["stats", "--gammas", "1,2"], "angles": ["angles"]}
+
+
+@pytest.mark.parametrize("source, build, opens, unused", [
+    (SYNTH, ["synth", "--limit", "3000", "--seed", "7"], ["synth_angles_3000_7.astc"], None),
+    (["--source", "tau", "--limit", "500"], ["tau", "--limit", "500"], ["tau_500.astc"],
+     "normalize_tau"),
+    (["--source", "ec", "--curve=-1,1", "--limit", "500"], ["ec", "--curve=-1,1", "--limit", "500"],
+     ["traces_-1_1_500.astc"], "ec_normalized_sequence"),
+], ids=["synth", "tau", "ec"])
+def test_stats_and_angles_read_only_the_angles(tmp_path, monkeypatch, source, build, opens,
+                                               unused):
+    assert run(tmp_path, *build) == 0
+    opened = _opened(monkeypatch)
+    if unused is not None:  # the sequence is never normalized
+        monkeypatch.setattr(stseq.cli, unused, lambda *a, **kw: pytest.fail(f"{unused} called"))
+    for argv in ANGLE_CALLS.values():
+        opened.clear()
+        assert run(tmp_path, argv[0], *source, *argv[1:]) == 0
+        assert opened == opens
+
+
+def test_stats_and_angles_need_no_synth_sequence_file(tmp_path, capsys):
+    assert run(tmp_path, "synth", "--limit", "3000", "--seed", "7") == 0
+
+    def outputs():  # the angles line and the stats report's bytes (its text holds a runtime)
+        assert run(tmp_path, "stats", *SYNTH, "--gammas", "1,2") == 0
+        capsys.readouterr()
+        assert run(tmp_path, "angles", *SYNTH) == 0
+        return capsys.readouterr().out, _canonical(tmp_path, "prime-angle-summary")
+
+    expected = outputs()
+    cache = tmp_path / "cache"
+    (cache / "synth_3000_7_hecke-chebyshev_0.25.astc").unlink()
+    assert outputs() == expected
+    assert sorted(p.name for p in cache.iterdir()) == ["synth_angles_3000_7.astc"]

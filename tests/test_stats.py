@@ -15,6 +15,7 @@ from stseq.stats import (
     log2_iter,
     log3_iter,
     normal_cdf,
+    pairwise_sums,
     prime_angle_summary,
     prime_log_moments,
     st_cdf,
@@ -160,6 +161,49 @@ class TestKsStatistic:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty sample"):
             ks_statistic(np.array([]), st_cdf)
+
+
+class TestPairwiseSums:
+    """Block sums in numpy's pairwise order are numpy's own floats.  The
+    entries span seven decades with -0.0 among them, so another order or
+    split (as a change to numpy's rule would make) gives other floats."""
+
+    SIZES = [*range(301), (1 << 16) - 1, (1 << 16) + 1, (1 << 17) + 1, 10**6 + 3]
+
+    @staticmethod
+    def sample(n: int) -> np.ndarray:
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+        a[::11] = -0.0
+        return a
+
+    @pytest.mark.parametrize("leaf", [8, 100, 1 << 16])
+    def test_sum_mean_var(self, leaf):
+        for n in self.SIZES:
+            a = self.sample(n)
+            total, = pairwise_sums(n, lambda i, j: [np.add.reduce(a[i:j])], leaf)
+            assert total == np.add.reduce(a), n
+            if n == 0:
+                continue
+            mean = total / n
+            assert mean == np.mean(a), n
+            sq, = pairwise_sums(n, lambda i, j: [np.add.reduce(np.square(a[i:j] - mean))], leaf)
+            assert sq / n == np.var(a), n
+
+    def test_series_share_one_walk(self):
+        a = self.sample(10**5)
+        got = pairwise_sums(a.size, lambda i, j: (np.sum(a[i:j]), np.sum(a[i:j] ** 3)), 100)
+        assert got == [np.sum(a), np.sum(a**3)]
+
+    def test_order_matters_on_the_sample(self):
+        a = self.sample(10**6 + 3)
+        assert np.cumsum(a)[-1] != np.add.reduce(a)
+        assert np.add.reduce(a[::-1]) != np.add.reduce(a)
+
+    def test_negative_zeros(self):
+        a = np.full(1000, -0.0)
+        total, = pairwise_sums(a.size, lambda i, j: [np.add.reduce(a[i:j])], 8)
+        assert total == 0.0 and not np.signbit(total) and not np.signbit(np.add.reduce(a))
 
 
 class TestNormalCdf:

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -710,11 +712,14 @@ class TestThm3Oracle:
         a4, a6 = map(int, name[2:].split(","))
         return ec_normalized_sequence(trace_series(CurveSpec(a4, a6), x), x)
 
-    @pytest.mark.parametrize("block", [None, 100])
+    @pytest.mark.parametrize("block", [None, 100, 7])
     def test_equals_full_array(self, monkeypatch, seq, block):
         import stseq.arith as arith_mod
+        import stseq.verify as verify_mod
 
-        if block is not None:  # the gap packing crosses many block edges
+        if block is not None:  # the packing, counts and moments cross many block edges
+            monkeypatch.setattr(verify_mod, "THM3_BLOCK", block)
+        if block == 100:  # so do the log strikes (at 7 their per-prime loop is slow)
             monkeypatch.setattr(arith_mod, "_BLOCK", block)
         x = seq.limit
         outcomes = set()
@@ -741,13 +746,13 @@ class TestThm3Oracle:
 
 
 class TestThm3Memory:
-    """Beside the sequence, thm3 holds at most two full-length float64 arrays
-    and a few bytes per entry of masks and counts."""
+    """Beside the sequence, thm3 holds one full-length float64 array and a
+    few bytes per entry of masks."""
 
     X = (1 << 21) - 1
     # the primes listed to x, their values and logs (155,611 each at 2^21),
     # one block's temporaries and the KS scan's hit blocks
-    SLACK = 2 << 20
+    SLACK = 8 << 20
 
     @pytest.fixture(scope="class")
     def seq(self):
@@ -763,7 +768,23 @@ class TestThm3Memory:
         rep, peak = traced_peak(
             lambda: verify_thm3(seq, self.X, SupportFilter(mode), standardization))
         assert rep.flags[0]["passed"]
-        assert peak <= 2 * 8 * n + 4 * n + self.SLACK
+        assert peak <= 8 * n + 4 * n + self.SLACK
+
+    def test_leaves_no_array_behind(self, seq):
+        # a reference cycle would keep a full-length array alive past the
+        # call until the collector ran, so the collector is off here
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rep = verify_thm3(seq, self.X, SupportFilter("nonzero"), "self")
+            left = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert rep.flags[0]["passed"]
+        assert left < 1 << 20
 
 
 class TestPrimeFreeMask:
