@@ -381,22 +381,30 @@ def assemble_multiplicative(
 ) -> NormalizedSequence:
     """Build the synthetic a_n = prod over p^k || n of rule(theta_p, k); a_1 = 1.
 
-    ps holds every prime <= limit (`primes_up_to(limit)`), and the angles
-    must cover each of them.  Filled by `fill_multiplicative` over ps with
-    the rule as the prime-power value.
+    ps holds every prime <= limit (`primes_up_to(limit)`), and the angles,
+    listed with their primes strictly ascending, must cover each of them
+    with a non-NaN theta.  Filled by `fill_multiplicative` over ps with the
+    rule as the prime-power value, theta_p found by a binary search of the
+    angles' primes.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    theta_at = np.full(limit + 1, np.nan)
-    in_range = angles.primes <= limit
-    theta_at[angles.primes[in_range]] = angles.theta[in_range]
-    gaps = ps[np.isnan(theta_at[ps])]
+    primes = angles.primes
+    if np.any(primes[1:] <= primes[:-1]):
+        raise ValueError("angle primes must be strictly ascending")
+    at = np.searchsorted(primes, ps)
+    hit = at < len(primes)
+    hit[hit] = (primes[at[hit]] == ps[hit]) & ~np.isnan(angles.theta[at[hit]])
+    gaps = ps[~hit]
+    del at, hit  # pi(limit) entries each, alive through the fill otherwise
     if gaps.size:
         raise IncompleteInputError(f"angles missing for {gaps.size} primes <= {limit} "
                                    f"(first: {gaps[0]})")
 
-    values = fill_multiplicative(limit, ps, lambda p, e: rule.value(theta_at[p], e),
-                                 np.full(limit + 1, np.nan))
+    out = np.empty(limit + 1)
+    out[0] = np.nan
+    values = fill_multiplicative(
+        limit, ps, lambda p, e: rule.value(angles.theta[np.searchsorted(primes, p)], e), out)
     return NormalizedSequence(limit=limit, values=values, source="synthetic")
 
 

@@ -24,7 +24,7 @@ from stseq.arith import (
 )
 from stseq.errors import CapacityError, IncompleteInputError
 
-from conftest import brute_factor, brute_spf, refuse_sieves
+from conftest import brute_factor, brute_spf, refuse_sieves, traced_peak
 
 
 class TestSpfSieve:
@@ -384,6 +384,34 @@ class TestAssembly:
         short = AngleSeries(ang.primes[keep], ang.a[keep], ang.theta[keep])
         with pytest.raises(IncompleteInputError, match=r"for 3 primes <= 100 \(first: 5\)"):
             assemble_multiplicative(short, PrimePowerRule(), 100, ang.primes)
+
+    def test_nan_angle_counts_as_missing(self):
+        ang = _angles_for(100)
+        ang.theta[[2, 10]] = np.nan  # p = 5 and 31
+        with pytest.raises(IncompleteInputError, match=r"for 2 primes <= 100 \(first: 5\)"):
+            assemble_multiplicative(ang, PrimePowerRule(), 100, ang.primes)
+
+    @pytest.mark.parametrize("order", [[1, 0, 2], [0, 1, 1, 2]])
+    def test_unordered_angle_primes_rejected(self, order):
+        ang = _angles_for(100)
+        keep = order + list(range(3, len(ang.primes)))
+        mixed = AngleSeries(ang.primes[keep], ang.a[keep], ang.theta[keep])
+        with pytest.raises(ValueError, match="angle primes must be strictly ascending"):
+            assemble_multiplicative(mixed, PrimePowerRule(), 100, ang.primes)
+
+    def test_traced_peak_holds_no_theta_table(self, monkeypatch):
+        # beside its output the assembly holds per-prime arrays and one
+        # block's strike temporaries, half a block of float64 at p = 2, so
+        # the blocks are kept well below the bound's 4 MiB
+        import stseq.arith as arith_mod
+
+        monkeypatch.setattr(arith_mod, "_BLOCK", 1 << 16)
+        limit = 1 << 20
+        ang = _angles_for(limit)
+        seq, peak = traced_peak(
+            lambda: assemble_multiplicative(ang, PrimePowerRule(), limit, ang.primes))
+        assert np.isnan(seq.values[0]) and seq.values[1] == 1.0
+        assert peak <= 8 * (limit + 1) + (4 << 20)
 
 
 class TestGrowthViolations:

@@ -8,6 +8,7 @@ import pytest
 
 from stseq.arith import (
     RULE_KINDS,
+    AngleSeries,
     SIEVE_BUDGET_BYTES,
     NormalizedSequence,
     PrimePowerRule,
@@ -16,7 +17,7 @@ from stseq.arith import (
 )
 from stseq.errors import DataCorruptionError
 from stseq.report import VerificationReport, flag
-from stseq.stats import ks_statistic, log2_iter, normal_cdf, prime_log_moments
+from stseq.stats import ks_statistic, log2_iter, normal_cdf, prime_log_moments, st_cdf
 from stseq.synthetic import SyntheticSpec, build_synthetic_sequence
 from stseq.verify import (
     CLT_C,
@@ -193,6 +194,87 @@ def full_range_sums(seq: NormalizedSequence, gammas, x: int) -> list[float]:
     a = np.abs(seq.values[1 : x + 1])
     series = [a / n, a**2, a**2 / n] + [a**g for g in gammas]
     return [float(np.cumsum(t)[-1]) for t in series]
+
+
+def full_array_lemma_sums(seq: NormalizedSequence, gammas, cps: list[int],
+                          ratio_band=None) -> VerificationReport:
+    """Oracle for lemma-sums: every series, each gamma's included, summed by
+    one cumsum over all of 1..x."""
+    top = cps[-1]
+    n = np.arange(1, top + 1, dtype=np.float64)
+    a = np.abs(seq.values[1 : top + 1])
+    cums = [np.cumsum(t) for t in [a / n, a**2, a**2 / n] + [a**g for g in gammas]]
+    labels = [f"sum_gamma_{g:g}" for g in gammas]
+    rows = []
+    for x in cps:
+        s = [float(c[x - 1]) for c in cums]
+        row = {"x": x, "sum_abs_over_n": s[0], "sum_sq": s[1], "sum_sq_over_n": s[2],
+               "sum_sq_over_n_per_logx": s[2] / math.log(x)}
+        row.update(zip(labels, s[3:]))
+        rows.append(row)
+    fits = []
+    for r1, r2 in zip(rows, rows[1:]):
+        x1, x2 = r1["x"], r2["x"]
+        dlog = math.log(math.log(x2) / math.log(x1))
+        fit = {"x_lo": x1, "x_hi": x2,
+               "exp_sum_sq_over_n": math.log(r2["sum_sq_over_n"] / r1["sum_sq_over_n"]) / dlog}
+        for g, label in zip(gammas, labels):
+            fit[f"exp_gamma_{g:g}"] = math.log((r2[label] / x2) / (r1[label] / x1)) / dlog
+        fits.append(fit)
+    flags = []
+    if ratio_band is not None:
+        lo, hi = ratio_band
+        obs = rows[-1]["sum_sq_over_n_per_logx"]
+        flags.append(flag(f"sum_sq_over_n_per_logx_at_{rows[-1]['x']}", lo <= obs <= hi, obs,
+                          f"in [{lo}, {hi}]"))
+    return VerificationReport(
+        name="lemma-moment-sums",
+        parameters={"source": seq.source, "gammas": gammas, "checkpoints": cps, "fits": fits},
+        rows=rows, flags=flags, runtime=0.0,
+    )
+
+
+def full_array_assumptions(seq: NormalizedSequence, angles: AngleSeries, A: float,
+                           grid: int = 512, checkpoints=None) -> VerificationReport:
+    """Oracle for check_assumptions: log_2 p over every prime for Panel 3's
+    tail test, and each panel straight-line."""
+    limit = seq.limit
+    cps = [limit] if checkpoints is None else list(checkpoints)
+    c_emp, zero_pk, examined = 0.0, 0, 0
+    ps_k, k = angles.primes, 1
+    while (ps_k := ps_k[ps_k**k <= limit]).size:
+        cond = seq.values[ps_k] != 0.0
+        vals = np.abs(seq.values[ps_k[cond] ** k])
+        good = vals != 0.0
+        zero_pk += int(np.count_nonzero(~good))
+        if np.any(good):
+            cand = -np.log(vals[good]) / (k * np.log(ps_k[cond][good].astype(np.float64)))
+            c_emp = max(c_emp, float(np.max(cand)))
+        examined += int(np.count_nonzero(cond))
+        k += 1
+    alphas = np.linspace(0.0, math.pi, grid + 1)
+    lg_p = angles.primes.astype(np.float64)
+    for _ in range(2):
+        lg_p = np.maximum(np.fromiter(map(math.log, lg_p.tolist()), np.float64), 1.0)
+    tail_term = np.abs(angles.a) < lg_p ** (-A)
+    rows = []
+    for x in cps:
+        sub = np.sort(angles.theta[angles.primes <= x])
+        ecdf = np.searchsorted(sub, alphas, side="right") / len(sub)
+        supgap = float(np.max(np.abs(ecdf - st_cdf(alphas))))
+        tail_mask = (angles.primes >= x) & tail_term
+        tail_sum = float(np.sum(1.0 / angles.primes[tail_mask].astype(np.float64)))
+        a2_bound, tail_bound = log2_iter(x) ** (-A), log2_iter(x) ** (-(A - 1.0))
+        rows.append({"x": x, "a2_sup_gap": supgap, "a2_bound": a2_bound,
+                     "a2_ratio": supgap / a2_bound, "tail_sum": tail_sum,
+                     "tail_bound": tail_bound, "tail_ratio": tail_sum / tail_bound})
+    return VerificationReport(
+        name="assumption-diagnostics",
+        parameters={"source": seq.source, "A": A, "empirical_C": c_emp,
+                    "zero_prime_power_values": zero_pk, "prime_powers_examined": examined,
+                    "grid_points": int(len(alphas))},
+        rows=rows, flags=[], runtime=0.0,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -558,6 +640,23 @@ class TestAssumptions:
         with pytest.raises(ValueError, match="grid must be >= 1"):
             check_assumptions(synth_seq, ang, A=2.0, grid=grid, checkpoints=[1000])
 
+    def test_equals_full_array_oracle(self):
+        # many |a_p| fall under (log_2 p)^-A below and above each first
+        # checkpoint: at p = 2, below 1000 and at the prime limit itself
+        limit = int(primes_up_to(20_000)[-1])
+        seq = noise_sequence(limit)
+        ps = primes_up_to(limit)
+        seq.values[[2, 3, 997, limit]] = [0.5, 1e-3, -1e-3, 1e-3]
+        angles = prime_values_of(seq, limit)
+        for A in (1.5, 2.0, 4.0):
+            tail_term = np.abs(angles.a) < np.array([log2_iter(int(p)) for p in ps]) ** (-A)
+            assert tail_term[ps < 1000].any() and tail_term[ps == limit].all()
+            for cps in (None, [limit], [3, 1000, limit]):
+                got = check_assumptions(seq, angles, A, grid=128, checkpoints=cps)
+                want = full_array_assumptions(seq, angles, A, grid=128, checkpoints=cps)
+                assert got.canonical_bytes() == want.canonical_bytes()
+                assert all(r["tail_sum"] > 0 for r in got.rows)
+
     def test_a2_tolerance_flag(self, synth_seq):
         ang = prime_values_of(synth_seq, 100_000)
         rep = check_assumptions(
@@ -642,6 +741,27 @@ class TestLemmaSumsBlocks:
         seq = noise_sequence(5000)
         # 128 starts a block at a power of two, 228 one at the entry cap
         self.check(seq, [99, 100, 101, 102, 127, 128, 227, 228, 1001, 4999, 5000])
+
+
+class TestLemmaSumsOracle:
+    """gamma = 2 copies sum_sq's column; every report equals the oracle's,
+    which sums each series, byte for byte."""
+
+    @pytest.mark.parametrize("gammas", [[2.0], [0.5, 1.0, 2.0], [2.0, 0.5], [1.5], [1, 2]])
+    def test_equals_full_array(self, monkeypatch, gammas):
+        import stseq.arith as arith_mod
+
+        monkeypatch.setattr(arith_mod, "_BLOCK", 100)
+        seq = noise_sequence(5000)
+        for cps in ([5000], [3, 99, 128, 1001, 5000]):
+            got = verify_lemma_sums(seq, gammas, cps, ratio_band=(0.1, 10.0))
+            want = full_array_lemma_sums(seq, gammas, cps, ratio_band=(0.1, 10.0))
+            assert got.canonical_bytes() == want.canonical_bytes()
+
+    def test_square_power_is_square(self):
+        # the column copy rests on numpy's a**2.0 being np.square(a) bit for bit
+        a = np.abs(noise_sequence(100_000).values[1:])
+        assert (a**2.0).tobytes() == np.square(a).tobytes()
 
 
 class TestGapQuantiles:
