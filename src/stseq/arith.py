@@ -217,11 +217,14 @@ def fill_multiplicative(limit: int, ps: np.ndarray, prime_power, out: np.ndarray
                    if p**v <= limit], dtype=np.int64).reshape(-1, 2)
     f = prime_power(pv[:, 0], pv[:, 1])
     powers = np.split(f, np.flatnonzero(pv[:, 1] == 1)[1:])  # each p's f(p), f(p^2), ...
+    # f(p^v) at each multiple of p in a block: at most half a block, at p = 2
+    strike = np.empty(min(limit, _BLOCK) // 2 + 1, dtype=f.dtype)
     for lo, hi in blocks(1, limit + 1):
         for p, fp in zip(small_ps[::-1], powers[::-1]):
             m = -(-lo // p)  # m * p is the block's first multiple of p
             seg = out[m * p : hi : p]
-            fv = np.full(len(seg), fp[0], dtype=f.dtype)
+            fv = strike[: len(seg)]
+            fv[:] = fp[0]
             q, v = p, 1  # q = p^v divides m
             while q * p < hi:
                 fv[-m % q :: q] = fp[v]

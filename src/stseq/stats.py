@@ -19,7 +19,9 @@ log_k x = log_1(log_{k-1} x).
 from __future__ import annotations
 
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,6 +165,11 @@ _KS_BLOCK = 1024
 # numpy's pairwise summation adds runs of at most this many entries without
 # splitting them (PW_BLOCKSIZE in its loops_utils.h)
 _NUMPY_PW_BLOCK = 128
+# threads that evaluate pairwise_sums' leaves: the CPUs this process may run
+# on, at most 4.  numpy releases the GIL inside a leaf's ufuncs, and a leaf's
+# sums are the same floats on any thread.
+_WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 
 
 def pairwise_sums(n: int, leaf_sums, leaf: int = 1 << 16) -> list:
@@ -175,20 +182,47 @@ def pairwise_sums(n: int, leaf_sums, leaf: int = 1 << 16) -> list:
     (or numpy's run length, if larger) are leaves: leaf_sums(i, j) returns
     np.add.reduce of each series over [i, j), where numpy walks that node's
     own subtree.  The halves' sums are then added in order, left + right.
+
+    More than one leaf is evaluated on up to _WORKERS threads, so leaf_sums
+    must be safe to call concurrently; the sums are added up the same tree
+    in the same order whatever the thread count.  An exception raised by a
+    leaf propagates once the pool's threads have ended.
     """
-    return _pairwise_node(0, n, leaf_sums, max(leaf, _NUMPY_PW_BLOCK))
+    leaf = max(leaf, _NUMPY_PW_BLOCK)
+    spans = list(_leaf_spans(0, n, leaf))
+    workers = min(_WORKERS, len(spans))
+    if workers == 1:
+        return _pairwise_node(0, n, (list(leaf_sums(i, j)) for i, j in spans), leaf)
+    with ThreadPoolExecutor(workers) as pool:
+        return _pairwise_node(0, n, pool.map(lambda s: list(leaf_sums(*s)), spans), leaf)
 
 
-def _pairwise_node(i: int, j: int, leaf_sums, leaf: int) -> list:
-    """pairwise_sums over the node [i, j).  A module function, not a nested
-    one: a closure that calls itself is a reference cycle, which would keep
-    leaf_sums and the arrays it reads alive until the collector runs."""
+def _left_size(m: int) -> int:
+    """Entries numpy's pairwise sum gives the left half of a node of m."""
+    h = m // 2
+    return h - h % 8
+
+
+def _leaf_spans(i: int, j: int, leaf: int):
+    """The leaves (i', j') of the node [i, j), left to right."""
     if j - i <= leaf:
-        return list(leaf_sums(i, j))
-    h = (j - i) // 2
-    h -= h % 8
-    return [a + b for a, b in zip(_pairwise_node(i, i + h, leaf_sums, leaf),
-                                  _pairwise_node(i + h, j, leaf_sums, leaf))]
+        yield i, j
+        return
+    h = i + _left_size(j - i)
+    yield from _leaf_spans(i, h, leaf)
+    yield from _leaf_spans(h, j, leaf)
+
+
+def _pairwise_node(i: int, j: int, sums, leaf: int) -> list:
+    """pairwise_sums over the node [i, j), taking its leaves' sums in order
+    from the iterator `sums`.  A module function, not a nested one: a
+    closure that calls itself is a reference cycle, which would keep the
+    arrays the leaves read alive until the collector runs."""
+    if j - i <= leaf:
+        return next(sums)
+    h = i + _left_size(j - i)
+    return [a + b for a, b in zip(_pairwise_node(i, h, sums, leaf),
+                                  _pairwise_node(h, j, sums, leaf))]
 
 
 def ks_statistic(sample, cdf) -> float:

@@ -421,7 +421,9 @@ def verify_thm3(
     np.abs(log_abs, out=log_abs)
     np.log(log_abs, out=log_abs)
     # the second to fourth central moments in one pairwise walk; in self
-    # mode m2 is np.var's value: its mean, then the sum of (x - mean)^2
+    # mode m2 is np.var's value: its mean, then the sum of (x - mean)^2.
+    # pairwise_sums runs the leaves on several threads; each reads log_abs
+    # and writes only its own block's temporaries.
     mean = np.mean(log_abs)
 
     def central_sums(i: int, j: int):

@@ -1,3 +1,4 @@
+import ast
 import sys
 import tracemalloc
 
@@ -35,6 +36,22 @@ def refuse_sieves(monkeypatch, caller: str) -> None:
             for name in SIEVE_NAMES:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
+
+
+def source_identifiers(tree: ast.AST):
+    """(line, name) for every name, attribute, imported name or module and
+    string constant in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.alias):
+            yield node.lineno, node.name
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.lineno, node.module
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.lineno, node.value
 
 
 def traced_peak(fn):

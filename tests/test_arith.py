@@ -179,6 +179,16 @@ class TestFillMultiplicative:
                  for v in range(1, limit.bit_length()) if p**v <= limit]
         assert calls == [big, small]
 
+    def test_traced_peak_one_strike_buffer(self):
+        # beside its output a fill holds the largest strike's values, half a
+        # block of float64 at p = 2, and the per-prime arrays
+        limit = 1 << 20
+        ps = primes_up_to(limit)
+        out, peak = traced_peak(lambda: fill_multiplicative(
+            limit, ps, lambda p, v: np.full(p.shape, 3.0), np.empty(limit + 1)))
+        assert out[1] == 1.0 and out[12] == 9.0 and out[limit] == 3.0
+        assert peak <= out.nbytes + (4 << 20) + (256 << 10)
+
     def test_multiplicative_tables_build_no_sieve(self, monkeypatch):
         from stseq.elliptic import CurveSpec, ec_normalized_sequence, trace_series
         from stseq.synthetic import SyntheticSpec, build_synthetic_sequence

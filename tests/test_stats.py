@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -204,6 +205,54 @@ class TestPairwiseSums:
         a = np.full(1000, -0.0)
         total, = pairwise_sums(a.size, lambda i, j: [np.add.reduce(a[i:j])], 8)
         assert total == 0.0 and not np.signbit(total) and not np.signbit(np.add.reduce(a))
+
+    # sizes whose splits at a leaf of 128 have 1, 2, 3 and 2^4 + 1 leaves
+    LEAF_COUNTS = {128: 1, 256: 2, 264: 3, 2056: 17}
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", sorted(LEAF_COUNTS))
+    def test_independent_of_workers(self, monkeypatch, workers, n):
+        """Powers 1, 3 and 4 of a series about half of whose entries are
+        negative (numpy's scalar pow path) are numpy's floats on any worker
+        count; with one worker or one leaf every leaf runs on the calling
+        thread."""
+        import stseq.stats as stats_mod
+
+        monkeypatch.setattr(stats_mod, "_WORKERS", workers)
+        c = np.random.default_rng(n).standard_normal(n) * 10.0
+        assert np.count_nonzero(c < 0) > n // 3
+        threads = []
+
+        def powers(i, j):
+            threads.append(threading.get_ident())
+            return [np.add.reduce(c[i:j]), np.add.reduce(np.power(c[i:j], 3)),
+                    np.add.reduce(np.power(c[i:j], 4))]
+
+        got = pairwise_sums(n, powers, 128)
+        want = [np.add.reduce(c), np.add.reduce(np.power(c, 3)), np.add.reduce(np.power(c, 4))]
+        assert [float(s).hex() for s in got] == [float(s).hex() for s in want]
+        assert len(threads) == self.LEAF_COUNTS[n]
+        serial = workers == 1 or len(threads) == 1
+        on_caller = [t == threading.get_ident() for t in threads]
+        assert all(on_caller) == serial and any(on_caller) == serial
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_leaf_error_propagates(self, monkeypatch, workers):
+        import stseq.stats as stats_mod
+
+        monkeypatch.setattr(stats_mod, "_WORKERS", workers)
+        before = threading.active_count()
+        err = ValueError("leaf 5 failed")
+
+        def leaf_sums(i, j):
+            if i == 5 * 128:
+                raise err
+            return [float(j - i)]
+
+        with pytest.raises(ValueError) as caught:
+            pairwise_sums(2056, leaf_sums, 128)
+        assert caught.value is err
+        assert threading.active_count() == before
 
 
 class TestNormalCdf:

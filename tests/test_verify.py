@@ -865,18 +865,40 @@ class TestThm3Oracle:
         assert self.outcome(verify_thm3, *args) == self.outcome(full_array_thm3, *args) == err
 
 
+THM3_X = (1 << 21) - 1
+
+
+@pytest.fixture(scope="module")
+def synth_thm3():
+    return build_synthetic_sequence(SyntheticSpec(limit=THM3_X, seed=7))[1]
+
+
+@pytest.mark.parametrize("mode, standardization",
+                         [("nonzero", "self"), ("floor-A", "finite-size")])
+def test_thm3_bytes_independent_of_workers(monkeypatch, synth_thm3, mode, standardization):
+    """The moment leaves' thread count leaves every report byte as it is."""
+    import stseq.stats as stats_mod
+
+    reports = []
+    for workers in (1, 4):
+        monkeypatch.setattr(stats_mod, "_WORKERS", workers)
+        rep = verify_thm3(synth_thm3, THM3_X, SupportFilter(mode), standardization)
+        reports.append(rep.canonical_bytes())
+    assert reports[0] == reports[1]
+
+
 class TestThm3Memory:
     """Beside the sequence, thm3 holds one full-length float64 array and a
     few bytes per entry of masks."""
 
-    X = (1 << 21) - 1
+    X = THM3_X
     # the primes listed to x, their values and logs (155,611 each at 2^21),
     # one block's temporaries and the KS scan's hit blocks
     SLACK = 8 << 20
 
-    @pytest.fixture(scope="class")
-    def seq(self):
-        return build_synthetic_sequence(SyntheticSpec(limit=self.X, seed=7))[1]
+    @pytest.fixture
+    def seq(self, synth_thm3):
+        return synth_thm3
 
     @pytest.mark.parametrize("mode, standardization",
                              [("nonzero", "self"), ("floor-A", "finite-size")])
@@ -905,6 +927,16 @@ class TestThm3Memory:
             gc.enable()
         assert rep.flags[0]["passed"]
         assert left < 1 << 20
+
+
+class TestThm3MemoryFourWorkers(TestThm3Memory):
+    """The same bounds with the moment leaves on four threads."""
+
+    @pytest.fixture(autouse=True)
+    def four_workers(self, monkeypatch):
+        import stseq.stats as stats_mod
+
+        monkeypatch.setattr(stats_mod, "_WORKERS", 4)
 
 
 class TestPrimeFreeMask:
