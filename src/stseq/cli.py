@@ -125,35 +125,25 @@ def cache_dir_of(args) -> Path:
     return p
 
 
-def _cached(paths: list[Path], builder, fits, read=None) -> tuple:
-    """Objects at `paths` if all load and `fits` them, else builder()'s, saved one per path.
+def _cached(path: Path, builder, fits):
+    """The object at `path` if it loads and `fits`, else the build's.
 
-    `read` lists the positions of the paths to load and return, all by
-    default; a rebuild still saves every path.  A file that fails to load
-    is named on stderr before the rebuild overwrites it."""
-    read = range(len(paths)) if read is None else read
-    wanted = [paths[i] for i in read]
+    builder() returns {path: object} for every file its build makes, and a
+    rebuild saves all of them.  A file that fails to load is named on
+    stderr before the rebuild overwrites it."""
     with _path_flag("--cache-dir"):
-        if all(p.exists() for p in wanted):
+        if path.exists():
             try:
-                objs = tuple(_load(p) for p in wanted)
-                if fits(*objs):
-                    return objs
-            except CacheFormatError:
-                pass  # named by _load; rebuilt and overwritten below
-    objs = builder()
+                obj = load_cache(path)
+                if fits(obj):
+                    return obj
+            except CacheFormatError as exc:
+                print(f"cache file {path} is unreadable ({exc}); rebuilding it", file=sys.stderr)
+    built = builder()
     with _path_flag("--cache-dir"):
-        for path, obj in zip(paths, objs):
-            save_cache(path, obj)
-    return tuple(objs[i] for i in read)
-
-
-def _load(path: Path):
-    try:
-        return load_cache(path)
-    except CacheFormatError as exc:
-        print(f"cache file {path} is unreadable ({exc}); rebuilding it", file=sys.stderr)
-        raise
+        for p, obj in built.items():
+            save_cache(p, obj)
+    return built[path]
 
 
 def _limit(args) -> int:
@@ -163,61 +153,55 @@ def _limit(args) -> int:
     return limit
 
 
+def _curve(args) -> CurveSpec:
+    """--curve; a singular curve raises ValueError."""
+    return CurveSpec(*_parse_pair(_require(args, "curve"), "--curve", "A,B", _parse_int_list))
+
+
 def get_tau_table(args) -> ExactTauTable:
     """Exact tau table for --limit; a cached table is used only if it fits the request."""
     cache, limit = cache_dir_of(args), _limit(args)
     path = cache / f"tau_{limit}.astc"
-    return _cached(
-        [path],
-        lambda: (expand_delta(limit),),
-        lambda table: isinstance(table, ExactTauTable) and table.limit == limit,
-    )[0]
+    return _cached(path, lambda: {path: expand_delta(limit)},
+                   lambda table: isinstance(table, ExactTauTable) and table.limit == limit)
 
 
 def get_trace_series(args) -> TraceSeries:
     """Traces for --curve and --limit; a cached series is used only if it fits the request."""
-    cache, limit = cache_dir_of(args), _limit(args)
-    a4, b6 = _parse_pair(_require(args, "curve"), "--curve", "A,B", _parse_int_list)
-    path = cache / f"traces_{a4}_{b6}_{limit}.astc"
-    return _cached(
-        [path],
-        lambda: (trace_series(CurveSpec(a4, b6), limit),),
-        lambda series: isinstance(series, TraceSeries) and series.limit == limit
-        and (series.curve.a4, series.curve.a6) == (a4, b6),
-    )[0]
+    cache, limit, curve = cache_dir_of(args), _limit(args), _curve(args)
+    path = cache / f"traces_{curve.a4}_{curve.a6}_{limit}.astc"
+    return _cached(path, lambda: {path: trace_series(curve, limit)},
+                   lambda series: isinstance(series, TraceSeries) and series.limit == limit
+                   and series.curve == curve)
 
 
-def _synthetic_cache(args):
-    """(paths, builder, seq_fits) of the synth files for the request: the
-    angles file, then the sequence file, whose contents `seq_fits` checks."""
+def _synthetic_files(args):
+    """(angles path, sequence path, build) of the synth files for the request;
+    the build samples the (angles, sequence) pair once and returns both, keyed by path."""
     cache, limit, seed = cache_dir_of(args), _limit(args), _require(args, "seed")
     # repr keeps every digit of rho (":g" would give 0.25 and 0.2500001 one file)
-    paths = [cache / f"synth_angles_{limit}_{seed}.astc",
-             cache / f"synth_{limit}_{seed}_{args.rule}_{args.rho!r}.astc"]
+    paths = (cache / f"synth_angles_{limit}_{seed}.astc",
+             cache / f"synth_{limit}_{seed}_{args.rule}_{args.rho!r}.astc")
     spec = SyntheticSpec(limit=limit, seed=seed, rule=PrimePowerRule(args.rule, args.rho))
-
-    def seq_fits(seq) -> bool:
-        return isinstance(seq, NormalizedSequence) and seq.limit == limit \
-            and [seq.meta.get(k) for k in ("seed", "rule", "rho")] == [seed, args.rule, args.rho]
-
-    return paths, lambda: build_synthetic_sequence(spec), seq_fits
+    return (*paths, lambda: dict(zip(paths, build_synthetic_sequence(spec))))
 
 
 def get_synthetic_sequence(args) -> NormalizedSequence:
-    """The --source synth sequence; its file alone is read, never the angles file."""
-    paths, builder, seq_fits = _synthetic_cache(args)
-    return _cached(paths, builder, seq_fits, read=[1])[0]
+    """The --source synth sequence; a cached one is used only if its type,
+    limit, seed, rule and rho fit the request."""
+    _, path, build = _synthetic_files(args)
+    want = {"seed": args.seed, "rule": args.rule, "rho": args.rho}
+    return _cached(path, build,
+                   lambda seq: isinstance(seq, NormalizedSequence) and seq.limit == args.limit
+                   and all(seq.meta.get(k) == v for k, v in want.items()))
 
 
-def get_synthetic(args) -> tuple[AngleSeries, NormalizedSequence]:
-    """(angles, seq) for --source synth; a cached pair is used only if it fits the request."""
-    paths, builder, seq_fits = _synthetic_cache(args)
-    return _cached(
-        paths,
-        builder,
-        lambda angles, seq: isinstance(angles, AngleSeries) and seq_fits(seq)
-        and angles.limit == seq.limit,
-    )
+def get_synthetic_angles(args) -> AngleSeries:
+    """The --source synth prime angles; a cached series is used only if its
+    type and limit fit (they depend on the seed and limit alone, both in its name)."""
+    path, _, build = _synthetic_files(args)
+    return _cached(path, build,
+                   lambda angles: isinstance(angles, AngleSeries) and angles.limit == args.limit)
 
 
 def _require(args, name):
@@ -247,23 +231,18 @@ def resolve_with_angles(args) -> tuple[NormalizedSequence, AngleSeries]:
     if source == "ec":
         series = get_trace_series(args)
         return ec_normalized_sequence(series, series.limit), angles_from_traces(series)
-    angles, seq = get_synthetic(args)
-    return seq, angles
+    angles = get_synthetic_angles(args)
+    return get_synthetic_sequence(args), angles
 
 
 def resolve_angles(args) -> AngleSeries:
-    """The prime angles for --source tau|ec|synth, without the sequence: for
-    synth the angles file alone is read, fit by type and limit (the angles
-    depend on the seed and limit alone, both in its name)."""
+    """The prime angles for --source tau|ec|synth, without the sequence."""
     source = _require(args, "source")
     if source == "tau":
         return tau_angles(get_tau_table(args))
     if source == "ec":
         return angles_from_traces(get_trace_series(args))
-    paths, builder, _ = _synthetic_cache(args)
-    return _cached(paths, builder,
-                   lambda angles: isinstance(angles, AngleSeries) and angles.limit == args.limit,
-                   read=[0])[0]
+    return get_synthetic_angles(args)
 
 
 def write_report(report: VerificationReport, out_dir: Path, stem: str) -> None:
@@ -387,6 +366,12 @@ def cmd_verify(args) -> int:
     eps = _require(args, "epsilon") if kind == "thm1" else None
     if kind in ("thm1", "thm2", "lemma-sums"):
         cps = _parse_int_list(_require(args, "checkpoints"))
+    # Sato-Tate, which the asymptotic mean and variance assume, is proven
+    # only for curves without complex multiplication
+    if kind == "thm3" and args.standardization == "asymptotic" and args.source == "ec" \
+            and (curve := _curve(args)).has_cm:
+        raise ValueError(f"--standardization asymptotic assumes the Sato-Tate law, which the "
+                         f"CM curve {curve.a4},{curve.a6} does not follow; use self or finite-size")
     if kind == "assumptions":  # the one verifier that reads the prime angles
         seq, angles = resolve_with_angles(args)
     else:
@@ -458,29 +443,32 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value defaults file")
     common.add_argument("--cache-dir", help="cache directory (env STSEQ_CACHE_DIR)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted and ignored: traces run on the calling thread "
-                             "in one batched numpy kernel")
     common.add_argument("--out-dir", default=".", help="where reports are written")
-    common.add_argument("--format", default="text", choices=["text", "json", "csv"],
-                        help="stdout rendering for reports (files are always written)")
+    reports = argparse.ArgumentParser(add_help=False, parents=[common])
+    reports.add_argument("--format", default="text", choices=["text", "json", "csv"],
+                         help="stdout rendering for reports (files are always written)")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_parser(subs, name, func, sources=(), **kw):
-        """Subcommand `name` with the common flags, the source flags `sources` and `func`."""
-        p = subs.add_parser(name, parents=[common], **kw)
+    def add_parser(subs, name, func, sources=(), parent=reports, **kw):
+        """Subcommand `name` with the flags of `parent`, the source flags `sources` and `func`."""
+        p = subs.add_parser(name, parents=[parent], **kw)
         _add_source_args(p, sources)
         p.set_defaults(func=func)
         return p
 
     p = add_parser(sub, "tau", cmd_tau, ["limit"], help="build (and cache) an exact tau table")
     p.add_argument("--check", action="store_true", help="run the integrity detectors")
-    add_parser(sub, "ec", cmd_ec, ["curve", "limit"], help="build (and cache) a trace series")
-    add_parser(sub, "synth", cmd_synth, ["limit", "seed", "rule", "rho"],
+    p = add_parser(sub, "ec", cmd_ec, ["curve", "limit"], help="build (and cache) a trace series")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and ignored: traces run on the calling thread "
+                        "in one batched numpy kernel")
+    add_parser(sub, "synth", cmd_synth, ["limit", "seed", "rule", "rho"], common,
                help="sample a synthetic sequence")
-    add_parser(sub, "angles", cmd_angles, _SOURCE_FLAGS, help="count the prime angles of a source")
-    p = add_parser(sub, "constants", cmd_constants, help="print the distribution constants")
+    add_parser(sub, "angles", cmd_angles, _SOURCE_FLAGS, common,
+               help="count the prime angles of a source")
+    p = sub.add_parser("constants", help="print the distribution constants")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_constants)
     p = add_parser(sub, "stats", cmd_stats, _SOURCE_FLAGS, help="per-gamma prime angle summary")
     p.add_argument("--gammas", default="0.5,1,2")
 
@@ -544,7 +532,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.config:
+        if getattr(args, "config", None):  # constants takes no --config
             # config text becomes the command's defaults, which argparse converts
             # by each flag's own type on the second parse; explicit flags win
             leaf, config = _leaf_parser(parser, args), load_config(args.config)

@@ -60,6 +60,18 @@ class CurveSpec:
     def discriminant(self) -> int:
         return -16 * (4 * self.a4**3 + 27 * self.a6**2)
 
+    @property
+    def has_cm(self) -> bool:
+        """Complex multiplication: j = 1728 * 4A^3 / (4A^3 + 27B^2) is one of
+        the 13 j-invariants of the CM curves over Q, all integers, for which
+        the Sato-Tate law does not hold.  Exact integer division: j must
+        divide out with no remainder."""
+        four_a3 = 4 * self.a4**3
+        j, rest = divmod(1728 * four_a3, four_a3 + 27 * self.a6**2)
+        return rest == 0 and j in {
+            0, 1728, -3375, 8000, -32768, 54000, 287496, -884736, -12288000, 16581375,
+            -884736000, -147197952000, -262537412640768000}
+
     def __post_init__(self):
         if self.discriminant == 0:
             raise ValueError(f"singular curve: A={self.a4}, B={self.a6}")

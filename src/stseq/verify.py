@@ -107,8 +107,15 @@ def prime_values_of(seq: NormalizedSequence, x: int) -> AngleSeries:
 
 
 def _prime_angles(seq: NormalizedSequence, ps: np.ndarray, x: int) -> AngleSeries:
-    """prime_values_of for the primes ps <= x already listed by the caller."""
-    a = np.clip(seq.values[ps], -2.0, 2.0)
+    """prime_values_of for the primes ps <= x already listed by the caller.
+
+    a_p is clipped to [-2, 2] only within AngleSeries' rounding band; a value
+    past it, or a NaN, raises DataCorruptionError."""
+    a = seq.values[ps]
+    if a.size and not max(a.max(), -a.min()) <= 2.0 + 1e-12:
+        p = int(ps[np.argmax(np.abs(a))])
+        raise DataCorruptionError(f"|a_p| <= 2 violated at p = {p}: a_p = {float(seq.values[p])}")
+    np.clip(a, -2.0, 2.0, out=a)
     return AngleSeries.from_a(ps, a, source=seq.source, limit=x)
 
 

@@ -1,9 +1,11 @@
 import argparse
 import json
 
+import numpy as np
 import pytest
 
 import stseq.cli
+from stseq.arith import NormalizedSequence
 from stseq.cache import load_cache, save_cache
 from stseq.cli import main
 from stseq.elliptic import CurveSpec, trace_series
@@ -94,6 +96,85 @@ def test_removed_option_values_exit_two(tmp_path, capsys, argv, value):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("usage error: ") and f"invalid choice: '{value}'" in err[0]
+
+
+VERIFIERS = ["thm1", "thm2", "thm3", "lemma-sums", "hall-tenenbaum", "assumptions"]
+REMOVED_SLOTS = [
+    *[([cmd], "--threads", "2") for cmd in ("tau", "synth", "angles", "stats")],
+    *[(["verify", v], "--threads", "2") for v in VERIFIERS],
+    (["constants"], "--config", "conf.txt"),
+    (["constants"], "--cache-dir", "cache"),
+    (["constants"], "--out-dir", "out"),
+    (["constants"], "--format", "json"),
+    (["constants"], "--threads", "2"),
+    (["synth"], "--format", "json"),
+    (["angles"], "--format", "json"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, value", REMOVED_SLOTS,
+                         ids=[" ".join([*argv, flag]) for argv, flag, _ in REMOVED_SLOTS])
+def test_removed_option_slots_exit_two(capsys, argv, flag, value):
+    # flags no code path of the command read are refused, not accepted and ignored
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"usage error: unrecognized arguments: {flag} {value}"]
+
+
+def test_ec_takes_threads_and_format(tmp_path, capsys):
+    assert run(tmp_path, "ec", "--curve=-1,1", "--limit", "500", "--threads", "2",
+               "--format", "json") == 0
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["name"] == "supersingular-census"
+
+
+THM3_ASYMPTOTIC_EC = ["verify", "thm3", "--standardization", "asymptotic", "--source", "ec",
+                      "--limit", "2000"]
+
+
+@pytest.mark.parametrize("curve", ["-1,0", "0,1", "-35,-98"])  # j = 1728, 0, -3375
+def test_thm3_asymptotic_refuses_cm_curves(tmp_path, capsys, monkeypatch, curve):
+    message = (f"error: --standardization asymptotic assumes the Sato-Tate law, which the CM "
+               f"curve {curve} does not follow; use self or finite-size")
+    cache = tmp_path / "cache"
+    assert run(tmp_path, *THM3_ASYMPTOTIC_EC, f"--curve={curve}") == 2
+    assert capsys.readouterr() == ("", message + "\n")
+    assert not cache.exists() or not any(cache.iterdir())
+    # a cached trace series is not loaded either
+    assert run(tmp_path, "ec", f"--curve={curve}", "--limit", "2000") == 0
+    capsys.readouterr()
+
+    def touched(*_args, **_kw):
+        raise AssertionError("a trace series was built or loaded")
+    for name in ("trace_series", "load_cache"):
+        monkeypatch.setattr(stseq.cli, name, touched)
+    assert run(tmp_path, *THM3_ASYMPTOTIC_EC, f"--curve={curve}") == 2
+    assert capsys.readouterr() == ("", message + "\n")
+    assert not (tmp_path / "thm3-clt.json").exists()
+
+
+@pytest.mark.parametrize("curve", ["-1,1", "1,1", "-2,1", "2,3", "-3,5"])
+def test_thm3_asymptotic_runs_curves_without_cm(tmp_path, curve):
+    assert run(tmp_path, *THM3_ASYMPTOTIC_EC, f"--curve={curve}") == 0
+    assert VerificationReport.from_json((tmp_path / "thm3-clt.json").read_text()).passed
+
+
+@pytest.mark.parametrize("standardization", ["self", "finite-size"])
+def test_thm3_self_standardizations_run_cm_curves(tmp_path, standardization):
+    assert run(tmp_path, "verify", "thm3", "--standardization", standardization,
+               "--source", "ec", "--curve=-1,0", "--limit", "2000") == 0
+
+
+def test_prime_value_past_two_exits_one(tmp_path, capsys, monkeypatch):
+    values = np.full(151, 0.5)
+    values[:3] = np.nan, 1.0, 2.5
+    seq = NormalizedSequence(limit=150, values=values, source="synthetic")
+    monkeypatch.setattr(stseq.cli, "resolve_sequence", lambda args: seq)
+    assert run(tmp_path, "verify", "thm3", "--standardization", "finite-size", *SYNTH150) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "data corruption: |a_p| <= 2 violated at p = 2: a_p = 2.5"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -327,8 +408,9 @@ def test_unusable_path_exits_two(tmp_path, capsys, flag, name, reason):
 
 @pytest.mark.parametrize("argv, name", [
     (["tau", "--limit", "50"], "tau_50.astc"),  # fails to load
-    # the angles file is missing, so the pair is rebuilt and fails to save
     (["synth", "--limit", "300", "--seed", "7"], "synth_300_7_hecke-chebyshev_0.25.astc"),
+    # the sequence file is missing, so the pair is rebuilt and the angles file fails to save
+    (["synth", "--limit", "300", "--seed", "7"], "synth_angles_300_7.astc"),
 ])
 def test_unusable_cache_file_exits_two(tmp_path, capsys, argv, name):
     cache = tmp_path / "cache"
@@ -591,6 +673,30 @@ def test_missing_synth_angles_rebuilt_only_by_assumptions(tmp_path, monkeypatch)
         assert _canonical(tmp_path, stem) == expected[stem]
     assert builds == [1]
     assert angles.read_bytes() == angles_bytes
+
+
+def test_missing_synth_sequence_rebuilt_once(tmp_path, monkeypatch):
+    # the mirror case: the first call that reads the sequence rebuilds the
+    # pair, rewriting the angles file with the same bytes
+    expected = _fresh_build_bytes(tmp_path)
+    assert run(tmp_path, "synth", "--limit", "3000", "--seed", "7") == 0
+    cache = tmp_path / "cache"
+    angles = cache / "synth_angles_3000_7.astc"
+    angles_bytes = angles.read_bytes()
+    (cache / "synth_3000_7_hecke-chebyshev_0.25.astc").unlink()
+    builds = []
+    real = stseq.cli.build_synthetic_sequence
+    monkeypatch.setattr(stseq.cli, "build_synthetic_sequence",
+                        lambda *a, **kw: builds.append(1) or real(*a, **kw))
+    assert run(tmp_path, *SYNTH_CALLS["thm1-typical-size"]) == 0
+    assert builds == [1]
+    assert sorted(p.name for p in cache.iterdir()) == [
+        "synth_3000_7_hecke-chebyshev_0.25.astc", "synth_angles_3000_7.astc"]
+    assert angles.read_bytes() == angles_bytes
+    for stem, argv in SYNTH_CALLS.items():
+        assert run(tmp_path, *argv) == 0
+        assert _canonical(tmp_path, stem) == expected[stem]
+    assert builds == [1]
 
 
 ANGLE_CALLS = {"stats": ["stats", "--gammas", "1,2"], "angles": ["angles"]}

@@ -35,6 +35,29 @@ class TestCurveSpec:
         with pytest.raises(ValueError):
             CurveSpec(-3, 2)  # 4*(-27) + 27*4 = 0
 
+    CM_J = [0, 1728, -3375, 8000, -32768, 54000, 287496, -884736, -12288000, 16581375,
+            -884736000, -147197952000, -262537412640768000]
+
+    @staticmethod
+    def with_j(j: int, u: int = 1) -> CurveSpec:
+        """A curve of j-invariant j (j != 0, 1728), twisted by u: A = 3j(1728 - j) u^4,
+        B = 2j(1728 - j)^2 u^6 gives j = 1728 * 4A^3 / (4A^3 + 27B^2) = j."""
+        return CurveSpec(3 * j * (1728 - j) * u**4, 2 * j * (1728 - j) ** 2 * u**6)
+
+    @pytest.mark.parametrize("j", CM_J[2:])
+    def test_every_rational_cm_j_invariant(self, j):
+        assert self.with_j(j).has_cm and self.with_j(j, u=5).has_cm
+        assert not self.with_j(j + 1).has_cm and not self.with_j(j - 1).has_cm
+
+    @pytest.mark.parametrize("a4, a6", [(0, 1), (0, -7), (-1, 0), (4, 0), (-35, -98),
+                                        (-35 * 16, -98 * 64), (-11, 14)])
+    def test_cm_curves(self, a4, a6):
+        assert CurveSpec(a4, a6).has_cm
+
+    @pytest.mark.parametrize("a4, a6", [(-1, 1), (1, 1), (-2, 1), (2, 3), (-3, 5), (-35, -97)])
+    def test_curves_without_cm(self, a4, a6):
+        assert not CurveSpec(a4, a6).has_cm
+
 
 class TestTraceAtPrime:
     def test_classic_example(self):

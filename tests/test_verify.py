@@ -510,6 +510,23 @@ class TestThm3:
         with pytest.raises(ValueError):
             verify_thm3(synth_seq, 1000, SupportFilter("nonzero"), "bogus")
 
+    @pytest.mark.parametrize("value", [2.5, -2.0 - 1e-11, math.nan])
+    def test_prime_value_past_two_raises(self, value):
+        # finite-size reads the prime values, which are not clipped past rounding
+        seq = const_sequence(1000, 0.5)
+        seq.values[2] = value
+        with pytest.raises(DataCorruptionError, match=f"p = 2: a_p = {value}"):
+            verify_thm3(seq, 1000, SupportFilter("nonzero"), "finite-size")
+        with pytest.raises(DataCorruptionError):
+            prime_values_of(seq, 1000)
+
+    def test_prime_value_within_rounding_is_clipped(self):
+        seq = const_sequence(1000, 0.5)
+        seq.values[[2, 3]] = 2.0 + 1e-13, -2.0 - 1e-13
+        angles = prime_values_of(seq, 1000)
+        assert (angles.a[0], angles.a[1]) == (2.0, -2.0)
+        assert (angles.theta[0], angles.theta[1]) == (0.0, math.pi)
+
     @pytest.mark.parametrize("x", [0, -1, -5])
     def test_cutoff_below_one_rejected(self, synth_seq, x):
         with pytest.raises(ValueError, match="x >= 1"):
