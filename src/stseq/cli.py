@@ -6,11 +6,11 @@ verifiers; every verify subcommand writes the report as JSON plus a CSV of
 its rows and exits 0 only if all declared flags pass (1 on failed
 verification or data corruption, 2 on usage errors and invalid values).
 
-A flat key=value config file supplies flag defaults, values a command
-requires included; explicit flags win.  The
-cache directory comes from --cache-dir, the STSEQ_CACHE_DIR environment
-variable, or ./stseq-cache, in that order.  Every source is built once per
-cache and read back after, so `verify --source synth` loads what `synth` wrote.
+A flat key=value config file supplies any value flag of the chosen command,
+values it requires included; explicit flags win.  The cache directory comes
+from --cache-dir, the STSEQ_CACHE_DIR environment variable, or ./stseq-cache,
+in that order.  Every source is built once per cache and read back after, so
+`verify --source synth` loads what `synth` wrote.
 """
 
 from __future__ import annotations
@@ -56,13 +56,6 @@ from .verify import (
 USAGE_EXIT = 2
 FAIL_EXIT = 1
 
-# every key mirrors a flag's dest; flags given on the command line win
-_CONFIG_KEYS = frozenset({
-    "limit", "seed", "curve", "epsilon", "gammas", "checkpoints", "A", "threads",
-    "cache_dir", "format", "rule", "rho",
-})
-
-
 class UsageError(Exception):
     pass
 
@@ -100,7 +93,7 @@ def _path_flag(flag: str):
 
 
 def load_config(path: str) -> dict[str, str]:
-    """Allowed key -> value text; the flag of the same dest converts it."""
+    """Key -> value text, the last line winning; _config_tokens checks the keys."""
     with _path_flag("--config"):
         text = Path(path).read_text()
     out = {}
@@ -111,8 +104,6 @@ def load_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise UsageError(f"config line without '=': {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise UsageError(f"unknown config key {key!r}")
         out[key] = val
     return out
 
@@ -156,6 +147,15 @@ def _limit(args) -> int:
 def _curve(args) -> CurveSpec:
     """--curve; a singular curve raises ValueError."""
     return CurveSpec(*_parse_pair(_require(args, "curve"), "--curve", "A,B", _parse_int_list))
+
+
+def _refuse_cm(args, user: str, advice: str = "") -> None:
+    """Refuse a --source ec curve with complex multiplication before any trace
+    is built or loaded: Sato-Tate, which `user` assumes, is proven only for
+    curves without CM."""
+    if args.source == "ec" and (curve := _curve(args)).has_cm:
+        raise ValueError(f"{user} assumes the Sato-Tate law, which the CM curve "
+                         f"{curve.a4},{curve.a6} does not follow{advice}")
 
 
 def get_tau_table(args) -> ExactTauTable:
@@ -354,6 +354,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    _refuse_cm(args, "stats")  # its KS distance is to st_cdf
     angles = resolve_angles(args)
     gammas = _parse_float_list(args.gammas)
     report = prime_angle_summary(angles, gammas)
@@ -366,12 +367,11 @@ def cmd_verify(args) -> int:
     eps = _require(args, "epsilon") if kind == "thm1" else None
     if kind in ("thm1", "thm2", "lemma-sums"):
         cps = _parse_int_list(_require(args, "checkpoints"))
-    # Sato-Tate, which the asymptotic mean and variance assume, is proven
-    # only for curves without complex multiplication
-    if kind == "thm3" and args.standardization == "asymptotic" and args.source == "ec" \
-            and (curve := _curve(args)).has_cm:
-        raise ValueError(f"--standardization asymptotic assumes the Sato-Tate law, which the "
-                         f"CM curve {curve.a4},{curve.a6} does not follow; use self or finite-size")
+    # thm1's thresholds, the assumptions' st_cdf and thm3's asymptotic scale assume Sato-Tate
+    if kind in ("thm1", "assumptions"):
+        _refuse_cm(args, f"verify {kind}")
+    elif kind == "thm3" and args.standardization == "asymptotic":
+        _refuse_cm(args, "--standardization asymptotic", "; use self or finite-size")
     if kind == "assumptions":  # the one verifier that reads the prime angles
         seq, angles = resolve_with_angles(args)
     else:
@@ -510,35 +510,36 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _leaf_parser(parser: argparse.ArgumentParser, args) -> argparse.ArgumentParser:
-    """The (sub)parser that parsed the chosen command's own flags."""
+def _leaf_parser(parser: argparse.ArgumentParser, args) -> tuple[argparse.ArgumentParser, int]:
+    """The chosen command's own (sub)parser, and its depth: one subcommand token per level."""
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
-            return _leaf_parser(action.choices[getattr(args, action.dest)], args)
-    return parser
+            leaf, depth = _leaf_parser(action.choices[getattr(args, action.dest)], args)
+            return leaf, depth + 1
+    return parser, 0
 
 
-def _check_choices(parser: argparse.ArgumentParser, config: dict[str, str]) -> None:
-    """Refuse a config value outside its flag's choices: argparse checks
-    choices on command-line values only, never on defaults."""
-    for action in parser._actions:
-        val = config.get(action.dest)
-        if action.choices is not None and val is not None and val not in action.choices:
-            allowed = ", ".join(map(str, action.choices))
-            raise UsageError(f"config {action.dest}={val!r}: invalid choice (choose from {allowed})")
+def _config_tokens(leaf: argparse.ArgumentParser, config: dict[str, str]) -> list[str]:
+    """Each config line as `--flag=value` of the leaf's value flag with that dest
+    (the `=` keeps a value such as -1,1 from reading as a flag)."""
+    flags = {a.dest: a.option_strings[0] for a in leaf._actions if a.nargs != 0}
+    del flags["config"]  # the typed --config names the file, so a line could only be ignored
+    for key in config:
+        if key not in flags:
+            raise UsageError(f"unknown config key {key!r}")
+    return [f"{flags[key]}={val}" for key, val in config.items()]
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):  # constants takes no --config
-            # config text becomes the command's defaults, which argparse converts
-            # by each flag's own type on the second parse; explicit flags win
-            leaf, config = _leaf_parser(parser, args), load_config(args.config)
-            _check_choices(leaf, config)
-            leaf.set_defaults(**config)
-            args = parser.parse_args(argv)
+            # before the typed flags: argparse checks each line, and typed flags win
+            leaf, depth = _leaf_parser(parser, args)
+            tokens = _config_tokens(leaf, load_config(args.config))
+            args = parser.parse_args([*argv[:depth], *tokens, *argv[depth:]])
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

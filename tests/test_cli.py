@@ -134,12 +134,15 @@ THM3_ASYMPTOTIC_EC = ["verify", "thm3", "--standardization", "asymptotic", "--so
                       "--limit", "2000"]
 
 
-@pytest.mark.parametrize("curve", ["-1,0", "0,1", "-35,-98"])  # j = 1728, 0, -3375
-def test_thm3_asymptotic_refuses_cm_curves(tmp_path, capsys, monkeypatch, curve):
-    message = (f"error: --standardization asymptotic assumes the Sato-Tate law, which the CM "
-               f"curve {curve} does not follow; use self or finite-size")
+CM_CURVES = ["-1,0", "0,1", "-35,-98"]  # j = 1728, 0, -3375
+BENCH_CURVES = ["-1,1", "1,1", "-2,1", "2,3", "-3,5"]  # bench/session.py's CURVES, no CM
+
+
+def _refuses_cm(tmp_path, capsys, monkeypatch, argv, curve, message):
+    """argv, which runs at limit 2000 on the CM `curve`, exits 2 with `message`
+    alone, before any trace is built or loaded, and writes no report."""
     cache = tmp_path / "cache"
-    assert run(tmp_path, *THM3_ASYMPTOTIC_EC, f"--curve={curve}") == 2
+    assert run(tmp_path, *argv) == 2
     assert capsys.readouterr() == ("", message + "\n")
     assert not cache.exists() or not any(cache.iterdir())
     # a cached trace series is not loaded either
@@ -150,12 +153,43 @@ def test_thm3_asymptotic_refuses_cm_curves(tmp_path, capsys, monkeypatch, curve)
         raise AssertionError("a trace series was built or loaded")
     for name in ("trace_series", "load_cache"):
         monkeypatch.setattr(stseq.cli, name, touched)
-    assert run(tmp_path, *THM3_ASYMPTOTIC_EC, f"--curve={curve}") == 2
+    assert run(tmp_path, *argv) == 2
     assert capsys.readouterr() == ("", message + "\n")
-    assert not (tmp_path / "thm3-clt.json").exists()
+    assert [p.name for p in tmp_path.glob("*.json")] == ["supersingular-census.json"]  # ec's
 
 
-@pytest.mark.parametrize("curve", ["-1,1", "1,1", "-2,1", "2,3", "-3,5"])
+@pytest.mark.parametrize("curve", CM_CURVES)
+def test_thm3_asymptotic_refuses_cm_curves(tmp_path, capsys, monkeypatch, curve):
+    message = (f"error: --standardization asymptotic assumes the Sato-Tate law, which the CM "
+               f"curve {curve} does not follow; use self or finite-size")
+    argv = [*THM3_ASYMPTOTIC_EC, f"--curve={curve}"]
+    _refuses_cm(tmp_path, capsys, monkeypatch, argv, curve, message)
+
+
+ST_COMMANDS = {  # the commands besides thm3's asymptotic scale that assume Sato-Tate
+    "verify thm1": ["verify", "thm1", "--epsilon", "0.25", "--checkpoints", "1000,2000"],
+    "verify assumptions": ["verify", "assumptions"],
+    "stats": ["stats"],
+}
+
+
+@pytest.mark.parametrize("curve", CM_CURVES)
+@pytest.mark.parametrize("command", ST_COMMANDS)
+def test_sato_tate_commands_refuse_cm_curves(tmp_path, capsys, monkeypatch, command, curve):
+    argv = [*ST_COMMANDS[command], "--source", "ec", f"--curve={curve}", "--limit", "2000"]
+    message = (f"error: {command} assumes the Sato-Tate law, which the CM curve {curve} "
+               f"does not follow")
+    _refuses_cm(tmp_path, capsys, monkeypatch, argv, curve, message)
+
+
+@pytest.mark.parametrize("curve", BENCH_CURVES)
+@pytest.mark.parametrize("command", ST_COMMANDS)
+def test_sato_tate_commands_run_curves_without_cm(tmp_path, command, curve):
+    assert run(tmp_path, *ST_COMMANDS[command], "--source", "ec", f"--curve={curve}",
+               "--limit", "2000") == 0
+
+
+@pytest.mark.parametrize("curve", BENCH_CURVES)
 def test_thm3_asymptotic_runs_curves_without_cm(tmp_path, curve):
     assert run(tmp_path, *THM3_ASYMPTOTIC_EC, f"--curve={curve}") == 0
     assert VerificationReport.from_json((tmp_path / "thm3-clt.json").read_text()).passed
@@ -165,6 +199,21 @@ def test_thm3_asymptotic_runs_curves_without_cm(tmp_path, curve):
 def test_thm3_self_standardizations_run_cm_curves(tmp_path, standardization):
     assert run(tmp_path, "verify", "thm3", "--standardization", standardization,
                "--source", "ec", "--curve=-1,0", "--limit", "2000") == 0
+
+
+CM_FREE_COMMANDS = {  # the commands that use no Sato-Tate constant
+    "ec": ["ec"],
+    "angles": ["angles", "--source", "ec"],
+    "thm2": ["verify", "thm2", "--source", "ec", "--checkpoints", "1000,2000"],
+    "lemma-sums": ["verify", "lemma-sums", "--source", "ec", "--checkpoints", "1000,2000"],
+    "hall-tenenbaum": ["verify", "hall-tenenbaum", "--source", "ec"],
+}
+
+
+@pytest.mark.parametrize("curve", CM_CURVES)
+@pytest.mark.parametrize("command", CM_FREE_COMMANDS)
+def test_commands_without_sato_tate_run_cm_curves(tmp_path, command, curve):
+    assert run(tmp_path, *CM_FREE_COMMANDS[command], f"--curve={curve}", "--limit", "2000") == 0
 
 
 def test_prime_value_past_two_exits_one(tmp_path, capsys, monkeypatch):
@@ -367,12 +416,13 @@ def test_missing_value_exits_two_before_any_source(tmp_path, capsys, monkeypatch
     for name in ("expand_delta", "trace_series", "build_synthetic_sequence", "load_cache"):
         monkeypatch.setattr(stseq.cli, name, touched)
     conf = tmp_path / "conf.txt"
-    conf.write_text("format=text\n")
+    conf.write_text(f"cache_dir={tmp_path / 'elsewhere'}\n")  # run's --cache-dir wins
     assert run(tmp_path, *argv, "--config", str(conf)) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == [f"usage error: {flag} is required for this command"]
     assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == SYNTH150_FILES
+    assert not (tmp_path / "elsewhere").exists()
 
 
 def _parsers(parser):
@@ -389,7 +439,44 @@ def test_config_can_supply_every_flag_value():
     actions = [a for p in _parsers(stseq.cli.build_parser()) for a in p._actions]
     assert [a.dest for a in actions
             if a.required and not isinstance(a, argparse._SubParsersAction)] == []
-    assert stseq.cli._CONFIG_KEYS <= {a.dest for a in actions}
+
+
+def _commands(parser, tokens=()):
+    """(subcommand tokens, leaf parser) of every command."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield list(tokens), parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _commands(child, (*tokens, name))
+
+
+def _sample_value(action) -> str:
+    if action.choices:
+        return next(str(c) for c in action.choices if c != action.default)
+    return {int: "3", float: "0.5"}.get(action.type, "1,2")
+
+
+# every value flag of every command but --config, which is no config key
+VALUE_FLAGS = [(tokens, a.option_strings[0], a.dest, _sample_value(a))
+               for tokens, leaf in _commands(stseq.cli.build_parser())
+               for a in leaf._actions if a.nargs != 0 and a.dest != "config"]
+
+
+@pytest.mark.parametrize("tokens, flag, key, value", VALUE_FLAGS,
+                         ids=[" ".join([*tokens, flag]) for tokens, flag, _, _ in VALUE_FLAGS])
+def test_config_line_parses_as_its_flag(tmp_path, monkeypatch, tokens, flag, key, value):
+    seen, defaults = [], vars(stseq.cli.build_parser().parse_args(tokens))
+    monkeypatch.setattr(stseq.cli, defaults["func"].__name__,
+                        lambda args: seen.append(vars(args)) or 0)
+    conf = tmp_path / "conf.txt"
+    conf.write_text(f"{key}={value}\n")
+    assert main([*tokens, "--config", str(conf)]) == 0
+    assert main([*tokens, f"{flag}={value}"]) == 0
+    from_config, from_flag = seen
+    assert from_config.pop("config") == str(conf) and from_flag.pop("config") is None
+    assert from_config == from_flag
+    assert from_config[key] != defaults[key]  # so the line, not a default, set it
 
 
 @pytest.mark.parametrize("flag, name, reason", [
@@ -517,16 +604,21 @@ def test_bad_config_value_exits_two(tmp_path):
     ("rule=bogus", ["synth", "--limit", "100", "--seed", "1"]),
 ])
 def test_config_value_outside_choices_exits_two(tmp_path, capsys, monkeypatch, line, argv):
-    # refused by the config check itself, before any source is built
+    # argparse refuses it with the line it gives the typed flag, before any source is built
     monkeypatch.setattr(stseq.cli, "PrimePowerRule", None)
+    with pytest.raises(SystemExit) as typed:
+        run(tmp_path, *argv, f"--{line}")
+    flag_err = capsys.readouterr().err
     conf = tmp_path / "conf.txt"
     conf.write_text(line + "\n")
-    assert run(tmp_path, *argv, "--config", str(conf)) == 2
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *argv, "--config", str(conf))
+    assert exc.value.code == typed.value.code == 2
     out, err = capsys.readouterr()
     key, value = line.split("=")
     assert out == ""
-    assert err.splitlines() == [err.strip()]
-    assert err.startswith(f"usage error: config {key}='{value}': invalid choice")
+    assert err.splitlines() == [err.strip()] == [flag_err.strip()]
+    assert err.startswith(f"usage error: argument --{key}: invalid choice: '{value}' (choose from ")
     assert not (tmp_path / "cache").exists() or not any((tmp_path / "cache").iterdir())
 
 
@@ -538,6 +630,26 @@ def test_explicit_format_beats_config(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.endswith((tmp_path / "tau-integrity.csv").read_text())
     assert "{" not in out
+
+
+@pytest.mark.parametrize("line", ["threads=4", "format=json", "gammas=1", "config=other.txt"])
+def test_config_key_without_a_flag_of_the_command_exits_two(tmp_path, capsys, line):
+    # synth has no --threads, --format or --gammas, and a config file names no other
+    conf = tmp_path / "conf.txt"
+    conf.write_text(line + "\n")
+    assert run(tmp_path, "synth", "--limit", "50", "--seed", "1", "--config", str(conf)) == 2
+    key = line.split("=")[0]
+    assert capsys.readouterr() == ("", f"usage error: unknown config key '{key}'\n")
+    assert not (tmp_path / "cache").exists() or not any((tmp_path / "cache").iterdir())
+
+
+def test_config_reaches_thm3_standardization(tmp_path):
+    conf = tmp_path / "conf.txt"
+    conf.write_text("standardization=finite-size\n")
+    assert run(tmp_path, "verify", "thm3", "--source", "synth", "--limit", "2000",
+               "--seed", "7", "--config", str(conf)) == 0
+    report = VerificationReport.from_json((tmp_path / "thm3-clt.json").read_text())
+    assert report.parameters["standardization"] == "finite-size"
 
 
 def test_bad_config_key(tmp_path):
