@@ -2,8 +2,8 @@
 
 Everything downstream builds on one multiplicative kernel,
 `fill_multiplicative`: any table fixed by its prime-power values, by
-prime-power strikes over the caller's `primes_up_to` list, the small
-primes one cache-sized block of n at a time.  It fills the sequences assembled
+prime-power strikes over the caller's `primes_up_to` list, one
+cache-sized block of n at a time.  It fills the sequences assembled
 from prime angles plus a prime-power rule (a_p = 2 cos(theta_p) in [-2, 2];
 higher prime powers come from the rule), the elliptic sequences, d(n),
 sigma_11(n) mod 691 and the exact Hecke rebuild of tau from its primes.
@@ -69,19 +69,27 @@ def _check_sieve_limit(limit: int) -> None:
 
 
 def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array (plain boolean sieve), the primes
-    every package table strikes with.  An n past the SPF sieve's capacity is
-    refused before anything is allocated, though that sieve has no package
-    reader and is kept only for the benchmark's tracer."""
+    """All primes <= n as an int64 array, the primes every package table
+    strikes with.  An n past the SPF sieve's capacity is refused before
+    anything is allocated, though that sieve has no package reader and is
+    kept only for the benchmark's tracer.
+
+    The sieve holds the odd numbers only: slot k stands for 2k + 1, and
+    slot 0, which would stand for 1, stands for 2.  Each odd prime p <= sqrt(n)
+    strikes its odd multiples from p^2, which lie p slots apart.
+    """
     _check_sieve_limit(n)
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    odd = np.ones((n + 1) // 2, dtype=bool)
+    for p in range(3, math.isqrt(n) + 1, 2):
+        if odd[p // 2]:
+            odd[p * p // 2 :: p] = False
+    ps = np.flatnonzero(odd).astype(np.int64, copy=False)
+    ps *= 2
+    ps += 1
+    ps[0] = 2
+    return ps
 
 
 @dataclass
@@ -127,6 +135,9 @@ def build_spf_sieve(limit: int) -> SpfSieve:
 # Entries per block of `dyadic_blocks` and of `blocks`, the blocks of n the
 # small primes strike: bounds temporaries and keeps a block's strikes in cache.
 _BLOCK = 1 << 20
+# Entries per block of `strike_big_primes`: a block's slice of the table and
+# its pair arrays stay in the per-core L2 through one gather-combine-scatter.
+_PAIR_BLOCK = 1 << 15
 
 
 def blocks(lo: int, hi: int, size: int | None = None):
@@ -135,14 +146,48 @@ def blocks(lo: int, hi: int, size: int | None = None):
 
     The small-prime strikes of `fill_multiplicative` and of thm3's logs walk
     it: every small prime strikes one block before the next block starts, so
-    the block's slice of the table stays in cache across the primes.  thm3's
-    packing and counting passes walk it in blocks of `verify.THM3_BLOCK`
-    entries, and the `stseq.limbs` kernels in blocks of `limbs.ROW_BLOCK`
-    rows.
+    the block's slice of the table stays in cache across the primes.  Their
+    big-prime strikes (`strike_big_primes`) walk it in blocks of _PAIR_BLOCK
+    entries, thm3's packing and counting passes in blocks of
+    `verify.THM3_BLOCK` entries, and the `stseq.limbs` kernels in blocks of
+    `limbs.ROW_BLOCK` rows.
     """
     size = size or _BLOCK
     for start in range(lo, hi, size):
         yield start, min(hi, start + size)
+
+
+def strike_big_primes(table: np.ndarray, limit: int, big: np.ndarray, values: np.ndarray,
+                      combine) -> np.ndarray:
+    """Set table[n] = combine(values[k], table[n]) at every n = j * big[k] <= limit,
+    and return table.
+
+    big holds primes above sqrt(limit), ascending and as int64, and values
+    one entry per prime.  Such a prime divides each of its multiples n <= limit
+    once, as its largest prime factor, so each n is struck by at most one of
+    them.  The strikes walk `blocks` of _PAIR_BLOCK consecutive n: a block's
+    pairs (n, k) are listed at once, one run of k per multiplier j, then
+    gathered, combined and scattered in one go while the block's slice of
+    the table is in cache.  combine is called as in `fill_multiplicative`.
+    """
+    if not big.size:
+        return table
+    # start[j - 1] counts the k with j * big[k] before the current block
+    start = np.zeros(limit // int(big[0]), dtype=np.int64)
+    for lo, hi in blocks(1, limit + 1, _PAIR_BLOCK):
+        j = np.arange(1, (hi - 1) // int(big[0]) + 1, dtype=np.int64)
+        first = start[: len(j)]  # a j new to this block has j * big[0] >= lo
+        stop = np.searchsorted(big, (hi - 1) // j, side="right")
+        count = stop - first
+        # k runs over first[j] .. stop[j] - 1 for each j in turn
+        k = np.arange(int(count.sum()), dtype=np.int64)
+        k += np.repeat(first - (np.cumsum(count) - count), count)
+        first[:] = stop
+        at = np.repeat(j, count)
+        at *= big[k]
+        vals = table[at]
+        table[at] = combine(values[k], vals, out=vals)
+    return table
 
 
 def dyadic_blocks(lo: int, hi: int):
@@ -198,20 +243,17 @@ def fill_multiplicative(limit: int, ps: np.ndarray, prime_power, out: np.ndarray
     numpy ufunc such as the default np.multiply does.
 
     The primes strike largest first.  A prime p > sqrt(limit) divides each
-    multiple j * p once, as its largest factor, so those strike together,
-    one gather per j.  The smaller primes then strike `blocks` of n: within
-    a block each p, largest first, strikes its multiples n with f(p^v),
-    p^v || n, so every n still folds its prime powers in the same order.
+    multiple j * p once, as its largest factor, so those strike first and
+    together, by `strike_big_primes` over blocks of _PAIR_BLOCK n.  The
+    smaller primes then strike `blocks` of _BLOCK n: within a block each p,
+    largest first, strikes its multiples n with f(p^v), p^v || n, so every n
+    still folds its prime powers in the same order.
     """
     out[1 : limit + 1] = 1
     root = math.isqrt(limit)
     small = int(np.searchsorted(ps, root, side="right"))
     big = ps[small:]
-    f = prime_power(big, np.ones_like(big))
-    for j in range(1, limit // (root + 1) + 1):
-        at = j * big[: np.searchsorted(big, limit // j, side="right")]
-        vals = out[at]
-        out[at] = combine(f[: len(at)], vals, out=vals)
+    strike_big_primes(out, limit, big, prime_power(big, np.ones_like(big)), combine)
     small_ps = ps[:small].tolist()
     pv = np.array([(p, v) for p in small_ps for v in range(1, limit.bit_length())
                    if p**v <= limit], dtype=np.int64).reshape(-1, 2)

@@ -196,12 +196,16 @@ def get_synthetic_sequence(args) -> NormalizedSequence:
                    and all(seq.meta.get(k) == v for k, v in want.items()))
 
 
+def _angles_fit(args):
+    """Whether a cached synth angles series fits the request: its type and
+    limit (they depend on the seed and limit alone, both in its name)."""
+    return lambda angles: isinstance(angles, AngleSeries) and angles.limit == args.limit
+
+
 def get_synthetic_angles(args) -> AngleSeries:
-    """The --source synth prime angles; a cached series is used only if its
-    type and limit fit (they depend on the seed and limit alone, both in its name)."""
+    """The --source synth prime angles; a cached series is used only if it fits."""
     path, _, build = _synthetic_files(args)
-    return _cached(path, build,
-                   lambda angles: isinstance(angles, AngleSeries) and angles.limit == args.limit)
+    return _cached(path, build, _angles_fit(args))
 
 
 def _require(args, name):
@@ -231,8 +235,11 @@ def resolve_with_angles(args) -> tuple[NormalizedSequence, AngleSeries]:
     if source == "ec":
         series = get_trace_series(args)
         return ec_normalized_sequence(series, series.limit), angles_from_traces(series)
-    angles = get_synthetic_angles(args)
-    return get_synthetic_sequence(args), angles
+    angles_path, seq_path, build = _synthetic_files(args)
+    built = {}
+    angles = _cached(angles_path, lambda: built.update(build()) or built, _angles_fit(args))
+    # a rebuilt pair hands its sequence over; loaded angles leave it to its own file
+    return (built[seq_path] if built else get_synthetic_sequence(args)), angles
 
 
 def resolve_angles(args) -> AngleSeries:

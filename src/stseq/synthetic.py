@@ -41,12 +41,12 @@ def mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _keyed_u01(seed: int, p: np.ndarray, attempt: int, component: int) -> np.ndarray:
-    """Uniform [0,1) doubles keyed by (seed, p, attempt, component)."""
-    base = mix64(np.uint64(seed) ^ (p.astype(np.uint64) * _GAMMA))
+def _keyed_u01(key: np.ndarray, attempt: int, component: int) -> np.ndarray:
+    """Uniform [0,1) doubles keyed by (prime key, attempt, component); a
+    prime's key is mix64(seed ^ p * gamma)."""
     # scalar counter mixed in Python ints (numpy warns on scalar wraparound)
     ctr = np.uint64(((2 * attempt + component) * 0xBF58476D1CE4E5B9) % 2**64)
-    bits = mix64(base ^ ctr)
+    bits = mix64(key ^ ctr)
     return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
@@ -65,23 +65,25 @@ def sample_st_angles(stream: StRngStream, primes: np.ndarray):
     """Vectorized rejection sampler over a prime array.
 
     Returns (theta, n_accepted, n_proposed): one float64 angle per prime,
-    and the sampler's acceptance counts.
+    and the sampler's acceptance counts.  Each prime's key is mixed once;
+    every attempt and component only mixes its counter into it.
     """
     primes = np.asarray(primes, dtype=np.int64)
     theta = np.empty(len(primes), dtype=np.float64)
     pending = np.arange(len(primes))
+    keys = mix64(np.uint64(stream.seed) ^ (primes.astype(np.uint64) * _GAMMA))  # pending's
     proposed = 0
     attempt = 0
     while len(pending):
         if attempt >= _MAX_ATTEMPTS:
             raise RuntimeError("rejection sampler exceeded the attempt cap")
-        u1 = _keyed_u01(stream.seed, primes[pending], attempt, 0)
-        u2 = _keyed_u01(stream.seed, primes[pending], attempt, 1)
+        u1 = _keyed_u01(keys, attempt, 0)
+        u2 = _keyed_u01(keys, attempt, 1)
         prop = math.pi * u1
         accept = u2 < np.sin(prop) ** 2
         theta[pending[accept]] = prop[accept]
         proposed += len(pending)
-        pending = pending[~accept]
+        pending, keys = pending[~accept], keys[~accept]
         attempt += 1
     return theta, len(primes), proposed
 

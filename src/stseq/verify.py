@@ -27,6 +27,7 @@ from .arith import (
     blocks,
     dyadic_blocks,
     primes_up_to,
+    strike_big_primes,
 )
 from .errors import DataCorruptionError
 from .report import VerificationReport, flag
@@ -305,7 +306,8 @@ def strongly_multiplicative_log(
     strike one slice each per block of n (`arith.blocks`), ascending within
     the block.  Every multiple j * p <= x of a larger prime p has
     j < sqrt(x), so p is its largest prime factor and comes last either
-    way: those primes strike together, one gather-add per multiplier j.
+    way: those primes strike afterwards and together, one gather-add per
+    block of `arith._PAIR_BLOCK` n (`arith.strike_big_primes`).
     """
     return _strongly_multiplicative_log(seq, primes_up_to(x), x)
 
@@ -313,7 +315,9 @@ def strongly_multiplicative_log(
 def _strongly_multiplicative_log(
     seq: NormalizedSequence, ps: np.ndarray, x: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """strongly_multiplicative_log over ps, the primes up to x."""
+    """strongly_multiplicative_log over ps, the primes up to x: the small
+    primes strike `arith.blocks` of n, then `arith.strike_big_primes` adds
+    each n's prime above sqrt(x) last."""
     logh = np.zeros(x + 1, dtype=np.float64)
     a = np.abs(seq.values[ps])
     nz = a != 0.0
@@ -325,10 +329,7 @@ def _strongly_multiplicative_log(
     for lo, hi in blocks(1, x + 1):  # ascending p within each block of n
         for p, lp in strikes:
             logh[-(-lo // p) * p : hi : p] += lp
-    big, lbig = live[small:], logs[small:]
-    for j in range(1, x // (root + 1) + 1):
-        k = int(np.searchsorted(big, x // j, side="right"))
-        logh[j * big[:k]] += lbig[:k]
+    strike_big_primes(logh, x, live[small:], logs[small:], np.add)
     return logh, prime_free_mask(ps[~nz], x)
 
 

@@ -73,6 +73,25 @@ class TestSpfSieve:
         assert sv.spf.tolist() == [0, 0, 2]
 
 
+def _boolean_sieve(n: int) -> np.ndarray:
+    """The primes <= n from a sieve over every integer, one strike per prime."""
+    mask = np.ones(n + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return np.flatnonzero(mask).astype(np.int64)
+
+
+class TestPrimesUpTo:
+    @pytest.mark.parametrize("ns", [range(2001), [2**19, 10**6]], ids=["to-2000", "large"])
+    def test_equals_a_boolean_sieve(self, ns):
+        for n in ns:
+            got = primes_up_to(n)
+            assert got.dtype == np.int64
+            assert got.tobytes() == _boolean_sieve(n).tobytes(), n
+
+
 class TestDerivedTables:
     def test_exponent_core(self, sieve_10k):
         e, core = exponent_core_tables(sieve_10k)
@@ -137,7 +156,9 @@ def _right_fold_table(kind: str, limit: int) -> np.ndarray:
 class TestFillMultiplicative:
     # blocks of n start at 1 + k * block, so a limit of k * block ends a block
     # and k * block +- 1 end one short of an edge or one past it (block 5:
-    # 24, 25, 26 and 119, 120, 121; block 64: 63, 64, 65 and 127, 128, 129)
+    # 24, 25, 26 and 119, 120, 121; block 64: 63, 64, 65 and 127, 128, 129).
+    # The big-prime strikes walk blocks of the same size, so at block 3 or 5
+    # some multiple j * p of a prime above sqrt(limit) ends or starts a block.
     LIMITS = [0, 1, 2, 3, 4, 8, 9, 24, 25, 26, 63, 64, 65, 119, 120, 121, 122, 127, 128, 129,
               168, 169, 170, 2000]
 
@@ -148,6 +169,7 @@ class TestFillMultiplicative:
         import stseq.arith as arith_mod
 
         monkeypatch.setattr(arith_mod, "_BLOCK", block)
+        monkeypatch.setattr(arith_mod, "_PAIR_BLOCK", block)
         prime_power, combine, dtype = _FOLD_KINDS[kind]
         want = _right_fold_table(kind, limit)
         got = fill_multiplicative(limit, primes_up_to(limit), prime_power,

@@ -765,6 +765,25 @@ def test_only_assumptions_opens_the_synth_angles(tmp_path, monkeypatch):
             assert opened == [seq_file], stem
 
 
+def test_cold_assumptions_takes_the_sequence_from_its_build(tmp_path, monkeypatch):
+    # with no synth file, one build saves both files and hands both objects over
+    assert run(tmp_path / "warm", "synth", "--limit", "3000", "--seed", "7") == 0
+    saved = {p.name: p.read_bytes() for p in (tmp_path / "warm" / "cache").iterdir()}
+    opened = _opened(monkeypatch)
+    builds = []
+    real = stseq.cli.build_synthetic_sequence
+    monkeypatch.setattr(stseq.cli, "build_synthetic_sequence",
+                        lambda *a, **kw: builds.append(1) or real(*a, **kw))
+    stem = "assumption-diagnostics"
+    assert run(tmp_path, *SYNTH_CALLS[stem]) == 0
+    assert builds == [1] and opened == []
+    assert {p.name: p.read_bytes() for p in (tmp_path / "cache").iterdir()} == saved
+    cold = _canonical(tmp_path, stem)
+    assert run(tmp_path, *SYNTH_CALLS[stem]) == 0  # warm: both objects read from their files
+    assert builds == [1] and len(opened) == 2
+    assert _canonical(tmp_path, stem) == cold
+
+
 def test_missing_synth_angles_rebuilt_only_by_assumptions(tmp_path, monkeypatch):
     expected = _fresh_build_bytes(tmp_path)
     assert run(tmp_path, "synth", "--limit", "3000", "--seed", "7") == 0

@@ -703,12 +703,14 @@ class TestStronglyMultiplicativeLogOracle:
                 for x in (p * p - 1, p * p, p * p + 1):
                     self.assert_same(seq, x)
 
-    @pytest.mark.parametrize("block", [5, 64])
+    @pytest.mark.parametrize("block", [3, 5, 64])
     def test_small_blocks(self, monkeypatch, synth_seq, cm_seq, block):
-        # blocks of n start at 1 + k * block; x = k * block ends one
+        # blocks of n start at 1 + k * block; x = k * block ends one.  The
+        # big-prime strikes walk blocks of the same size.
         import stseq.arith as arith_mod
 
         monkeypatch.setattr(arith_mod, "_BLOCK", block)
+        monkeypatch.setattr(arith_mod, "_PAIR_BLOCK", block)
         for seq in (synth_seq, cm_seq):
             for x in (block - 1, block, block + 1, 2 * block, 20 * block + 1, 5000):
                 self.assert_same(seq, x)
